@@ -164,7 +164,7 @@ main()
     constexpr int kWorkers = 4;
 
     common::Table table({"N", "acc_flat_ms", "acc_map_ms", "acc_x",
-                         "rec_flat_ms", "rec_fast_ms", "rec_map_ms",
+                         "rec_flat_ms", "rec_map_ms",
                          "rec_x", "score_ms"});
 
     for (const std::size_t support : supports) {
@@ -194,17 +194,12 @@ main()
             return 1;
         }
 
-        // -- Reconstruct: flat (exhaustive + banded) vs map-backed.
+        // -- Reconstruct: flat sorted pair scan vs map-backed.
         core::HammerConfig serial;
         serial.threads = 1;
         start = std::chrono::steady_clock::now();
         const Distribution rec_flat = core::reconstruct(dist, serial);
         const double t_rec_flat = secondsSince(start);
-
-        start = std::chrono::steady_clock::now();
-        const Distribution rec_fast =
-            core::reconstructFast(dist, serial);
-        const double t_rec_fast = secondsSince(start);
 
         start = std::chrono::steady_clock::now();
         const Distribution rec_map = mapReconstruct(dist);
@@ -238,7 +233,6 @@ main()
              common::Table::fmt(acc_map * 1e3, 2),
              common::Table::fmt(acc_speedup, 2),
              common::Table::fmt(t_rec_flat * 1e3, 2),
-             common::Table::fmt(t_rec_fast * 1e3, 2),
              common::Table::fmt(t_rec_map * 1e3, 2),
              common::Table::fmt(rec_speedup, 2),
              common::Table::fmt(t_score * 1e3, 3)});
@@ -248,7 +242,6 @@ main()
         report.metric("accumulate_map_s" + tag, acc_map);
         report.metric("speedup_accumulate" + tag, acc_speedup);
         report.metric("reconstruct_flat_s" + tag, t_rec_flat);
-        report.metric("reconstruct_fast_s" + tag, t_rec_fast);
         report.metric("reconstruct_map_s" + tag, t_rec_map);
         report.metric("speedup_reconstruct" + tag, rec_speedup);
         report.metric("score_s" + tag, t_score);

@@ -69,28 +69,6 @@ BENCHMARK(BM_HammerReconstruct)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_HammerReconstructFast(benchmark::State &state)
-{
-    Rng rng(0x7AB3);
-    const auto n_unique = static_cast<std::size_t>(state.range(0));
-    const Distribution dist = syntheticDistribution(48, n_unique, rng);
-    hammer::core::HammerStats stats;
-    for (auto _ : state) {
-        auto out = hammer::core::reconstructFast(dist, {}, &stats);
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetComplexityN(state.range(0));
-    state.counters["pair_ops"] =
-        static_cast<double>(stats.pairOperations);
-}
-
-BENCHMARK(BM_HammerReconstructFast)
-    ->RangeMultiplier(2)
-    ->Range(256, 8192)
-    ->Complexity()
-    ->Unit(benchmark::kMillisecond);
-
-void
 printOperationTable()
 {
     std::puts("== Table 3: operations required (billions) ==");
@@ -101,8 +79,9 @@ printOperationTable()
           std::pair<const char *, double>{"256K", 262144.0}}) {
         for (double frac : {0.1, 1.0}) {
             const double unique = count * frac;
-            // Step 1 + Step 3 pair scans: 2 * N^2 (+N normalise),
-            // reported like the paper as ~N^2 "operations".
+            // Steps 1 and 3 share one pass over the N(N-1)/2
+            // unordered pairs; reported like the paper as ~N^2
+            // "operations".
             const double ops_billion = unique * unique / 1e9;
             std::printf("%-9s  %-6.0f%%  %-7.3f  %-7.3f\n", trials,
                         frac * 100.0, ops_billion, ops_billion);

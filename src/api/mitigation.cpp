@@ -15,8 +15,8 @@ using core::Distribution;
 // ---------------------------------------------------------------------------
 
 HammerMitigator::HammerMitigator(core::HammerConfig config,
-                                 int iterations, bool fast)
-    : config_(config), iterations_(iterations), fast_(fast)
+                                 int iterations)
+    : config_(config), iterations_(iterations)
 {
     require(iterations >= 1,
             "HammerMitigator: iterations must be >= 1");
@@ -25,7 +25,7 @@ HammerMitigator::HammerMitigator(core::HammerConfig config,
 std::string
 HammerMitigator::name() const
 {
-    std::string n = fast_ ? "hammer-fast" : "hammer";
+    std::string n = "hammer";
     if (iterations_ > 1) {
         n += ':';
         n += std::to_string(iterations_);
@@ -41,10 +41,8 @@ HammerMitigator::apply(const Distribution &measured,
     if (ctx.threads > 0)
         config.threads = ctx.threads;
     Distribution dist = measured;
-    for (int pass = 0; pass < iterations_; ++pass) {
-        dist = fast_ ? core::reconstructFast(dist, config, ctx.stats)
-                     : core::reconstruct(dist, config, ctx.stats);
-    }
+    for (int pass = 0; pass < iterations_; ++pass)
+        dist = core::reconstruct(dist, config, ctx.stats);
     return dist;
 }
 
@@ -256,13 +254,7 @@ defaultMitigatorRegistry()
                  [](const std::vector<std::string> &args) {
                      return std::make_shared<HammerMitigator>(
                          core::HammerConfig{},
-                         singleIntArg(args, "hammer", 1), false);
-                 });
-    registry.add("hammer-fast", "hammer-fast[:<iterations>]",
-                 [](const std::vector<std::string> &args) {
-                     return std::make_shared<HammerMitigator>(
-                         core::HammerConfig{},
-                         singleIntArg(args, "hammer-fast", 1), true);
+                         singleIntArg(args, "hammer", 1));
                  });
     registry.add("readout", "readout[:<iterations>]",
                  [](const std::vector<std::string> &args) {

@@ -99,20 +99,16 @@ class Mitigator
                                      MitigationContext &ctx) const = 0;
 };
 
-/**
- * HAMMER reconstruction stage
- * (core::reconstruct / reconstructFast / reconstructIterative).
- */
+/** HAMMER reconstruction stage (core::reconstruct, iterated). */
 class HammerMitigator final : public Mitigator
 {
   public:
     /**
      * @param config Algorithm parameters (defaults = the paper).
      * @param iterations Reconstruction passes, >= 1.
-     * @param fast Use the popcount-pruned implementation.
      */
     explicit HammerMitigator(core::HammerConfig config = {},
-                             int iterations = 1, bool fast = false);
+                             int iterations = 1);
 
     std::string name() const override;
     core::Distribution apply(const core::Distribution &measured,
@@ -121,7 +117,6 @@ class HammerMitigator final : public Mitigator
   private:
     core::HammerConfig config_;
     int iterations_;
-    bool fast_;
 };
 
 /** Tensored readout-error mitigation stage (the Google baseline). */
@@ -200,7 +195,6 @@ class MitigationChain final : public Mitigator
  * Built-ins (see defaultMitigatorRegistry()):
  *
  *   hammer[:<iterations>]    HAMMER (paper defaults)
- *   hammer-fast[:<iter>]     popcount-pruned HAMMER
  *   readout[:<iterations>]   iterative-Bayesian readout unfolding
  *   ensemble[:<mappings>]    diverse-mapping ensemble (re-executes)
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "circuits/bv.hpp"
 #include "circuits/ghz.hpp"
@@ -179,7 +180,10 @@ parsePositiveInt(const std::string &text, const std::string &context)
     } catch (const std::exception &) {
         consumed = 0;
     }
-    if (consumed != text.size() || value <= 0)
+    // Range-check before the cast: a long past INT_MAX would wrap
+    // (4294967297 shots would silently run 1).
+    if (consumed != text.size() || value <= 0 ||
+        value > std::numeric_limits<int>::max())
         fatal(context + ": '" + text +
               "' is not a positive integer");
     return static_cast<int>(value);

@@ -175,7 +175,7 @@ std::vector<std::string> splitSpec(const std::string &spec);
  * @param context Name of the spec or flag being parsed, quoted in
  *        the error message.
  * @throws std::invalid_argument when @p text is not a positive
- *         integer.
+ *         integer or exceeds INT_MAX.
  */
 int parsePositiveInt(const std::string &text,
                      const std::string &context);

@@ -20,10 +20,11 @@ namespace hammer::common {
 /** Measurement outcome: qubit i occupies bit i. */
 using Bits = std::uint64_t;
 
-// popcount and hammingDistance are the innermost operations of every
-// O(N^2) Hamming-space loop (HAMMER's pair scans, EHD scoring), so
-// they are defined inline: a call through the library boundary would
-// cost more than the single POPCNT instruction they compile to.
+// popcount and hammingDistance sit inside the Hamming-space loops
+// (EHD scoring, the reference scorers), so they are defined inline.
+// They compile to one POPCNT only where the target ISA has it; at
+// the x86-64 baseline they call libgcc, which is why HAMMER's pair
+// scan has its own POPCNT tier (core/pair_scan.hpp).
 
 /** Number of set bits in @p x. */
 inline int

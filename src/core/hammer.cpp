@@ -5,7 +5,7 @@
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
-#include "core/hamming_index.hpp"
+#include "core/pair_scan.hpp"
 #include "core/spectrum.hpp"
 
 namespace hammer::core {
@@ -16,10 +16,10 @@ using common::ThreadPool;
 
 namespace {
 
-// Fixed work-item size for the parallel pair scans.  The chunk
-// schedule depends only on the support size — never the thread count
-// — which is what makes the chunk-indexed partials (and so the whole
-// reconstruction) bit-identical for any number of workers.
+// Fixed work-item size (sorted rows) for the parallel pair scan.  The
+// chunk schedule depends only on the support size — never the thread
+// count — which is what makes the chunk-indexed partials (and so the
+// whole reconstruction) bit-identical for any number of workers.
 constexpr std::size_t kScanChunk = 64;
 
 /** Resolve config.maxDistance to the effective bound. */
@@ -88,105 +88,60 @@ treeReduceChs(std::vector<ChsPartial> &parts)
 }
 
 /**
- * Struct-of-arrays copy of a distribution's support: the pair scans
- * stream outcomes_ (one cache line holds eight) and touch probs_
- * only on distance hits, halving the hot loops' cache traffic
- * relative to walking the 16-byte Entry structs.
+ * The support sorted by probability, descending, ties by outcome, as
+ * struct-of-arrays: the scan streams outcomes (eight per cache line)
+ * and probs.  Tie groups are contiguous, so every outcome strictly
+ * less probable than row i lies at or past groupEnd[i].
  */
-struct FlatSupport
+struct SortedSupport
 {
-    explicit FlatSupport(const Distribution &input)
+    explicit SortedSupport(const Distribution &input)
     {
         const auto &entries = input.entries();
-        outcomes.reserve(entries.size());
-        probs.reserve(entries.size());
-        for (const Entry &e : entries) {
-            outcomes.push_back(e.outcome);
-            probs.push_back(e.probability);
+        const std::size_t count = entries.size();
+        index.resize(count);
+        for (std::size_t k = 0; k < count; ++k)
+            index[k] = k;
+        std::sort(index.begin(), index.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      if (entries[a].probability != entries[b].probability)
+                          return entries[a].probability >
+                                 entries[b].probability;
+                      return entries[a].outcome < entries[b].outcome;
+                  });
+        outcomes.resize(count);
+        probs.resize(count);
+        for (std::size_t k = 0; k < count; ++k) {
+            outcomes[k] = entries[index[k]].outcome;
+            probs[k] = entries[index[k]].probability;
         }
+        groupEnd.resize(count);
+        for (std::size_t k = count; k-- > 0;) {
+            groupEnd[k] = k + 1 < count && probs[k + 1] == probs[k]
+                              ? groupEnd[k + 1]
+                              : k + 1;
+        }
+        lastGroup = count;
+        while (lastGroup > 0 && groupEnd[lastGroup - 1] == count)
+            --lastGroup;
     }
 
     std::vector<Bits> outcomes;
     std::vector<double> probs;
+    std::vector<std::size_t> index;    ///< Sorted row -> entries() slot.
+    std::vector<std::size_t> groupEnd; ///< One past row k's tie group.
+    std::size_t lastGroup = 0; ///< First row of the least probable group.
 };
 
-/**
- * The shared Step-1 + Step-3 skeleton of both reconstruction
- * variants.  @p chsRow accumulates entry i's Step-1 contribution
- * into a partial (whose chs vector has n + 1 bins, so row kernels
- * can bin unconditionally and let out-of-radius distances land in
- * discarded bins); @p scoreRow returns entry i's Step-3
- * neighbourhood score given radius-extended weights (zero beyond
- * dmax).  Both are invoked with a fixed iteration order per i, and
- * partials are chunk-indexed, so the result is bit-identical for
- * any thread count.
- */
-template <typename ChsRow, typename ScoreRow>
-Distribution
-reconstructSkeleton(const Distribution &input, const HammerConfig &config,
-                    HammerStats *stats, int dmax, const ChsRow &chsRow,
-                    const ScoreRow &scoreRow)
+/** Add the kScanLanes lane copies of bin d into out[d], lane order. */
+void
+foldLanes(const std::vector<double> &lanes, std::size_t stride,
+          std::size_t bins, double *out)
 {
-    const int n = input.numBits();
-    const auto &entries = input.entries();
-    const std::size_t count = entries.size();
-    const std::size_t chunks = ThreadPool::chunkCount(count, kScanChunk);
-
-    // Step 1: aggregate Cumulative Hamming Strength, one fixed-size
-    // chunk of rows per work item.
-    std::vector<ChsPartial> partials(chunks);
-    ThreadPool::runChunked(
-        config.threads, count, kScanChunk,
-        [&](std::size_t c, std::size_t begin, std::size_t end, int) {
-            ChsPartial &partial = partials[c];
-            partial.chs.assign(static_cast<std::size_t>(n) + 1, 0.0);
-            for (std::size_t i = begin; i < end; ++i)
-                chsRow(i, partial);
-        });
-    ChsPartial reduced = treeReduceChs(partials);
-    std::vector<double> chs = std::move(reduced.chs);
-    chs.resize(static_cast<std::size_t>(dmax) + 1); // drop spill bins
-    std::uint64_t pair_ops = reduced.pairOps;
-
-    // Step 2: per-distance weights, extended with zeros beyond dmax
-    // so the rescoring kernels need no distance branch.
-    const std::vector<double> weights =
-        weightsFromChs(chs, n, config.weightScheme);
-    std::vector<double> weights_ext = weights;
-    weights_ext.resize(static_cast<std::size_t>(n) + 1, 0.0);
-
-    // Step 3: rescore every outcome.  Each score is a pure function
-    // of (i, input, weights), written to its own slot.
-    std::vector<Entry> rescored(count);
-    std::vector<std::uint64_t> scoreOps(chunks, 0);
-    ThreadPool::runChunked(
-        config.threads, count, kScanChunk,
-        [&](std::size_t c, std::size_t begin, std::size_t end, int) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const double score =
-                    scoreRow(i, weights_ext, scoreOps[c]);
-                const double px = entries[i].probability;
-                rescored[i] = {entries[i].outcome,
-                               config.scoreCombine ==
-                                       ScoreCombine::Multiplicative
-                                   ? score * px
-                                   : score};
-            }
-        });
-    for (const std::uint64_t ops : scoreOps)
-        pair_ops += ops;
-
-    Distribution output = Distribution::fromSorted(n, std::move(rescored));
-    output.normalize();
-
-    if (stats) {
-        stats->uniqueOutcomes = count;
-        stats->maxDistance = dmax;
-        stats->aggregateChs = std::move(chs);
-        stats->weights = weights;
-        stats->pairOperations = pair_ops;
+    for (std::size_t d = 0; d < bins; ++d) {
+        for (std::size_t lane = 0; lane < detail::kScanLanes; ++lane)
+            out[d] += lanes[lane * stride + d];
     }
-    return output;
 }
 
 } // namespace
@@ -229,59 +184,95 @@ reconstruct(const Distribution &input, const HammerConfig &config,
     require(input.normalized(1e-6),
             "reconstruct: input distribution must be normalised");
 
+    const int n = input.numBits();
     const int dmax = effectiveMaxDistance(input, config);
-    const FlatSupport support(input);
-    const std::size_t count = support.outcomes.size();
+    const SortedSupport s(input);
+    const std::size_t count = s.outcomes.size();
+    const bool filter = config.filterLowerProbability;
+    const detail::PairScanFn scan =
+        detail::pairScanForTier(common::activeTier());
 
-    // Exhaustive O(N^2) scans (the reference implementation whose
-    // operation count Table 3 quotes); reconstructFast() is the
-    // popcount-pruned variant.  The inner loops are branch-light:
-    // the j ranges skip the diagonal structurally, and distances
-    // beyond dmax bin into the skeleton's discarded spill bins.
-    const auto chsRow = [&](std::size_t i, ChsPartial &partial) {
-        const Bits x = support.outcomes[i];
-        partial.chs[0] += support.probs[i];
-        const auto scanHalf = [&](std::size_t from, std::size_t to) {
-            for (std::size_t j = from; j < to; ++j) {
-                const int d = common::hammingDistance(
-                    x, support.outcomes[j]);
-                partial.chs[static_cast<std::size_t>(d)] +=
-                    support.probs[j];
+    // Bins cover every distance 0..n, so the kernel bins
+    // unconditionally; distances past dmax land in bins Step 2
+    // discards.  Step 3 keeps bins 0..dmax per histogram row.
+    const auto stride = static_cast<std::size_t>(n) + 1;
+    const auto bins = static_cast<std::size_t>(dmax) + 1;
+    // With the filter, the least probable tie group has no strictly
+    // less probable neighbour, so its rows need no histogram.
+    const std::size_t hRows = filter ? s.lastGroup : count;
+    std::vector<double> hist(hRows * bins, 0.0);
+
+    // Steps 1 and 3 in one scan of fixed-size row chunks.  Row i
+    // visits each j > i once for Step 1; its Step-3 neighbours are
+    // the rows past its tie group (every j != i without the filter).
+    const std::size_t chunks = ThreadPool::chunkCount(count, kScanChunk);
+    std::vector<ChsPartial> partials(chunks);
+    ThreadPool::runChunked(
+        config.threads, count, kScanChunk,
+        [&](std::size_t c, std::size_t begin, std::size_t end, int) {
+            ChsPartial &partial = partials[c];
+            partial.chs.assign(stride, 0.0);
+            std::vector<double> chsLanes(detail::kScanLanes * stride, 0.0);
+            std::vector<double> hLanes(detail::kScanLanes * stride);
+            for (std::size_t i = begin; i < end; ++i) {
+                const Bits x = s.outcomes[i];
+                const double px = s.probs[i];
+                partial.chs[0] += px;
+                double *h = nullptr;
+                if (i < hRows) {
+                    std::fill(hLanes.begin(), hLanes.end(), 0.0);
+                    h = hLanes.data();
+                }
+                const std::size_t split = filter ? s.groupEnd[i] : i + 1;
+                if (!filter)
+                    scan(x, px, s.outcomes.data(), s.probs.data(), 0, i,
+                         stride, nullptr, h);
+                scan(x, px, s.outcomes.data(), s.probs.data(), i + 1,
+                     split, stride, chsLanes.data(), nullptr);
+                scan(x, px, s.outcomes.data(), s.probs.data(), split,
+                     count, stride, chsLanes.data(), h);
+                if (h != nullptr)
+                    foldLanes(hLanes, stride, bins, &hist[i * bins]);
+                partial.pairOps += filter ? count - 1 - i : count - 1;
             }
-        };
-        scanHalf(0, i);
-        scanHalf(i + 1, count);
-        partial.pairOps += count - 1;
-    };
+            foldLanes(chsLanes, stride, stride, partial.chs.data());
+        });
+    ChsPartial reduced = treeReduceChs(partials);
+    std::vector<double> chs = std::move(reduced.chs);
+    chs.resize(bins); // drop spill bins
 
-    const auto scoreRow = [&](std::size_t i,
-                              const std::vector<double> &weights_ext,
-                              std::uint64_t &ops) {
-        const Bits x = support.outcomes[i];
-        const double px = support.probs[i];
-        const bool filter = config.filterLowerProbability;
+    // Step 2: per-distance weights.
+    const std::vector<double> weights =
+        weightsFromChs(chs, n, config.weightScheme);
+
+    // Step 3: S(x) = P(x) + sum_d W_d h_x[d], written back in
+    // outcome order.
+    std::vector<Entry> rescored(count);
+    for (std::size_t k = 0; k < count; ++k) {
+        const double px = s.probs[k];
         double score = px;
-        const auto scanHalf = [&](std::size_t from, std::size_t to) {
-            for (std::size_t j = from; j < to; ++j) {
-                const int d = common::hammingDistance(
-                    x, support.outcomes[j]);
-                const double pj = support.probs[j];
-                // Filter pi: credit flows only from strictly less
-                // probable neighbours, so rich-but-unlikely strings
-                // cannot borrow strength from dominant ones.
-                if (filter && !(px > pj))
-                    continue;
-                score += weights_ext[static_cast<std::size_t>(d)] * pj;
-            }
-        };
-        scanHalf(0, i);
-        scanHalf(i + 1, count);
-        ops += count - 1;
-        return score;
-    };
+        if (k < hRows) {
+            for (std::size_t d = 0; d < bins; ++d)
+                score += weights[d] * hist[k * bins + d];
+        }
+        rescored[s.index[k]] = {s.outcomes[k],
+                                config.scoreCombine ==
+                                        ScoreCombine::Multiplicative
+                                    ? score * px
+                                    : score};
+    }
 
-    return reconstructSkeleton(input, config, stats, dmax, chsRow,
-                               scoreRow);
+    Distribution output = Distribution::fromSorted(n, std::move(rescored));
+    output.normalize();
+
+    if (stats) {
+        stats->uniqueOutcomes = count;
+        stats->maxDistance = dmax;
+        stats->aggregateChs = std::move(chs);
+        stats->weights = weights;
+        stats->pairOperations = reduced.pairOps;
+    }
+    return output;
 }
 
 Distribution
@@ -296,68 +287,10 @@ reconstructIterative(const Distribution &input, int iterations,
     return current;
 }
 
-Distribution
-reconstructFast(const Distribution &input, const HammerConfig &config,
-                HammerStats *stats)
+common::KernelTier
+hammerScanTier()
 {
-    require(input.support() > 0, "reconstructFast: empty distribution");
-    require(input.normalized(1e-6),
-            "reconstructFast: input distribution must be normalised");
-
-    const int dmax = effectiveMaxDistance(input, config);
-    const FlatSupport support(input);
-
-    // H(x, y) >= |pc(x) - pc(y)|: only the weight bands within dmax
-    // of pc(x) can hold neighbours of x.
-    const HammingIndex index(input);
-
-    // Step 1 visits each unordered pair once (H is symmetric, so the
-    // pair contributes P(i) + P(j) to its bin).  The d <= dmax test
-    // stays: a pair's contribution must not land in a spill bin with
-    // only half its mass accounted when the mirrored pair is pruned.
-    const auto chsRow = [&](std::size_t i, ChsPartial &partial) {
-        const Bits x = support.outcomes[i];
-        const double px = support.probs[i];
-        partial.chs[0] += px;
-        std::uint64_t ops = 0;
-        index.forEachCandidate(i, dmax, [&](std::size_t j) {
-            if (j <= i)
-                return; // unordered pairs once
-            ++ops;
-            const int d = common::hammingDistance(
-                x, support.outcomes[j]);
-            if (d <= dmax)
-                partial.chs[static_cast<std::size_t>(d)] +=
-                    px + support.probs[j];
-        });
-        partial.pairOps += ops;
-    };
-
-    const auto scoreRow = [&](std::size_t i,
-                              const std::vector<double> &weights_ext,
-                              std::uint64_t &pair_ops) {
-        const Bits x = support.outcomes[i];
-        const double px = support.probs[i];
-        const bool filter = config.filterLowerProbability;
-        double score = px;
-        std::uint64_t ops = 0;
-        index.forEachCandidate(i, dmax, [&](std::size_t j) {
-            if (j == i)
-                return;
-            ++ops;
-            const int d = common::hammingDistance(
-                x, support.outcomes[j]);
-            const double pj = support.probs[j];
-            if (filter && !(px > pj))
-                return;
-            score += weights_ext[static_cast<std::size_t>(d)] * pj;
-        });
-        pair_ops += ops;
-        return score;
-    };
-
-    return reconstructSkeleton(input, config, stats, dmax, chsRow,
-                               scoreRow);
+    return detail::pairScanTier(common::activeTier());
 }
 
 } // namespace hammer::core

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/kernel_tier.hpp"
 #include "core/distribution.hpp"
 
 namespace hammer::core {
@@ -60,11 +61,12 @@ struct HammerConfig
     ScoreCombine scoreCombine = ScoreCombine::Multiplicative;
 
     /**
-     * Worker threads for the pair scans; 0 selects
-     * common::ThreadPool::defaultThreadCount().  The support is
-     * partitioned into fixed-size chunks whose partial CHS vectors
-     * are combined with a deterministic reduction tree, so the
-     * output is bit-identical for every thread count, including 1.
+     * Worker threads for the pair scan; 0 selects
+     * common::ThreadPool::defaultThreadCount().  The sorted support
+     * is partitioned into fixed-size row chunks whose partial CHS
+     * vectors are combined with a deterministic reduction tree, so
+     * the output is bit-identical for every thread count, including
+     * 1.
      */
     int threads = 0;
 };
@@ -76,11 +78,24 @@ struct HammerStats
     int maxDistance = 0;              ///< Effective neighbourhood bound.
     std::vector<double> aggregateChs; ///< Step-1 aggregate CHS.
     std::vector<double> weights;      ///< Step-2 weights W_d.
-    std::uint64_t pairOperations = 0; ///< Inner-loop executions (~N^2).
+    /**
+     * Pair distances computed: N(N-1)/2 (one per unordered pair), or
+     * N(N-1) with the filter off.
+     */
+    std::uint64_t pairOperations = 0;
 };
 
 /**
  * Run Hamming Reconstruction on a measured distribution.
+ *
+ * Steps 1 and 3 of Algorithm 1 share one scan over the unordered
+ * pairs of the support sorted by probability (descending, ties by
+ * outcome).  Each pair's distance d adds P(x) + P(y) to the Step-1
+ * CHS bin d and, when y is less probable than x (it lies past x's
+ * tie group), P(y) to x's per-distance histogram h_x; after Step 2
+ * the score is S(x) = P(x) + sum_d W_d h_x[d], with no second scan.
+ * The scan kernel is dispatched on common::activeTier(); every tier
+ * and thread count gives bit-identical output.
  *
  * @param input Noisy (normalised) measurement distribution.
  * @param config Algorithm parameters (defaults = the paper).
@@ -106,20 +121,10 @@ Distribution reconstructIterative(const Distribution &input,
                                   const HammerConfig &config = {});
 
 /**
- * Scalability-optimised reconstruction (Section 6.6 extension).
- *
- * Produces results identical to reconstruct() but prunes the O(N^2)
- * pair scans with a popcount bucketing: Hamming distance is bounded
- * below by the difference in set-bit counts, so an outcome with k
- * set bits only ever interacts with outcomes whose popcount lies in
- * [k - d_max, k + d_max].  For the paper's default d_max = n/2 - 1
- * and clustered NISQ histograms this skips the bulk of the distant
- * pairs; HammerStats::pairOperations reports the surviving count so
- * the ablation bench can quantify the pruning.
+ * ISA tier of the pair-scan kernel reconstruct() dispatches to under
+ * common::activeTier(): avx2 (hardware POPCNT) or scalar.
  */
-Distribution reconstructFast(const Distribution &input,
-                             const HammerConfig &config = {},
-                             HammerStats *stats = nullptr);
+common::KernelTier hammerScanTier();
 
 /**
  * The per-distance weights HAMMER would use for @p input — Step 2 in

@@ -1,170 +1,19 @@
 /**
  * @file
- * Kernel-tier probe and dispatch.
- *
- * The host CPU is probed exactly once (first activeKernels() call);
- * HAMMER_KERNELS overrides the probe for the forced-tier parity suite
- * and the bench, and setActiveKernels() overrides both in-process.
- * Forcing a tier the host cannot run is a hard error so a
- * misconfigured CI leg fails loudly instead of silently measuring the
- * wrong tier.
+ * Kernel-table dispatch over the process-wide tier probe
+ * (common/kernel_tier.hpp).
  */
 
 #include "sim/kernels.hpp"
-
-#include <atomic>
-#include <cstdlib>
-
-#include "common/logging.hpp"
 
 namespace hammer::sim {
 
 namespace {
 
-bool
-hostRunsTier(KernelTier tier)
-{
-    switch (tier) {
-    case KernelTier::Scalar:
-        return true;
-    case KernelTier::Sse2:
-        // SSE2 is part of the x86-64 baseline.
-#if (defined(__x86_64__) || defined(_M_X64)) &&                        \
-    !defined(HAMMER_DISABLE_SIMD)
-        return true;
-#else
-        return false;
-#endif
-    case KernelTier::Avx2:
-#if (defined(__x86_64__) || defined(_M_X64)) &&                        \
-    !defined(HAMMER_DISABLE_SIMD)
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-    case KernelTier::Neon:
-        // Advanced SIMD is architecturally guaranteed on AArch64.
-#if defined(__aarch64__) && !defined(HAMMER_DISABLE_SIMD)
-        return true;
-#else
-        return false;
-#endif
-    }
-    return false;
-}
-
+/** The tier's table when compiled in (host support unchecked). */
 const KernelTable *
-probeKernels()
+compiledTable(KernelTier tier)
 {
-    if (const char *env = std::getenv("HAMMER_KERNELS");
-        env != nullptr && *env != '\0') {
-        KernelTier forced;
-        if (!parseTier(env, forced))
-            common::panic(std::string("HAMMER_KERNELS: unknown tier '") +
-                          env + "'");
-        const KernelTable *table = kernelsForTier(forced);
-        if (table == nullptr)
-            common::panic(std::string("HAMMER_KERNELS: tier '") +
-                          tierName(forced) +
-                          "' is not supported on this host");
-        return table;
-    }
-    return kernelsForTier(bestSupportedTier());
-}
-
-std::atomic<const KernelTable *> g_override{nullptr};
-
-} // namespace
-
-const char *
-tierName(KernelTier tier)
-{
-    switch (tier) {
-    case KernelTier::Scalar:
-        return "scalar";
-    case KernelTier::Sse2:
-        return "sse2";
-    case KernelTier::Avx2:
-        return "avx2";
-    case KernelTier::Neon:
-        return "neon";
-    }
-    return "unknown";
-}
-
-bool
-parseTier(const std::string &name, KernelTier &out)
-{
-    if (name == "scalar") {
-        out = KernelTier::Scalar;
-    } else if (name == "sse2") {
-        out = KernelTier::Sse2;
-    } else if (name == "avx2") {
-        out = KernelTier::Avx2;
-    } else if (name == "neon") {
-        out = KernelTier::Neon;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool
-tierCompiled(KernelTier tier)
-{
-    switch (tier) {
-    case KernelTier::Scalar:
-        return true;
-    case KernelTier::Sse2:
-    case KernelTier::Avx2:
-#if (defined(__x86_64__) || defined(_M_X64)) &&                        \
-    !defined(HAMMER_DISABLE_SIMD)
-        return true;
-#else
-        return false;
-#endif
-    case KernelTier::Neon:
-#if defined(__aarch64__) && !defined(HAMMER_DISABLE_SIMD)
-        return true;
-#else
-        return false;
-#endif
-    }
-    return false;
-}
-
-bool
-tierSupported(KernelTier tier)
-{
-    return tierCompiled(tier) && hostRunsTier(tier);
-}
-
-std::vector<KernelTier>
-supportedTiers()
-{
-    std::vector<KernelTier> tiers;
-    for (KernelTier tier : {KernelTier::Scalar, KernelTier::Sse2,
-                            KernelTier::Avx2, KernelTier::Neon}) {
-        if (tierSupported(tier))
-            tiers.push_back(tier);
-    }
-    return tiers;
-}
-
-KernelTier
-bestSupportedTier()
-{
-    KernelTier best = KernelTier::Scalar;
-    for (KernelTier tier : supportedTiers())
-        best = tier;
-    return best;
-}
-
-const KernelTable *
-kernelsForTier(KernelTier tier)
-{
-    if (!tierSupported(tier))
-        return nullptr;
     switch (tier) {
     case KernelTier::Scalar:
         return &kScalarKernels;
@@ -185,21 +34,26 @@ kernelsForTier(KernelTier tier)
     }
 }
 
+} // namespace
+
+const KernelTable *
+kernelsForTier(KernelTier tier)
+{
+    return tierSupported(tier) ? compiledTable(tier) : nullptr;
+}
+
 const KernelTable &
 activeKernels()
 {
-    if (const KernelTable *forced =
-            g_override.load(std::memory_order_acquire);
-        forced != nullptr)
-        return *forced;
-    static const KernelTable *probed = probeKernels();
-    return *probed;
+    // The active tier is validated when probed or forced.
+    return *compiledTable(common::activeTier());
 }
 
 void
 setActiveKernels(const KernelTable *table)
 {
-    g_override.store(table, std::memory_order_release);
+    common::setActiveTier(table ? std::optional<KernelTier>(table->tier)
+                                : std::nullopt);
 }
 
 } // namespace hammer::sim

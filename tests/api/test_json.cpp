@@ -18,6 +18,8 @@
 #include "api/json.hpp"
 #include "api/pipeline.hpp"
 #include "api/service.hpp"
+#include "api/workload.hpp"
+#include "common/rng.hpp"
 
 namespace {
 
@@ -217,10 +219,23 @@ TEST(SpecLineParser, MalformedSpecFuzzTable)
         // Required key missing.
         "{\"shots\": 100}",
         "{}",
+        // CSV budgets past INT_MAX: 2^32 + 1 shots, a seed of
+        // 2^32 + 7 (both used to wrap to 1 and 7).
+        "bv:5,channel,4294967297,3",
+        "bv:5,channel,4096,4294967303",
     };
     for (const char *line : rejected)
         EXPECT_THROW(parseSpecLine(line), std::invalid_argument)
             << line;
+
+    // Workload arguments go through the same check when the spec
+    // resolves: bv:(2^32 + 5) used to build bv:5.
+    hammer::common::Rng rng(1);
+    EXPECT_EQ(parseSpecLine("bv:4294967301").spec.workload,
+              "bv:4294967301");
+    EXPECT_THROW(hammer::api::WorkloadRegistry::global().make(
+                     "bv:4294967301", rng),
+                 std::invalid_argument);
 
     // A valid surrogate pair in a label survives end to end.
     const auto parsed = parseSpecLine(

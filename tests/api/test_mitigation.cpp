@@ -59,10 +59,7 @@ TEST(Mitigator, HammerMatchesDirectReconstruction)
     EXPECT_TRUE(identical(HammerMitigator().apply(noisy, ctx),
                           hammer::core::reconstruct(noisy)));
     EXPECT_TRUE(identical(
-        HammerMitigator({}, 1, /*fast=*/true).apply(noisy, ctx),
-        hammer::core::reconstructFast(noisy)));
-    EXPECT_TRUE(identical(
-        HammerMitigator({}, 3, false).apply(noisy, ctx),
+        HammerMitigator({}, 3).apply(noisy, ctx),
         hammer::core::reconstructIterative(noisy, 3)));
 }
 
@@ -137,11 +134,11 @@ TEST(MitigatorRegistry, GlobalKnowsTheBuiltinStages)
     const auto &registry =
         hammer::api::MitigatorRegistry::global();
     EXPECT_TRUE(registry.contains("hammer"));
-    EXPECT_TRUE(registry.contains("hammer-fast"));
+    EXPECT_FALSE(registry.contains("hammer-fast"));
     EXPECT_TRUE(registry.contains("readout"));
     EXPECT_TRUE(registry.contains("ensemble"));
     EXPECT_FALSE(registry.contains("sorcery"));
-    EXPECT_EQ(registry.names().size(), 4u);
+    EXPECT_EQ(registry.names().size(), 3u);
     EXPECT_NE(registry.usage().find("hammer[:<iterations>]"),
               std::string::npos);
 }
@@ -196,8 +193,6 @@ TEST(MitigationChain, SpecParsing)
     EXPECT_EQ(mitigationChainFromSpec("").size(), 0u);
     EXPECT_EQ(mitigationChainFromSpec("none").size(), 0u);
     EXPECT_EQ(mitigationChainFromSpec("hammer").name(), "hammer");
-    EXPECT_EQ(mitigationChainFromSpec("hammer-fast").name(),
-              "hammer-fast");
     EXPECT_EQ(mitigationChainFromSpec("hammer:2").name(), "hammer:2");
     EXPECT_EQ(mitigationChainFromSpec("readout,hammer").name(),
               "readout+hammer");

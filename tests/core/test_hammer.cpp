@@ -8,15 +8,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <set>
+#include <string>
 
+#include "common/kernel_tier.hpp"
+#include "common/rng.hpp"
 #include "core/ehd.hpp"
 #include "core/hammer.hpp"
 #include "metrics/metrics.hpp"
+#include "mitigation/readout_mitigation.hpp"
+#include "noise/noise_model.hpp"
 
 namespace {
 
 using hammer::common::Bits;
+using hammer::common::KernelTier;
 using hammer::core::Distribution;
 using namespace hammer::core;
 
@@ -52,6 +61,129 @@ bvLikeDistribution(int n, Bits key, double eps = 0.05,
     d.add(key ^ 0b11, dominant_extra);
     d.normalize();
     return d;
+}
+
+/**
+ * A sampled histogram: each of @p shots flips every bit of @p key
+ * with probability @p eps.  Most outcomes are seen once, so the
+ * least probable tie group holds most of the support, and many other
+ * probabilities tie too — the shape of a real NISQ run.
+ */
+Distribution
+sampledHistogram(int n, Bits key, double eps, int shots,
+                 std::uint64_t seed)
+{
+    hammer::common::Rng rng(seed);
+    std::vector<Bits> samples(static_cast<std::size_t>(shots));
+    for (Bits &x : samples) {
+        x = key;
+        for (int q = 0; q < n; ++q) {
+            if (rng.uniform() < eps)
+                x ^= Bits{1} << q;
+        }
+    }
+    return Distribution::fromShots(n, samples);
+}
+
+/** Readout unfolding of a sampled histogram: no two outcomes tie. */
+Distribution
+unfoldedHistogram()
+{
+    const Distribution raw = sampledHistogram(9, 0b101101011, 0.06,
+                                              3000, 17);
+    return hammer::mitigation::mitigateReadout(
+        raw, hammer::noise::machinePreset("machineA"));
+}
+
+/**
+ * Algorithm 1 (paper Appendix A) written out: Step 1 sums P(y) over
+ * every ordered pair within the radius (plus P(x) at distance 0),
+ * Step 2 inverts it per the weight scheme, Step 3 scores each x from
+ * its (less probable, with the filter) neighbours.
+ */
+Distribution
+algorithm1(const Distribution &in, const HammerConfig &config)
+{
+    const int n = in.numBits();
+    const int dmax = config.maxDistance < 0 ? (n - 1) / 2
+                                            : config.maxDistance;
+    const auto &entries = in.entries();
+    std::vector<double> chs(static_cast<std::size_t>(dmax) + 1, 0.0);
+    for (const Entry &x : entries) {
+        chs[0] += x.probability;
+        for (const Entry &y : entries) {
+            const int d = hammer::common::hammingDistance(x.outcome,
+                                                          y.outcome);
+            if (d > 0 && d <= dmax)
+                chs[static_cast<std::size_t>(d)] += y.probability;
+        }
+    }
+    std::vector<double> w(chs.size(), 0.0);
+    for (std::size_t d = 0; d < w.size(); ++d) {
+        switch (config.weightScheme) {
+        case WeightScheme::InverseChs:
+            w[d] = chs[d] > 0.0 ? 1.0 / chs[d] : 0.0;
+            break;
+        case WeightScheme::Uniform:
+            w[d] = 1.0;
+            break;
+        case WeightScheme::InverseBinomial:
+            w[d] = 1.0 / hammer::common::binomial(n, static_cast<int>(d));
+            break;
+        }
+    }
+    Distribution out(n);
+    for (const Entry &x : entries) {
+        double score = x.probability;
+        for (const Entry &y : entries) {
+            const int d = hammer::common::hammingDistance(x.outcome,
+                                                          y.outcome);
+            if (d == 0 || d > dmax)
+                continue;
+            if (config.filterLowerProbability &&
+                !(x.probability > y.probability))
+                continue;
+            score += w[static_cast<std::size_t>(d)] * y.probability;
+        }
+        out.set(x.outcome,
+                config.scoreCombine == ScoreCombine::Multiplicative
+                    ? score * x.probability
+                    : score);
+    }
+    out.normalize();
+    return out;
+}
+
+/** Forces the process-wide kernel tier for its lifetime. */
+class TierGuard
+{
+  public:
+    explicit TierGuard(KernelTier tier)
+    {
+        hammer::common::setActiveTier(tier);
+    }
+    ~TierGuard() { hammer::common::setActiveTier(std::nullopt); }
+    TierGuard(const TierGuard &) = delete;
+    TierGuard &operator=(const TierGuard &) = delete;
+};
+
+/** Exact equality of outputs and stats (no ULP slack). */
+void
+expectBitIdentical(const Distribution &out, const HammerStats &stats,
+                   const Distribution &ref, const HammerStats &ref_stats,
+                   const std::string &what)
+{
+    ASSERT_EQ(out.support(), ref.support()) << what;
+    for (std::size_t i = 0; i < out.support(); ++i) {
+        EXPECT_EQ(out.entries()[i].outcome, ref.entries()[i].outcome)
+            << what;
+        EXPECT_EQ(out.entries()[i].probability,
+                  ref.entries()[i].probability)
+            << what << ", entry " << i;
+    }
+    EXPECT_EQ(stats.pairOperations, ref_stats.pairOperations) << what;
+    EXPECT_EQ(stats.aggregateChs, ref_stats.aggregateChs) << what;
+    EXPECT_EQ(stats.weights, ref_stats.weights) << what;
 }
 
 TEST(Hammer, WeightsMatchHandComputationOnFig6)
@@ -190,13 +322,17 @@ TEST(Hammer, StatsReportOperationCounts)
     reconstruct(d, {}, &stats);
     EXPECT_EQ(stats.uniqueOutcomes, d.support());
     EXPECT_EQ(stats.maxDistance, 3); // floor((8-1)/2)
-    // Step 1 + Step 3 each scan ~N^2 pairs.
-    const auto n2 = static_cast<std::uint64_t>(d.support()) *
-                    d.support();
-    EXPECT_GE(stats.pairOperations, n2);
-    EXPECT_LE(stats.pairOperations, 2 * n2 + d.support());
+    // Steps 1 and 3 share one pass over the unordered pairs.
+    const auto n = static_cast<std::uint64_t>(d.support());
+    EXPECT_EQ(stats.pairOperations, n * (n - 1) / 2);
     ASSERT_EQ(stats.weights.size(), 4u);
     EXPECT_GT(stats.aggregateChs[0], 0.0);
+
+    // Without the filter every row also scans the pairs before it.
+    HammerConfig no_filter;
+    no_filter.filterLowerProbability = false;
+    reconstruct(d, no_filter, &stats);
+    EXPECT_EQ(stats.pairOperations, n * (n - 1));
 }
 
 TEST(Hammer, RadiusZeroSquaresProbabilities)
@@ -307,132 +443,167 @@ TEST(Hammer, IterativeRejectsZeroPasses)
     EXPECT_THROW(reconstructIterative(d, 0), std::invalid_argument);
 }
 
-TEST(HammerFast, MatchesReferenceImplementationExactly)
+TEST(Hammer, MatchesAlgorithm1UnderEveryConfig)
 {
-    for (int n : {6, 8, 10}) {
-        const Bits key = (Bits{1} << n) - 1;
-        const Distribution d = bvLikeDistribution(n, key, 0.06, 0.08);
-        const Distribution slow = reconstruct(d);
-        const Distribution fast = reconstructFast(d);
-        ASSERT_EQ(slow.support(), fast.support()) << "n=" << n;
-        for (const auto &e : slow.entries()) {
-            EXPECT_NEAR(e.probability, fast.probability(e.outcome),
-                        1e-12)
-                << "n=" << n << " outcome " << e.outcome;
-        }
-    }
-}
+    // Every HammerConfig against the written-out reference, on a
+    // tie-heavy sampled histogram (the tie groups decide which pairs
+    // the filter admits) and a tie-free unfolded one.
+    const Distribution tied =
+        sampledHistogram(11, 0b10110011101, 0.2, 1500, 5);
+    const Distribution untied = unfoldedHistogram();
+    std::set<double> distinct;
+    for (const Entry &e : untied.entries())
+        distinct.insert(e.probability);
+    ASSERT_EQ(distinct.size(), untied.support()) << "must be tie-free";
+    std::size_t one_shot = 0;
+    for (const Entry &e : tied.entries())
+        one_shot += e.probability == 1.0 / 1500 ? 1 : 0;
+    ASSERT_GT(2 * one_shot, tied.support())
+        << "most outcomes must be one-shot ties";
 
-TEST(HammerFast, MatchesReferenceUnderAllConfigs)
-{
-    const Distribution d = bvLikeDistribution(8, 0b11111111);
-    for (int radius : {-1, 0, 1, 3}) {
-        for (bool filter : {true, false}) {
-            for (auto scheme : {WeightScheme::InverseChs,
-                                WeightScheme::Uniform,
-                                WeightScheme::InverseBinomial}) {
-                HammerConfig config;
-                config.maxDistance = radius;
-                config.filterLowerProbability = filter;
-                config.weightScheme = scheme;
-                const Distribution slow = reconstruct(d, config);
-                const Distribution fast = reconstructFast(d, config);
-                for (const auto &e : slow.entries()) {
-                    ASSERT_NEAR(e.probability,
-                                fast.probability(e.outcome), 1e-12)
-                        << "radius " << radius << " filter " << filter;
+    for (const Distribution *d : {&tied, &untied}) {
+        for (int radius : {-1, 0, 1, 3}) {
+            for (bool filter : {true, false}) {
+                for (auto scheme : {WeightScheme::InverseChs,
+                                    WeightScheme::Uniform,
+                                    WeightScheme::InverseBinomial}) {
+                    for (auto combine : {ScoreCombine::Multiplicative,
+                                         ScoreCombine::Additive}) {
+                        HammerConfig config;
+                        config.maxDistance = radius;
+                        config.filterLowerProbability = filter;
+                        config.weightScheme = scheme;
+                        config.scoreCombine = combine;
+                        const Distribution got = reconstruct(*d, config);
+                        const Distribution want = algorithm1(*d, config);
+                        ASSERT_EQ(got.support(), want.support());
+                        for (const Entry &e : want.entries()) {
+                            const double g = got.probability(e.outcome);
+                            ASSERT_LE(std::abs(g - e.probability),
+                                      1e-12 * std::max(g, e.probability))
+                                << (d == &tied ? "tied" : "untied")
+                                << " radius " << radius << " filter "
+                                << filter << " scheme "
+                                << static_cast<int>(scheme) << " combine "
+                                << static_cast<int>(combine);
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-TEST(HammerFast, PrunesPairOperationsOnClusteredData)
+TEST(Hammer, ParallelReconstructBitIdenticalAcrossThreadCounts)
 {
-    // A clustered histogram has popcounts concentrated near n, so
-    // bucketing must skip a sizeable share of the N^2 scans.
-    const Distribution d = bvLikeDistribution(12, (Bits{1} << 12) - 1,
-                                              0.03, 0.05);
-    HammerStats slow_stats, fast_stats;
-    reconstruct(d, {}, &slow_stats);
-    reconstructFast(d, {}, &fast_stats);
-    EXPECT_LT(fast_stats.pairOperations, slow_stats.pairOperations);
+    // The data-layer contract: the sorted support is partitioned in
+    // fixed-size row chunks whose CHS partials reduce in a fixed tree
+    // order, so any worker count — including non-power-of-two —
+    // produces byte-identical output.
+    const Bits key = (Bits{1} << 12) - 1;
+    for (const Distribution &d :
+         {bvLikeDistribution(12, key, 0.05, 0.08),
+          sampledHistogram(12, key, 0.2, 2000, 3)}) {
+        ASSERT_GT(d.support(), 256u) << "need several scan chunks";
+        HammerConfig serial;
+        serial.threads = 1;
+        HammerStats serial_stats;
+        const Distribution reference =
+            reconstruct(d, serial, &serial_stats);
+        for (int threads : {2, 3, 4}) {
+            HammerConfig config;
+            config.threads = threads;
+            HammerStats stats;
+            const Distribution out = reconstruct(d, config, &stats);
+            expectBitIdentical(out, stats, reference, serial_stats,
+                               std::to_string(threads) + " threads");
+        }
+    }
 }
+
+TEST(Hammer, BitIdenticalAcrossKernelTiers)
+{
+    // Every tier compiles the same scan source and sums in the same
+    // lane order, so forcing any supported tier — at any thread count
+    // — reproduces the scalar single-thread output exactly.
+    const Bits key = (Bits{1} << 12) - 1;
+    const Distribution d = sampledHistogram(12, key, 0.2, 2000, 9);
+    for (bool filter : {true, false}) {
+        HammerConfig serial;
+        serial.threads = 1;
+        serial.filterLowerProbability = filter;
+        HammerStats ref_stats;
+        Distribution reference(12);
+        {
+            TierGuard guard(KernelTier::Scalar);
+            ASSERT_EQ(hammerScanTier(), KernelTier::Scalar);
+            reference = reconstruct(d, serial, &ref_stats);
+        }
+        for (const KernelTier tier : hammer::common::supportedTiers()) {
+            TierGuard guard(tier);
+            for (int threads : {1, 2, 3, 4}) {
+                HammerConfig config = serial;
+                config.threads = threads;
+                HammerStats stats;
+                const Distribution out = reconstruct(d, config, &stats);
+                expectBitIdentical(
+                    out, stats, reference, ref_stats,
+                    std::string(hammer::common::tierName(tier)) + ", " +
+                        std::to_string(threads) + " threads, filter " +
+                        std::to_string(filter));
+            }
+        }
+    }
+}
+
+// HammerFast: reconstruct's fast path — the pair-scan kernel of
+// every supported ISA tier — on the edge cases of its input.
 
 TEST(HammerFast, SingleOutcomeFixedPoint)
 {
     Distribution d(6);
     d.set(0b101010, 1.0);
-    const Distribution out = reconstructFast(d);
-    EXPECT_NEAR(out.probability(0b101010), 1.0, 1e-12);
+    for (const KernelTier tier : hammer::common::supportedTiers()) {
+        TierGuard guard(tier);
+        const Distribution out = reconstruct(d);
+        EXPECT_EQ(out.support(), 1u) << hammer::common::tierName(tier);
+        EXPECT_NEAR(out.probability(0b101010), 1.0, 1e-12)
+            << hammer::common::tierName(tier);
+    }
 }
 
 TEST(HammerFast, RejectsBadInput)
 {
-    Distribution d(4);
-    EXPECT_THROW(reconstructFast(d), std::invalid_argument);
-    d.set(0, 0.5);
-    EXPECT_THROW(reconstructFast(d), std::invalid_argument);
+    for (const KernelTier tier : hammer::common::supportedTiers()) {
+        TierGuard guard(tier);
+        Distribution d(4);
+        EXPECT_THROW(reconstruct(d), std::invalid_argument)
+            << hammer::common::tierName(tier);
+        d.set(0, 0.5);
+        EXPECT_THROW(reconstruct(d), std::invalid_argument)
+            << hammer::common::tierName(tier);
+    }
 }
 
-TEST(Hammer, ParallelReconstructBitIdenticalAcrossThreadCounts)
+TEST(HammerFast, ParallelReconstructFastBitIdenticalAcrossThreadCounts)
 {
-    // The data-layer contract: the support is partitioned in
-    // fixed-size chunks whose CHS partials reduce in a fixed tree
-    // order, so any worker count — including non-power-of-two —
-    // produces byte-identical output.
+    // The fastest supported tier, as dispatched by default.
     const Bits key = (Bits{1} << 12) - 1;
     const Distribution d = bvLikeDistribution(12, key, 0.05, 0.08);
-    ASSERT_GT(d.support(), 256u) << "need several scan chunks";
+    TierGuard guard(hammer::common::bestSupportedTier());
 
     HammerConfig serial;
     serial.threads = 1;
     HammerStats serial_stats;
     const Distribution reference = reconstruct(d, serial, &serial_stats);
 
-    for (int threads : {2, 3, 4}) {
+    for (int threads : {2, 4}) {
         HammerConfig config;
         config.threads = threads;
         HammerStats stats;
         const Distribution out = reconstruct(d, config, &stats);
-        ASSERT_EQ(out.support(), reference.support())
-            << threads << " threads";
-        for (std::size_t i = 0; i < out.support(); ++i) {
-            EXPECT_EQ(out.entries()[i].outcome,
-                      reference.entries()[i].outcome);
-            EXPECT_DOUBLE_EQ(out.entries()[i].probability,
-                             reference.entries()[i].probability)
-                << threads << " threads, entry " << i;
-        }
-        EXPECT_EQ(stats.pairOperations, serial_stats.pairOperations);
-        for (std::size_t bin = 0; bin < stats.aggregateChs.size();
-             ++bin) {
-            EXPECT_DOUBLE_EQ(stats.aggregateChs[bin],
-                             serial_stats.aggregateChs[bin])
-                << threads << " threads, bin " << bin;
-        }
-    }
-}
-
-TEST(HammerFast, ParallelReconstructFastBitIdenticalAcrossThreadCounts)
-{
-    const Bits key = (Bits{1} << 12) - 1;
-    const Distribution d = bvLikeDistribution(12, key, 0.05, 0.08);
-
-    HammerConfig serial;
-    serial.threads = 1;
-    const Distribution reference = reconstructFast(d, serial);
-
-    for (int threads : {2, 4}) {
-        HammerConfig config;
-        config.threads = threads;
-        const Distribution out = reconstructFast(d, config);
-        ASSERT_EQ(out.support(), reference.support());
-        for (std::size_t i = 0; i < out.support(); ++i) {
-            EXPECT_DOUBLE_EQ(out.entries()[i].probability,
-                             reference.entries()[i].probability)
-                << threads << " threads, entry " << i;
-        }
+        expectBitIdentical(out, stats, reference, serial_stats,
+                           std::to_string(threads) + " threads");
     }
 }
 

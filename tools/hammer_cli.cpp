@@ -27,7 +27,6 @@
  *   --additive         additive score combination (default:
  *                      multiplicative)
  *   --iterations <k>   apply the reconstruction k times (default 1)
- *   --fast             use the popcount-pruned implementation
  *   --mitigation <c>   replace the HAMMER stage with an arbitrary
  *                      chain, e.g. "readout,hammer" or "none"
  *                      (overrides the reconstruction options above)
@@ -118,7 +117,6 @@ usage(int exit_code)
         "inverse-binomial\n"
         "  --additive        additive score combination\n"
         "  --iterations <k>  apply reconstruction k times\n"
-        "  --fast            popcount-pruned implementation\n"
         "  --mitigation <c>  explicit chain, e.g. readout,hammer "
         "(overrides the options above; 'none' disables)\n"
         "  --top <k>         emit only the k most probable outcomes\n"
@@ -190,7 +188,8 @@ usage(int exit_code)
         "  --list <what>     workloads | backends | mitigations\n"
         "diagnostics:\n"
         "  --kernels         print the dispatched simulation kernel "
-        "tier (ISA), vector and batch widths, and exit\n");
+        "tier (ISA), vector and batch widths, the HAMMER scan tier, "
+        "and exit\n");
     std::exit(exit_code);
 }
 
@@ -235,7 +234,7 @@ emit(const hammer::api::Result &result, const std::string &format,
 }
 
 /**
- * --kernels: report the dispatched kernel tier.  The "supported
+ * --kernels: report the dispatched kernel tiers.  The "supported
  * tiers" line is machine-parsed by tests/sim/run_tier_suite.sh to
  * decide whether a forced-tier parity leg runs or skips.
  */
@@ -248,6 +247,8 @@ printKernels()
     std::printf("vector width: %d doubles\n", active.lanes);
     std::printf("batch lane multiple: %d doubles\n",
                 static_cast<int>(sim::kBatchLaneMultiple));
+    std::printf("hammer scan tier: %s\n",
+                sim::tierName(hammer::core::hammerScanTier()));
     std::printf("supported tiers:");
     for (sim::KernelTier tier : sim::supportedTiers())
         std::printf(" %s", sim::tierName(tier));
@@ -659,7 +660,6 @@ main(int argc, char **argv)
     using namespace hammer;
 
     core::HammerConfig config;
-    bool fast = false;
     bool print_stats = false;
     int iterations = 1;
     int top = -1;
@@ -720,8 +720,6 @@ main(int argc, char **argv)
         } else if (arg == "--iterations") {
             iterations = parsePositiveInt(
                 next_value("--iterations"), "--iterations");
-        } else if (arg == "--fast") {
-            fast = true;
         } else if (arg == "--mitigation") {
             mitigation_spec = next_value("--mitigation");
         } else if (arg == "--top") {
@@ -843,7 +841,7 @@ main(int argc, char **argv)
                 api::mitigationChainFromSpec(mitigation_spec));
         } else {
             chain = std::make_shared<api::HammerMitigator>(
-                config, iterations, fast);
+                config, iterations);
         }
 
         api::Result result;
