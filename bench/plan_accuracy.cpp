@@ -158,9 +158,7 @@ main()
         // a fresh run of whichever backend it selected.
         api::AutoSampler autoSampler(backendSpec);
         const double autoPredicted =
-            autoSampler.rank(workload.routed, workload.measuredQubits)
-                .front()
-                .cost.seconds;
+            autoSampler.rank(workload.routed).front().cost.seconds;
         common::Rng arng(grid_seed);
         const auto start = std::chrono::steady_clock::now();
         const core::Distribution autoDist = autoSampler.sampleBatch(
@@ -183,7 +181,7 @@ main()
         }
         if (selected != "channel" && selected != "trajectory") {
             // auto picked a backend outside the hand-picked set
-            // (exact/exact-cached): rerun that backend directly.
+            // (exact): rerun that backend directly.
             auto sampler = api::BackendRegistry::global().make(
                 selected, backendSpec);
             common::Rng rng(grid_seed);

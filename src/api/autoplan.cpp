@@ -37,7 +37,6 @@ coefficient(plan::CalibrationTable &table, plan::CostGroup group)
     case plan::CostGroup::Shots: return table.shotNs;
     case plan::CostGroup::Flips: return table.channelFlipNs;
     case plan::CostGroup::Density: return table.densityRowNs;
-    case plan::CostGroup::CacheHit: return table.cacheHitNs;
     case plan::CostGroup::Overhead: return table.planOverheadNs;
     }
     throw std::invalid_argument("unknown cost group");
@@ -113,18 +112,6 @@ approximateShape(const std::string &workload)
             static_cast<std::uint64_t>(depth);
     }
     return shape;
-}
-
-/** True when the exact distribution for this key is already memoised. */
-bool
-probeCacheWarm(const noise::NoiseModel &model,
-               const circuits::RoutedCircuit &routed,
-               int measured_qubits)
-{
-    if (routed.circuit.numQubits() > 10)
-        return false;
-    return noise::CachedExactSampler(model).isCached(routed,
-                                                     measured_qubits);
 }
 
 std::once_flag envCalibrationOnce;
@@ -248,15 +235,12 @@ estimateSpecCost(const ExperimentSpec &spec)
             approximateSpecFeatures(spec);
         const plan::CalibrationTable &table =
             plan::activeCalibration();
-        std::string backend = spec.backend;
-        if (backend == "service")
-            backend = spec.backendSpec.serviceBackend;
-        if (backend == "auto") {
+        if (spec.backend == "auto") {
             const auto ranked = plan::rankPlans(features, table);
             return ranked.front().cost.seconds;
         }
         plan::PlanChoice choice;
-        choice.backend = backend;
+        choice.backend = spec.backend;
         return plan::estimateCost(features, choice, table).seconds;
     } catch (const std::exception &) {
         return 1e-3; // Deterministic fallback for unpriceable specs.
@@ -274,14 +258,12 @@ AutoSampler::AutoSampler(const BackendSpec &spec)
 }
 
 std::vector<plan::RankedPlan>
-AutoSampler::rank(const circuits::RoutedCircuit &routed,
-                  int measured_qubits) const
+AutoSampler::rank(const circuits::RoutedCircuit &routed) const
 {
-    plan::PlanFeatures features = plan::extractFeatures(
-        routed.circuit, model_, spec_.shots, spec_.trajectories);
-    features.cacheWarm =
-        probeCacheWarm(model_, routed, measured_qubits);
-    return plan::rankPlans(features, plan::activeCalibration());
+    return plan::rankPlans(
+        plan::extractFeatures(routed.circuit, model_, spec_.shots,
+                              spec_.trajectories),
+        plan::activeCalibration());
 }
 
 std::unique_ptr<noise::NoisySampler>
@@ -295,8 +277,6 @@ AutoSampler::build(const plan::PlanChoice &choice) const
     }
     if (choice.backend == "exact")
         return std::make_unique<noise::ExactSampler>(model_);
-    if (choice.backend == "exact-cached")
-        return std::make_unique<noise::CachedExactSampler>(model_);
     require(choice.backend == "channel",
             "AutoSampler: unexpected plan backend '" +
                 choice.backend + "'");
@@ -309,7 +289,7 @@ core::Distribution
 AutoSampler::sample(const circuits::RoutedCircuit &routed,
                     int measured_qubits, int shots, common::Rng &rng)
 {
-    lastChoice_ = rank(routed, measured_qubits).front().choice;
+    lastChoice_ = rank(routed).front().choice;
     // The RNG passes straight through, so the histogram is
     // bit-identical to running the selected backend directly.
     return build(lastChoice_)
@@ -321,7 +301,7 @@ AutoSampler::sampleBatch(const circuits::RoutedCircuit &routed,
                          int measured_qubits, int shots,
                          common::Rng &rng, int threads)
 {
-    lastChoice_ = rank(routed, measured_qubits).front().choice;
+    lastChoice_ = rank(routed).front().choice;
     return build(lastChoice_)
         ->sampleBatch(routed, measured_qubits, shots, rng, threads);
 }
@@ -336,11 +316,9 @@ explainPlan(const ExperimentSpec &spec)
         : WorkloadRegistry::global().make(spec.workload, rng);
     const noise::NoiseModel model =
         resolveNoiseModel(spec.backendSpec);
-    plan::PlanFeatures features = plan::extractFeatures(
+    const plan::PlanFeatures features = plan::extractFeatures(
         workload.routed.circuit, model, spec.backendSpec.shots,
         spec.backendSpec.trajectories);
-    features.cacheWarm = probeCacheWarm(
-        model, workload.routed, workload.measuredQubits);
     const auto ranked =
         plan::rankPlans(features, plan::activeCalibration());
 
@@ -354,7 +332,6 @@ explainPlan(const ExperimentSpec &spec)
         << ", trajectories=" << features.trajectories << std::fixed
         << std::setprecision(4)
         << ", zero-error fraction=" << features.zeroErrorFraction
-        << (features.cacheWarm ? ", exact cache warm" : "")
         << ")\n";
     out << std::setprecision(3);
     for (std::size_t i = 0; i < ranked.size(); ++i) {

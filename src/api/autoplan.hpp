@@ -72,10 +72,10 @@ plan::PlanFeatures approximateSpecFeatures(const ExperimentSpec &spec);
 
 /**
  * Predicted execution cost of @p spec in seconds, under the active
- * calibration.  `auto` prices as its cheapest candidate; `service`
- * prices as its delegate backend.  Never throws: specs that would
- * fail later (unknown machine, unknown family) get a small fallback
- * cost so admission control still orders them deterministically.
+ * calibration.  `auto` prices as its cheapest candidate.  Never
+ * throws: specs that would fail later (unknown machine, unknown
+ * family) get a small fallback cost so admission control still
+ * orders them deterministically.
  */
 double estimateSpecCost(const ExperimentSpec &spec);
 
@@ -90,7 +90,8 @@ double estimateSpecCost(const ExperimentSpec &spec);
  * bit-identical to running the selected backend directly.
  *
  * Selection is a pure function of (circuit, spec, active calibration
- * table), so a fixed table makes the choice deterministic.
+ * table) — never of what earlier traffic left in a cache — so a
+ * fixed table makes the choice deterministic.
  */
 class AutoSampler final : public noise::NoisySampler
 {
@@ -108,8 +109,7 @@ class AutoSampler final : public noise::NoisySampler
 
     /** Ranked candidates for @p routed (cheapest first). */
     std::vector<plan::RankedPlan>
-    rank(const circuits::RoutedCircuit &routed,
-         int measured_qubits) const;
+    rank(const circuits::RoutedCircuit &routed) const;
 
     /** The plan the most recent sample()/sampleBatch() executed. */
     const plan::PlanChoice &lastChoice() const { return lastChoice_; }

@@ -49,8 +49,9 @@ struct BackendSpec
     std::optional<noise::ChannelParams> channelParams;
 
     /**
-     * `service` backend only: the backend that actually executes
-     * behind the queue (any registered name except "service").
+     * `remote` backend only: the registered backend a shard runs the
+     * spec on (any name except "remote").  Part of every canonical
+     * execution key, so it also splits shard affinity.
      */
     std::string serviceBackend = "channel";
 };
@@ -77,12 +78,8 @@ void validateBackendSpec(const BackendSpec &spec);
  * Built-ins (see defaultBackendRegistry()):
  *   trajectory    Monte-Carlo Pauli trajectories (reference physics)
  *   channel       analytic end-of-circuit channel (fast sweeps)
- *   exact         density-matrix ground truth (<= ~10 qubits)
- *   exact-cached  ground truth memoised per (circuit, model) and
- *                 resampled across shot budgets
- *   service       queued front door: batched execution routed
- *                 through ExecutionService::shared()'s job queue,
- *                 delegating to BackendSpec::serviceBackend
+ *   exact         density-matrix ground truth (<= ~10 qubits),
+ *                 evolved once per (circuit, model) and resampled
  *   auto          cost-model-selected: ranks candidate plans under
  *                 the active plan::CalibrationTable and executes the
  *                 cheapest, bit-identical to that backend

@@ -22,16 +22,6 @@ using common::require;
 
 namespace {
 
-/** Depth of service-job nesting on this thread (0 = not a worker). */
-thread_local int workerDepth = 0;
-
-/** RAII marker for a thread while it executes a service job. */
-struct WorkerScope
-{
-    WorkerScope() { ++workerDepth; }
-    ~WorkerScope() { --workerDepth; }
-};
-
 /**
  * Control-flow token for an injected worker death: thrown at a
  * ServiceJob fault point, caught by the worker's retry loop — never
@@ -237,7 +227,7 @@ canonicalExecKey(const ExperimentSpec &spec)
     appendField(key, "traj",
                 std::to_string(spec.backendSpec.trajectories));
     appendField(key, "seed", std::to_string(spec.backendSpec.seed));
-    // The service backend's delegate changes the histogram, so it
+    // The remote backend's delegate changes the histogram, so it
     // must split the key (harmlessly constant for other backends).
     appendField(key, "sb", spec.backendSpec.serviceBackend);
     return key;
@@ -414,19 +404,6 @@ ExecutionService::workers() const
     return pool_->threadCount();
 }
 
-bool
-ExecutionService::insideWorker()
-{
-    return workerDepth > 0;
-}
-
-ExecutionService &
-ExecutionService::shared()
-{
-    static ExecutionService service;
-    return service;
-}
-
 ExecutionService::JobHandle
 ExecutionService::submit(ExperimentSpec spec, int priority,
                          double deadlineMs)
@@ -510,7 +487,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                 ++stats_.resultCache.misses;
         }
 
-        if (!cached && fullKey && options_.coalesce) {
+        if (!cached && fullKey) {
             const auto it = inflightJobs_.find(*fullKey);
             if (it != inflightJobs_.end()) {
                 // Identical job already queued or running: attach to
@@ -606,7 +583,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
         // concurrent identical submit can look the key up.
         if (!cached && !degraded) {
             job->future = promise->get_future().share();
-            if (fullKey && options_.coalesce) {
+            if (fullKey) {
                 const common::FaultAction action =
                     fault(common::FaultSite::CoalesceRegister,
                           common::fnv1a64(*fullKey));
@@ -654,7 +631,6 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
         [this, keyClass = retryKeyClass(spec),
          spec = std::move(spec), fullKey, execKey, promise,
          predicted, jobId = job->id] {
-            WorkerScope scope;
             // CPU time of this worker thread, not wall-clock: on an
             // oversubscribed machine concurrent workers time-slice
             // and every job's wall time inflates with the number of
@@ -841,7 +817,7 @@ ExecutionService::runJob(const ExperimentSpec &spec,
     bool dropExecRegistration = false;
     int execDelayMillis = 0;
 
-    if (execKey && options_.coalesce) {
+    if (execKey) {
         const common::FaultAction action =
             fault(common::FaultSite::CoalesceRegister,
                   common::fnv1a64(*execKey));
@@ -1039,34 +1015,6 @@ ExecutionService::helpDrain()
     return pool_->tryRunOneJob();
 }
 
-std::future<core::Distribution>
-ExecutionService::submitSampling(
-    std::function<core::Distribution()> fn, int priority)
-{
-    require(fn != nullptr, "ExecutionService: null sampling task");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (shutdown_) {
-            ++stats_.shutdownRejections;
-            throw ServiceShutdownError();
-        }
-        ++stats_.rawTasks;
-    }
-    if (insideWorker()) {
-        // A job is already executing on this thread: run inline
-        // instead of queueing behind ourselves (self-deadlock on a
-        // saturated pool).
-        std::promise<core::Distribution> ready;
-        try {
-            ready.set_value(fn());
-        } catch (...) {
-            ready.set_exception(std::current_exception());
-        }
-        return ready.get_future();
-    }
-    return pool_->submit(std::move(fn), priority);
-}
-
 void
 ExecutionService::shutdown()
 {
@@ -1105,7 +1053,7 @@ ExecutionService::stats() const
     ServiceStats snapshot = stats_;
     snapshot.resultCache.entries =
         resultCache_ ? resultCache_->size() : 0;
-    snapshot.exactCache = noise::CachedExactSampler::cacheStats();
+    snapshot.exactCache = noise::ExactSampler::cacheStats();
     return snapshot;
 }
 
@@ -1134,7 +1082,6 @@ serviceStatsJson(const ServiceStats &stats, int workers)
     json.key("coalesced").value(stats.coalesced);
     json.key("execute_runs").value(stats.executeRuns);
     json.key("execute_shared").value(stats.executeShared);
-    json.key("raw_tasks").value(stats.rawTasks);
     json.key("result_cache");
     cache(json, stats.resultCache);
     json.key("exact_cache");
@@ -1494,48 +1441,6 @@ canonicalResultJson(const std::string &json)
     }
     out.endObject();
     return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// ServiceSampler
-// ---------------------------------------------------------------------------
-
-ServiceSampler::ServiceSampler(const BackendSpec &spec)
-    : innerName_(spec.serviceBackend)
-{
-    require(!innerName_.empty(),
-            "service backend: serviceBackend must name the delegate "
-            "backend");
-    require(innerName_ != "service",
-            "service backend: serviceBackend must not be 'service' "
-            "(no self-recursion)");
-    inner_ = BackendRegistry::global().make(innerName_, spec);
-}
-
-core::Distribution
-ServiceSampler::sample(const circuits::RoutedCircuit &routed,
-                       int measured_qubits, int shots,
-                       common::Rng &rng)
-{
-    return inner_->sample(routed, measured_qubits, shots, rng);
-}
-
-core::Distribution
-ServiceSampler::sampleBatch(const circuits::RoutedCircuit &routed,
-                            int measured_qubits, int shots,
-                            common::Rng &rng, int threads)
-{
-    if (threads == 1 || ExecutionService::insideWorker())
-        return inner_->sampleBatch(routed, measured_qubits, shots,
-                                   rng, threads);
-    // Blocking on the future before returning keeps the reference
-    // captures safe and the RNG hand-off sequential.
-    return ExecutionService::shared()
-        .submitSampling([&] {
-            return inner_->sampleBatch(routed, measured_qubits,
-                                       shots, rng, threads);
-        })
-        .get();
 }
 
 } // namespace hammer::api

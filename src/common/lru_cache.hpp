@@ -3,11 +3,12 @@
  * Bounded string-keyed LRU cache.
  *
  * The storage primitive behind the serving layer's histogram cache
- * (api::ExecutionService): a fixed-capacity map whose least recently
+ * (api::ExecutionService) and the exact backend's density-matrix memo
+ * (noise::ExactSampler): a fixed-capacity map whose least recently
  * used entry is evicted on overflow.  Lookup and insertion are O(1);
  * recency is tracked on both get() and put().  Not synchronised —
  * callers that share one cache across threads hold their own lock
- * (the service keeps it under the same mutex as its counters).
+ * (each keeps it under the same mutex as its counters).
  */
 
 #ifndef HAMMER_COMMON_LRU_CACHE_HPP

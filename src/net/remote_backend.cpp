@@ -12,11 +12,10 @@ std::string
 remoteSpecLine(const api::ExperimentSpec &spec)
 {
     const std::string &delegate = spec.backendSpec.serviceBackend;
-    if (delegate.empty() || delegate == "remote" ||
-        delegate == "service")
+    if (delegate.empty() || delegate == "remote")
         throw std::invalid_argument(
             "remote backend: serviceBackend names the delegate and "
-            "must not be empty, 'remote' or 'service' (got '" +
+            "must not be empty or 'remote' (got '" +
             delegate + "')");
     if (spec.workloadInstance.has_value() || spec.mitigator ||
         spec.backendSpec.model.has_value() ||

@@ -7,8 +7,7 @@
  * hook (the seam ExecutionService::runJob dispatches backend ==
  * "remote" through): the spec is serialized as one protocol spec
  * line — with `backend` rewritten to the delegate named by
- * BackendSpec::serviceBackend, exactly like the in-process `service`
- * backend resolves its delegate — routed through the given
+ * BackendSpec::serviceBackend — routed through the given
  * ShardRouter, and the shard's Result line parsed back with
  * api::resultFromJson.  Because the wire carries the same line a
  * local --serve would parse and the serving stack is deterministic,
@@ -39,7 +38,7 @@ namespace hammer::net {
  * @throws std::invalid_argument when the spec carries state a line
  *         cannot describe (prebuilt workload/mitigator, explicit
  *         noise model or channel params) or when the delegate name
- *         is empty/"remote"/"service".
+ *         is empty or "remote".
  */
 std::string remoteSpecLine(const api::ExperimentSpec &spec);
 

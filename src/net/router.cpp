@@ -192,6 +192,15 @@ ShardRouter::submit(const std::string &line)
     return id;
 }
 
+ShardRouter::Job *
+ShardRouter::pendingJobLocked(std::uint64_t id)
+{
+    const auto it = jobs_.find(id);
+    return it == jobs_.end() || it->second.state != Job::State::Pending
+               ? nullptr
+               : &it->second;
+}
+
 void
 ShardRouter::dispatchJob(std::uint64_t id)
 {
@@ -208,10 +217,10 @@ ShardRouter::dispatchJob(std::uint64_t id)
             std::lock_guard<std::mutex> lock(mutex_);
             if (stopping_)
                 return;
-            Job &job = jobs_.at(id);
-            if (job.state != Job::State::Pending ||
-                job.shard >= 0)
+            Job *pending = pendingJobLocked(id);
+            if (pending == nullptr || pending->shard >= 0)
                 return; // Resolved or re-dispatched concurrently.
+            Job &job = *pending;
             if (job.attempt >= options_.maxAttempts) {
                 job.state = Job::State::Failed;
                 job.errorKind = "router";
@@ -273,10 +282,10 @@ ShardRouter::dispatchJob(std::uint64_t id)
             if (!admitted) {
                 if (++breakerDenials >= n) {
                     std::lock_guard<std::mutex> lock(mutex_);
-                    Job &job = jobs_.at(id);
-                    if (job.state != Job::State::Pending ||
-                        job.shard >= 0)
+                    Job *pending = pendingJobLocked(id);
+                    if (pending == nullptr || pending->shard >= 0)
                         return;
+                    Job &job = *pending;
                     job.state = Job::State::Failed;
                     job.errorKind = "breaker_open";
                     job.errorMessage =
@@ -352,10 +361,10 @@ ShardRouter::dispatchJob(std::uint64_t id)
                 // resolve the job and let a waiter read stats()
                 // before the increment landed.
                 std::lock_guard<std::mutex> lock(mutex_);
-                Job &job = jobs_.at(id);
-                if (job.state != Job::State::Pending)
+                Job *job = pendingJobLocked(id);
+                if (job == nullptr)
                     return;
-                job.shard = static_cast<int>(index);
+                job->shard = static_cast<int>(index);
                 ++stats_.dispatched;
             }
             try {
@@ -369,7 +378,8 @@ ShardRouter::dispatchJob(std::uint64_t id)
                 // re-route sweep cannot double-dispatch it, and
                 // roll back the optimistic dispatch count.
                 std::lock_guard<std::mutex> lock(mutex_);
-                jobs_.at(id).shard = -1;
+                if (Job *job = pendingJobLocked(id))
+                    job->shard = -1;
                 --stats_.dispatched;
             }
         }
@@ -526,7 +536,7 @@ void
 ShardRouter::handleJobFrame(std::size_t index, FrameType type,
                             const std::string &payload)
 {
-    const JobPayload parsed = parseJobPayload(payload);
+    JobPayload parsed = parseJobPayload(payload);
 
     // ShardRecv seam: a key sequence of (id, attempt) pairs, drawn
     // exactly once per response frame.
@@ -560,7 +570,7 @@ ShardRouter::handleJobFrame(std::size_t index, FrameType type,
             redispatch = true;
         } else if (type == FrameType::Result) {
             job.state = Job::State::Done;
-            job.resultJson = parsed.body;
+            job.resultJson = std::move(parsed.body);
             job.shard = -1;
             settleJobCost(job);
             ++stats_.resultsReceived;
@@ -574,7 +584,7 @@ ShardRouter::handleJobFrame(std::size_t index, FrameType type,
             job.state = Job::State::Failed;
             job.errorKind =
                 parsed.kind.empty() ? "internal" : parsed.kind;
-            job.errorMessage = parsed.body;
+            job.errorMessage = std::move(parsed.body);
             job.shard = -1;
             settleJobCost(job);
             ++stats_.errorsReceived;
@@ -591,17 +601,26 @@ std::string
 ShardRouter::wait(std::uint64_t id)
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    auto it = jobs_.end();
     jobsCv_.wait(lock, [&] {
-        if (stopping_)
-            return true;
-        return jobs_.at(id).state != Job::State::Pending;
+        // Re-find on every wake: a concurrent wait() on the same id
+        // may have collected the entry meanwhile.
+        it = jobs_.find(id);
+        return stopping_ || it == jobs_.end() ||
+               it->second.state != Job::State::Pending;
     });
-    const Job &job = jobs_.at(id);
-    if (job.state == Job::State::Done)
-        return job.resultJson;
-    if (job.state == Job::State::Pending)
+    if (it == jobs_.end())
+        throw RouterError("job " + std::to_string(id) +
+                          " is unknown or already collected");
+    if (it->second.state == Job::State::Pending)
         throw RouterError("router stopped while job " +
                           std::to_string(id) + " was pending");
+    // A settled job is collected by the one wait() that reads it:
+    // keeping it would pin every result line for the router's life.
+    Job job = std::move(it->second);
+    jobs_.erase(it);
+    if (job.state == Job::State::Done)
+        return std::move(job.resultJson);
     if (job.errorKind == "retry_budget")
         throw resil::RetryBudgetExhaustedError(
             "net::ShardRouter (job " + std::to_string(id) + ")",

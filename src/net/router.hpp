@@ -279,11 +279,14 @@ class ShardRouter
 
     /**
      * Block until job @p id completes; returns the shard's verbatim
-     * Result::writeJson line.
+     * Result::writeJson line.  The first wait() on a settled job
+     * collects it (the router forgets the job), so each id is waited
+     * on once.
      *
      * @throws RemoteJobError when the shard answered with an Error
      *         frame; RouterError when dispatch attempts were
-     *         exhausted or the router was stopped.
+     *         exhausted, the router was stopped, or @p id is unknown
+     *         or already collected.
      */
     std::string wait(std::uint64_t id);
 
@@ -385,6 +388,12 @@ class ShardRouter
      * mark the shard dead and re-route its other pending jobs.
      */
     void dispatchJob(std::uint64_t id);
+
+    /**
+     * Job @p id while it is still Pending, else nullptr (settled, or
+     * already collected by wait()).  Caller holds mutex_.
+     */
+    Job *pendingJobLocked(std::uint64_t id);
 
     /**
      * Settle a job's load accounting: subtract its estimated cost

@@ -1,14 +1,14 @@
 #include "noise/exact_sampler.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <map>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
+#include "common/lru_cache.hpp"
 #include "noise/readout.hpp"
 #include "sim/density_matrix.hpp"
 
@@ -21,23 +21,59 @@ using core::Distribution;
 
 namespace {
 
-/** Multinomial resampling shared by the exact and cached backends. */
-Distribution
-sampleFromExact(const Distribution &exact, int measured_qubits,
-                int shots, Rng &rng)
+/** Append the raw bytes of @p value to @p key. */
+template <typename T>
+void
+appendBytes(std::string &key, const T &value)
 {
-    std::vector<double> weights;
-    weights.reserve(exact.support());
-    for (const core::Entry &e : exact.entries())
-        weights.push_back(e.probability);
+    char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    key.append(bytes, sizeof(T));
+}
 
-    core::CountAccumulator counts;
-    counts.reserve(static_cast<std::size_t>(shots));
-    for (int s = 0; s < shots; ++s) {
-        const std::size_t pick = rng.discrete(weights);
-        counts.add(exact.entries()[pick].outcome);
+/**
+ * Exact (collision-free) fingerprint of everything the density-matrix
+ * evolution depends on: gate stream, layout, model rates, width.
+ */
+std::string
+exactKey(const circuits::RoutedCircuit &routed, int measured_qubits,
+         const NoiseModel &model)
+{
+    std::string key;
+    key.reserve(64 + routed.circuit.gates().size() * 24);
+    appendBytes(key, routed.circuit.numQubits());
+    appendBytes(key, measured_qubits);
+    appendBytes(key, model.p1q);
+    appendBytes(key, model.p2q);
+    appendBytes(key, model.readout01);
+    appendBytes(key, model.readout10);
+    for (const int physical : routed.logicalToPhysical)
+        appendBytes(key, physical);
+    for (const sim::Gate &g : routed.circuit.gates()) {
+        appendBytes(key, static_cast<int>(g.kind));
+        appendBytes(key, g.q0);
+        appendBytes(key, g.q1);
+        appendBytes(key, g.theta);
     }
-    return counts.toDistribution(measured_qubits);
+    return key;
+}
+
+struct Memo
+{
+    std::mutex mutex;
+    // shared_ptr values: a sampler keeps drawing from a distribution
+    // it already resolved even if eviction or clearCache() drops it.
+    common::LruCache<std::shared_ptr<const Distribution>> lru{
+        ExactSampler::kMemoCapacity};
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+};
+
+Memo &
+memo()
+{
+    static Memo instance;
+    return instance;
 }
 
 } // namespace
@@ -98,199 +134,57 @@ ExactSampler::sample(const circuits::RoutedCircuit &routed,
                      int measured_qubits, int shots, Rng &rng)
 {
     require(shots >= 1, "ExactSampler: need at least one shot");
-    const Distribution exact =
-        exactDistribution(routed, measured_qubits);
-    return sampleFromExact(exact, measured_qubits, shots, rng);
-}
-
-// ---------------------------------------------------------------------------
-// CachedExactSampler
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/** Append the raw bytes of @p value to @p key. */
-template <typename T>
-void
-appendBytes(std::string &key, const T &value)
-{
-    char bytes[sizeof(T)];
-    std::memcpy(bytes, &value, sizeof(T));
-    key.append(bytes, sizeof(T));
-}
-
-/**
- * Exact (collision-free) fingerprint of everything the density-matrix
- * evolution depends on: gate stream, layout, model rates, width.
- */
-std::string
-exactKey(const circuits::RoutedCircuit &routed, int measured_qubits,
-         const NoiseModel &model)
-{
-    std::string key;
-    key.reserve(64 + routed.circuit.gates().size() * 24);
-    appendBytes(key, routed.circuit.numQubits());
-    appendBytes(key, measured_qubits);
-    appendBytes(key, model.p1q);
-    appendBytes(key, model.p2q);
-    appendBytes(key, model.readout01);
-    appendBytes(key, model.readout10);
-    for (const int physical : routed.logicalToPhysical)
-        appendBytes(key, physical);
-    for (const sim::Gate &g : routed.circuit.gates()) {
-        appendBytes(key, static_cast<int>(g.kind));
-        appendBytes(key, g.q0);
-        appendBytes(key, g.q1);
-        appendBytes(key, g.theta);
-    }
-    return key;
-}
-
-struct ExactCache
-{
-    std::mutex mutex;
-    // shared_ptr values: samplers keep drawing from a distribution
-    // they already resolved even if clearCache() drops it meanwhile.
-    std::map<std::string, std::shared_ptr<const Distribution>>
-        distributions;
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-};
-
-ExactCache &
-exactCache()
-{
-    static ExactCache cache;
-    return cache;
-}
-
-} // namespace
-
-CachedExactSampler::CachedExactSampler(const NoiseModel &model)
-    : model_(model), inner_(model)
-{
-}
-
-std::shared_ptr<const Distribution>
-CachedExactSampler::cachedDistribution(
-    const circuits::RoutedCircuit &routed, int measured_qubits) const
-{
-    ExactCache &cache = exactCache();
+    Memo &m = memo();
     const std::string key = exactKey(routed, measured_qubits, model_);
+    std::shared_ptr<const Distribution> exact;
     {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        const auto it = cache.distributions.find(key);
-        if (it != cache.distributions.end()) {
-            ++cache.hits;
-            return it->second;
+        std::lock_guard<std::mutex> lock(m.mutex);
+        if (auto *hit = m.lru.get(key)) {
+            ++m.hits;
+            exact = *hit;
         }
     }
-    // Evolve outside the lock: concurrent first requests may both
-    // compute, but the result is deterministic so either insert wins.
-    auto exact = std::make_shared<const Distribution>(
-        inner_.exactDistribution(routed, measured_qubits));
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    ++cache.misses;
-    return cache.distributions.emplace(key, std::move(exact))
-        .first->second;
-}
-
-Distribution
-CachedExactSampler::sample(const circuits::RoutedCircuit &routed,
-                           int measured_qubits, int shots, Rng &rng)
-{
-    require(shots >= 1, "CachedExactSampler: need at least one shot");
-    const auto exact = cachedDistribution(routed, measured_qubits);
-    return sampleFromExact(*exact, measured_qubits, shots, rng);
-}
-
-Distribution
-CachedExactSampler::sampleBatch(const circuits::RoutedCircuit &routed,
-                                int measured_qubits, int shots,
-                                Rng &rng, int threads)
-{
-    require(shots >= 1, "CachedExactSampler: need at least one shot");
-    const auto cached = cachedDistribution(routed, measured_qubits);
-    const Distribution &exact = *cached;
+    if (!exact) {
+        // Evolve outside the lock: concurrent first requests may both
+        // compute, but the result is deterministic so either insert
+        // wins.
+        exact = std::make_shared<const Distribution>(
+            exactDistribution(routed, measured_qubits));
+        std::lock_guard<std::mutex> lock(m.mutex);
+        ++m.misses;
+        m.lru.put(key, exact);
+    }
 
     std::vector<double> weights;
-    weights.reserve(exact.support());
-    for (const core::Entry &e : exact.entries())
+    weights.reserve(exact->support());
+    for (const core::Entry &e : exact->entries())
         weights.push_back(e.probability);
 
-    // Fixed-size chunks drawing from per-chunk forked streams: the
-    // schedule depends only on the shot count, so the merged
-    // histogram is bit-identical for every thread count.
-    constexpr int kChunkShots = 1024;
-    const int chunks = (shots + kChunkShots - 1) / kChunkShots;
-    const Rng master = rng.split();
-
-    const int workers = common::ThreadPool::resolveThreadCount(
-        threads, static_cast<std::size_t>(chunks));
-    std::vector<core::CountAccumulator> partials(
-        static_cast<std::size_t>(workers));
-    common::ThreadPool::run(
-        workers, static_cast<std::size_t>(chunks),
-        [&](std::size_t c, int slot) {
-            const int base = static_cast<int>(c) * kChunkShots;
-            const int quota = std::min(kChunkShots, shots - base);
-            Rng stream = master.fork(c);
-            core::CountAccumulator &local =
-                partials[static_cast<std::size_t>(slot)];
-            for (int s = 0; s < quota; ++s) {
-                const std::size_t pick = stream.discrete(weights);
-                local.add(exact.entries()[pick].outcome);
-            }
-        });
-
-    const core::CountAccumulator merged =
-        core::CountAccumulator::treeReduce(partials);
-    return merged.toDistribution(measured_qubits);
-}
-
-bool
-CachedExactSampler::isCached(const circuits::RoutedCircuit &routed,
-                             int measured_qubits) const
-{
-    ExactCache &cache = exactCache();
-    const std::string key = exactKey(routed, measured_qubits, model_);
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.distributions.find(key) != cache.distributions.end();
-}
-
-std::size_t
-CachedExactSampler::cacheSize()
-{
-    ExactCache &cache = exactCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.distributions.size();
-}
-
-std::size_t
-CachedExactSampler::cacheHits()
-{
-    ExactCache &cache = exactCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.hits;
+    core::CountAccumulator counts;
+    counts.reserve(static_cast<std::size_t>(shots));
+    for (int s = 0; s < shots; ++s) {
+        const std::size_t pick = rng.discrete(weights);
+        counts.add(exact->entries()[pick].outcome);
+    }
+    return counts.toDistribution(measured_qubits);
 }
 
 CacheStats
-CachedExactSampler::cacheStats()
+ExactSampler::cacheStats()
 {
-    ExactCache &cache = exactCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return CacheStats{cache.distributions.size(), cache.hits,
-                      cache.misses};
+    Memo &m = memo();
+    std::lock_guard<std::mutex> lock(m.mutex);
+    return CacheStats{m.lru.size(), m.hits, m.misses};
 }
 
 void
-CachedExactSampler::clearCache()
+ExactSampler::clearCache()
 {
-    ExactCache &cache = exactCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    cache.distributions.clear();
-    cache.hits = 0;
-    cache.misses = 0;
+    Memo &m = memo();
+    std::lock_guard<std::mutex> lock(m.mutex);
+    m.lru.clear();
+    m.hits = 0;
+    m.misses = 0;
 }
 
 } // namespace hammer::noise

@@ -9,17 +9,17 @@
  * serves as the <= 10-qubit ground truth for validating the two fast
  * backends — not for the large sweeps.
  *
- * CachedExactSampler adds the memoised variant the sweep harnesses
- * want: the 4^n density-matrix evolution runs once per distinct
- * (circuit, noise model, measured qubits) and every further shot
- * budget just resamples the cached distribution.
+ * The 4^n evolution runs once per distinct (circuit, noise model,
+ * measured qubits): sample() draws from a bounded, process-wide memo
+ * of evolved distributions, so further shot budgets and seeds only
+ * resample.  The memo never changes a histogram — a hit hands back
+ * the distribution a cold evolution computes.
  */
 
 #ifndef HAMMER_NOISE_EXACT_SAMPLER_HPP
 #define HAMMER_NOISE_EXACT_SAMPLER_HPP
 
 #include <cstddef>
-#include <memory>
 
 #include "noise/noise_model.hpp"
 #include "noise/sampler.hpp"
@@ -28,9 +28,9 @@ namespace hammer::noise {
 
 /**
  * Uniform cache observability: one counter triple shared by every
- * caching layer in the stack (CachedExactSampler's density-matrix
- * memo, the serving layer's histogram LRU), so entry points can
- * report hit rates the same way regardless of which cache served.
+ * caching layer in the stack (ExactSampler's density-matrix memo,
+ * the serving layer's histogram LRU), so entry points can report hit
+ * rates the same way regardless of which cache served.
  */
 struct CacheStats
 {
@@ -54,82 +54,43 @@ struct CacheStats
 class ExactSampler : public NoisySampler
 {
   public:
+    /**
+     * Capacity of the process-wide memo, in evolved distributions
+     * (least recently used evicted first).  The density matrix is
+     * capped at 10 qubits, so one entry holds at most 2^10 outcomes
+     * (16 KiB).
+     */
+    static constexpr std::size_t kMemoCapacity = 256;
+
     explicit ExactSampler(const NoiseModel &model);
 
+    /**
+     * Multinomial shots from the memoised exact distribution
+     * (evolved on a miss); bit-identical to sampling a fresh
+     * exactDistribution() with the same RNG state.
+     */
     core::Distribution sample(const circuits::RoutedCircuit &routed,
                               int measured_qubits, int shots,
                               common::Rng &rng) override;
 
     /**
      * The exact measurement distribution (before shot sampling),
-     * marginalised onto the measured logical qubits; exposed so
-     * tests can compare backends without shot noise.
+     * marginalised onto the measured logical qubits; always a cold
+     * evolution, exposed so tests can compare backends without shot
+     * noise.
      */
     core::Distribution exactDistribution(
         const circuits::RoutedCircuit &routed,
         int measured_qubits) const;
 
-  private:
-    NoiseModel model_;
-};
-
-/**
- * Memoising wrapper over the exact density-matrix backend.
- *
- * sample() is bit-identical to ExactSampler::sample for the same RNG
- * state — only the density-matrix evolution is cached (keyed by an
- * exact fingerprint of the routed circuit, the noise model and the
- * measured-qubit count; the cache is process-wide and thread-safe).
- * sampleBatch() fans the shot budget across fixed-size chunks on the
- * thread pool with a tree-reduced histogram, bit-identical for any
- * thread count.
- */
-class CachedExactSampler final : public NoisySampler
-{
-  public:
-    explicit CachedExactSampler(const NoiseModel &model);
-
-    core::Distribution sample(const circuits::RoutedCircuit &routed,
-                              int measured_qubits, int shots,
-                              common::Rng &rng) override;
-
-    core::Distribution sampleBatch(const circuits::RoutedCircuit &routed,
-                                   int measured_qubits, int shots,
-                                   common::Rng &rng,
-                                   int threads = 0) override;
-
-    /**
-     * The cached exact distribution for this sampler's model
-     * (computed on first use).  Shared ownership: the returned
-     * pointer stays valid even if clearCache() runs concurrently.
-     */
-    std::shared_ptr<const core::Distribution> cachedDistribution(
-        const circuits::RoutedCircuit &routed, int measured_qubits) const;
-
-    /**
-     * Pure probe: true when the exact distribution for this
-     * (circuit, model, measured qubits) is already cached.  Never
-     * computes or counts as a lookup — the cost model uses it to
-     * price the warm-cache plan without perturbing hit statistics.
-     */
-    bool isCached(const circuits::RoutedCircuit &routed,
-                  int measured_qubits) const;
-
-    /** Number of distributions currently cached (process-wide). */
-    static std::size_t cacheSize();
-
-    /** Cache hits since process start / last clear (process-wide). */
-    static std::size_t cacheHits();
-
-    /** Entries, hits and misses in one uniform snapshot. */
+    /** Entries, hits and misses of the process-wide memo. */
     static CacheStats cacheStats();
 
-    /** Drop every cached distribution and reset the hit counter. */
+    /** Drop every memoised distribution and reset the counters. */
     static void clearCache();
 
   private:
     NoiseModel model_;
-    ExactSampler inner_;
 };
 
 } // namespace hammer::noise

@@ -151,22 +151,17 @@ trajectoryCost(const PlanFeatures &f, const PlanChoice &c,
 }
 
 PlanCost
-exactCost(const PlanFeatures &f, const CalibrationTable &t,
-          bool cached)
+exactCost(const PlanFeatures &f, const CalibrationTable &t)
 {
     PlanCost cost;
     const double rows = static_cast<double>(f.rows());
-    if (!cached || !f.cacheWarm) {
-        // Density-matrix evolution: rows^2 elements touched per gate
-        // (gate + depolarising channel folded into the coefficient).
-        cost.groups[idx(CostGroup::Density)] +=
-            static_cast<double>(f.sourceGates) * rows * rows *
-            t.densityRowNs * kNs;
-        cost.groups[idx(CostGroup::Overhead)] +=
-            t.planOverheadNs * kNs;
-    }
-    if (cached)
-        cost.groups[idx(CostGroup::CacheHit)] += t.cacheHitNs * kNs;
+    // Density-matrix evolution, priced cold: rows^2 elements touched
+    // per gate (gate + depolarising channel folded into the
+    // coefficient).
+    cost.groups[idx(CostGroup::Density)] +=
+        static_cast<double>(f.sourceGates) * rows * rows *
+        t.densityRowNs * kNs;
+    cost.groups[idx(CostGroup::Overhead)] += t.planOverheadNs * kNs;
     addSampling(cost, f, t, 1.0);
     finalize(cost);
     return cost;
@@ -202,7 +197,6 @@ costGroupName(CostGroup group)
     case CostGroup::Shots: return "shot_ns";
     case CostGroup::Flips: return "channel_flip_ns";
     case CostGroup::Density: return "density_row_ns";
-    case CostGroup::CacheHit: return "cache_hit_ns";
     case CostGroup::Overhead: return "plan_overhead_ns";
     }
     return "unknown";
@@ -301,11 +295,9 @@ estimateCost(const PlanFeatures &features, const PlanChoice &choice,
     if (choice.backend == "trajectory")
         return trajectoryCost(features, choice, table);
     if (choice.backend == "exact")
-        return exactCost(features, table, false);
-    if (choice.backend == "exact-cached")
-        return exactCost(features, table, true);
-    // Unknown backends (remote, service wrappers) cost like the
-    // channel plan they typically delegate to.
+        return exactCost(features, table);
+    // Unknown backends (remote) cost like the channel plan they
+    // typically delegate to.
     return channelCost(features, table);
 }
 
@@ -320,12 +312,9 @@ rankPlans(const PlanFeatures &features, const CalibrationTable &table)
         for (const int lanes : {4, 8})
             candidates.push_back({"trajectory", budget, lanes});
     }
-    if (features.qubits <= 10) {
-        // The density-matrix backends hard-require <= 10 qubits.
+    // The density-matrix backend hard-requires <= 10 qubits.
+    if (features.qubits <= 10)
         candidates.push_back({"exact", std::size_t{64} << 20, 8});
-        candidates.push_back(
-            {"exact-cached", std::size_t{64} << 20, 8});
-    }
 
     std::vector<RankedPlan> ranked;
     ranked.reserve(candidates.size());
@@ -458,7 +447,6 @@ Calibrator::fit(const CalibrationTable &seed) const
     out.shotNs *= x[idx(CostGroup::Shots)];
     out.channelFlipNs *= x[idx(CostGroup::Flips)];
     out.densityRowNs *= x[idx(CostGroup::Density)];
-    out.cacheHitNs *= x[idx(CostGroup::CacheHit)];
     out.planOverheadNs *= x[idx(CostGroup::Overhead)];
     out.version = seed.version + 1;
     return out;

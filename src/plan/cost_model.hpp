@@ -3,8 +3,8 @@
  * Calibrated analytical cost model for execution-plan selection.
  *
  * The registry offers several interchangeable execution plans
- * (trajectory replay, analytic channel, exact density matrix, cached
- * exact) plus tuning knobs (replay checkpoint budget, batch lane
+ * (trajectory replay, analytic channel, exact density matrix) plus
+ * tuning knobs (replay checkpoint budget, batch lane
  * width), and callers historically picked one by hand.  This module
  * follows the autoscheduling recipe of Ahrens & Kjolstad (PAPERS.md):
  * a *pure* cost function over spec-derived features, a calibration
@@ -64,9 +64,6 @@ struct PlanFeatures
     int shots = 0;
     int trajectories = 0;
 
-    /** True when the exact-cached backend already holds this key. */
-    bool cacheWarm = false;
-
     /**
      * Active kernel tier's vector width in doubles (1/2/4).  The
      * calibration table is normalised to the widest tier; narrower
@@ -117,11 +114,10 @@ enum class CostGroup
     Shots,       ///< shotNs
     Flips,       ///< channelFlipNs
     Density,     ///< densityRowNs
-    CacheHit,    ///< cacheHitNs
     Overhead,    ///< planOverheadNs
 };
 
-inline constexpr std::size_t kCostGroups = 12;
+inline constexpr std::size_t kCostGroups = 11;
 
 const char *costGroupName(CostGroup group);
 
@@ -158,8 +154,6 @@ struct CalibrationTable
     double channelFlipNs = 2.6;
     /** Exact backend: per density-matrix element per gate, ns. */
     double densityRowNs = 2.2;
-    /** Serving an exact distribution already in the cache, ns. */
-    double cacheHitNs = 4000.0;
     /** Fixed per-plan overhead (compile, engine set-up), ns. */
     double planOverheadNs = 60000.0;
 
@@ -211,8 +205,8 @@ struct RankedPlan
 
 /**
  * Enumerate the candidate plans for @p features (channel; trajectory
- * across checkpoint budgets x batch widths; exact / exact-cached when
- * the density matrix fits) and return them cheapest-first.  Ties
+ * across checkpoint budgets x batch widths; exact when the density
+ * matrix fits) and return them cheapest-first.  Ties
  * break on (backend name, budget, lanes), so the ranking is a pure
  * function of (features, table).
  */

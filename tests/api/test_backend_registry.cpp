@@ -26,11 +26,9 @@ TEST(BackendRegistry, GlobalKnowsTheBuiltinBackends)
     EXPECT_TRUE(registry.contains("trajectory"));
     EXPECT_TRUE(registry.contains("channel"));
     EXPECT_TRUE(registry.contains("exact"));
-    EXPECT_TRUE(registry.contains("exact-cached"));
-    EXPECT_TRUE(registry.contains("service"));
     EXPECT_TRUE(registry.contains("auto"));
     EXPECT_FALSE(registry.contains("remote"));
-    EXPECT_EQ(registry.names().size(), 6u);
+    EXPECT_EQ(registry.names().size(), 4u);
 }
 
 TEST(BackendRegistry, DuplicateRegistrationThrows)
@@ -66,60 +64,64 @@ TEST(BackendRegistry, BuiltBackendsSample)
 
 TEST(BackendRegistry, CachedExactMatchesExactBitForBit)
 {
-    // The cached backend must be a pure memoisation: same RNG state,
-    // same histogram as the exact backend, for every shot budget.
-    hammer::noise::CachedExactSampler::clearCache();
+    // The exact backend's memo must be a pure memoisation: a memo hit
+    // draws the same histogram as a cold evolution from the same RNG
+    // state, for every shot budget.
+    using hammer::noise::ExactSampler;
     const auto workload = hammer::api::makeGhzWorkload(4);
     BackendSpec spec;
     for (int shots : {64, 256}) {
-        Rng exact_rng(7), cached_rng(7);
+        ExactSampler::clearCache();
         const auto exact =
             BackendRegistry::global().make("exact", spec);
-        const auto cached =
-            BackendRegistry::global().make("exact-cached", spec);
-        const auto a =
-            exact->sample(workload.routed, 4, shots, exact_rng);
-        const auto b =
-            cached->sample(workload.routed, 4, shots, cached_rng);
-        ASSERT_EQ(a.support(), b.support()) << shots << " shots";
-        for (const auto &e : a.entries())
-            EXPECT_DOUBLE_EQ(e.probability, b.probability(e.outcome))
+        Rng cold_rng(7), warm_rng(7);
+        const auto cold =
+            exact->sample(workload.routed, 4, shots, cold_rng);
+        const auto warm =
+            exact->sample(workload.routed, 4, shots, warm_rng);
+        EXPECT_EQ(ExactSampler::cacheStats().misses, 1u);
+        EXPECT_EQ(ExactSampler::cacheStats().hits, 1u);
+        ASSERT_EQ(cold.support(), warm.support()) << shots << " shots";
+        for (std::size_t i = 0; i < cold.entries().size(); ++i) {
+            EXPECT_EQ(cold.entries()[i].outcome,
+                      warm.entries()[i].outcome);
+            EXPECT_EQ(cold.entries()[i].probability,
+                      warm.entries()[i].probability)
                 << shots << " shots";
+        }
     }
 }
 
 TEST(BackendRegistry, CachedExactReusesTheDensityMatrixEvolution)
 {
-    using hammer::noise::CachedExactSampler;
-    CachedExactSampler::clearCache();
+    using hammer::noise::ExactSampler;
+    ExactSampler::clearCache();
     const auto workload = hammer::api::makeGhzWorkload(4);
     BackendSpec spec;
     Rng rng(11);
-    const auto sampler =
-        BackendRegistry::global().make("exact-cached", spec);
+    const auto sampler = BackendRegistry::global().make("exact", spec);
 
     sampler->sample(workload.routed, 4, 100, rng);
-    EXPECT_EQ(CachedExactSampler::cacheSize(), 1u);
-    EXPECT_EQ(CachedExactSampler::cacheHits(), 0u);
+    EXPECT_EQ(ExactSampler::cacheStats().entries, 1u);
+    EXPECT_EQ(ExactSampler::cacheStats().hits, 0u);
 
-    // Further budgets resample the cached distribution.
+    // Further budgets resample the memoised distribution.
     sampler->sample(workload.routed, 4, 500, rng);
     sampler->sampleBatch(workload.routed, 4, 2000, rng, 2);
-    EXPECT_EQ(CachedExactSampler::cacheSize(), 1u);
-    EXPECT_EQ(CachedExactSampler::cacheHits(), 2u);
+    EXPECT_EQ(ExactSampler::cacheStats().entries, 1u);
+    EXPECT_EQ(ExactSampler::cacheStats().hits, 2u);
 
     // A different measured width is a different key.
     sampler->sample(workload.routed, 3, 100, rng);
-    EXPECT_EQ(CachedExactSampler::cacheSize(), 2u);
+    EXPECT_EQ(ExactSampler::cacheStats().entries, 2u);
 }
 
 TEST(BackendRegistry, CachedExactSampleBatchDeterministicAcrossThreads)
 {
-    hammer::noise::CachedExactSampler::clearCache();
+    hammer::noise::ExactSampler::clearCache();
     const auto workload = hammer::api::makeGhzWorkload(4);
     BackendSpec spec;
-    const auto sampler =
-        BackendRegistry::global().make("exact-cached", spec);
+    const auto sampler = BackendRegistry::global().make("exact", spec);
 
     std::vector<hammer::core::Distribution> results;
     for (int threads : {1, 2, 4}) {
@@ -130,44 +132,9 @@ TEST(BackendRegistry, CachedExactSampleBatchDeterministicAcrossThreads)
     for (std::size_t i = 1; i < results.size(); ++i) {
         ASSERT_EQ(results[0].support(), results[i].support());
         for (const auto &e : results[0].entries())
-            EXPECT_DOUBLE_EQ(e.probability,
-                             results[i].probability(e.outcome));
+            EXPECT_EQ(e.probability,
+                      results[i].probability(e.outcome));
     }
-}
-
-TEST(BackendRegistry, ServiceBackendMatchesItsDelegateBitForBit)
-{
-    // The service backend only adds queueing: its histograms must be
-    // byte-for-byte the delegate backend's.
-    const auto workload = hammer::api::makeGhzWorkload(4);
-    BackendSpec spec;
-    spec.serviceBackend = "channel";
-    for (int threads : {1, 2}) {
-        Rng direct_rng(5), served_rng(5);
-        const auto direct =
-            BackendRegistry::global().make("channel", spec);
-        const auto served =
-            BackendRegistry::global().make("service", spec);
-        const auto a = direct->sampleBatch(workload.routed, 4, 2000,
-                                           direct_rng, threads);
-        const auto b = served->sampleBatch(workload.routed, 4, 2000,
-                                           served_rng, threads);
-        ASSERT_EQ(a.support(), b.support()) << threads << " threads";
-        for (const auto &e : a.entries())
-            EXPECT_DOUBLE_EQ(e.probability, b.probability(e.outcome))
-                << threads << " threads";
-    }
-}
-
-TEST(BackendRegistry, ServiceBackendRejectsSelfRecursion)
-{
-    BackendSpec spec;
-    spec.serviceBackend = "service";
-    EXPECT_THROW(BackendRegistry::global().make("service", spec),
-                 std::invalid_argument);
-    spec.serviceBackend = "";
-    EXPECT_THROW(BackendRegistry::global().make("service", spec),
-                 std::invalid_argument);
 }
 
 TEST(BackendRegistry, UnknownBackendThrowsWithTheKnownList)

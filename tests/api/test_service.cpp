@@ -267,14 +267,14 @@ TEST(ExecutionService, CanonicalKeysSeparateEveryAxis)
     other = smallBvSpec(1);
     other.mitigation = "none";
     EXPECT_NE(base, *canonicalSpecKey(other));
-    // The service backend's delegate determines the histogram: two
-    // service specs differing only there must never share a key.
+    // The remote backend's delegate determines the histogram: two
+    // remote specs differing only there must never share a key.
     other = smallBvSpec(1);
-    other.backend = "service";
-    auto service_traj = other;
-    service_traj.backendSpec.serviceBackend = "trajectory";
+    other.backend = "remote";
+    auto remote_traj = other;
+    remote_traj.backendSpec.serviceBackend = "trajectory";
     EXPECT_NE(*canonicalSpecKey(other),
-              *canonicalSpecKey(service_traj));
+              *canonicalSpecKey(remote_traj));
 
     // Threads and labels do not change results, so they must not
     // change the key either.
@@ -354,13 +354,13 @@ TEST(ExecutionService, ExposesTheExactCacheUniformly)
 {
     // Different shot budgets are different service cache keys, but
     // the 4^n density-matrix evolution must still run only once —
-    // the service routes that level of caching through
-    // CachedExactSampler's memo rather than duplicating it.
-    hammer::noise::CachedExactSampler::clearCache();
+    // the service routes that level of caching through the exact
+    // backend's memo rather than duplicating it.
+    hammer::noise::ExactSampler::clearCache();
     ExecutionService service;
     ExperimentSpec spec;
     spec.workload = "ghz:4";
-    spec.backend = "exact-cached";
+    spec.backend = "exact";
     spec.backendSpec.shots = 500;
     service.wait(service.submit(spec));
     spec.backendSpec.shots = 900;

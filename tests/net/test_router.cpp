@@ -225,6 +225,36 @@ TEST(ShardRouter, PropagatesRemoteFailuresAsTypedErrors)
               localCanonical({"bv:4,channel,128,1"}));
 }
 
+TEST(ShardRouter, WaitCollectsTheSettledJob)
+{
+    // wait() hands the result line over and forgets the job, so a
+    // long-lived router does not pin every line it ever served: a
+    // second wait on a collected id, or a wait on an id never issued,
+    // is a typed RouterError.
+    Fleet fleet(1);
+    ShardRouterOptions options;
+    options.addresses = fleet.addresses();
+    ShardRouter router{options};
+
+    const std::uint64_t id = router.submit("bv:4,channel,128,1");
+    EXPECT_EQ(canonicalResultJson(router.wait(id)),
+              localCanonical({"bv:4,channel,128,1"})[0]);
+    EXPECT_THROW(router.wait(id), RouterError);
+    EXPECT_THROW(router.wait(id + 1000), RouterError);
+
+    // A failed job is collected the same way.
+    const std::uint64_t bad =
+        router.submit("nosuchfamily:5,channel,64,1");
+    EXPECT_THROW(router.wait(bad), RemoteJobError);
+    try {
+        router.wait(bad);
+        FAIL() << "expected RouterError";
+    } catch (const RemoteJobError &) {
+        FAIL() << "a collected failure must not be reported again";
+    } catch (const RouterError &) {
+    }
+}
+
 TEST(ShardRouterChaos, LostResponsesReplayDeterministically)
 {
     const auto lines = campaignLines();

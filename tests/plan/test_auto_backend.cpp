@@ -14,6 +14,7 @@
 #include "api/api.hpp"
 #include "api/autoplan.hpp"
 #include "common/rng.hpp"
+#include "noise/exact_sampler.hpp"
 #include "plan/cost_model.hpp"
 
 namespace {
@@ -74,7 +75,7 @@ TEST(AutoBackend, RegisteredAlongsideTheHandPickedBackends)
 {
     const BackendRegistry &registry = BackendRegistry::global();
     EXPECT_TRUE(registry.contains("auto"));
-    EXPECT_EQ(registry.names().size(), 6u);
+    EXPECT_EQ(registry.names().size(), 4u);
 }
 
 TEST(AutoBackend, BitIdenticalToTheSelectedBackend)
@@ -144,16 +145,57 @@ TEST(AutoBackend, RankingIsDeterministic)
     const Workload workload =
         WorkloadRegistry::global().make("bv:6", wrng);
     const AutoSampler sampler(smallSpec());
-    const auto a =
-        sampler.rank(workload.routed, workload.measuredQubits);
-    const auto b =
-        sampler.rank(workload.routed, workload.measuredQubits);
+    const auto a = sampler.rank(workload.routed);
+    const auto b = sampler.rank(workload.routed);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_FALSE(a.empty());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].choice.backend, b[i].choice.backend);
         EXPECT_EQ(a[i].cost.seconds, b[i].cost.seconds);
     }
+}
+
+TEST(AutoBackend, PlanIgnoresTheExactMemo)
+{
+    // auto plans from the spec alone: once the exact backend has
+    // memoised a key, the ranking and the histogram are the ones a
+    // cold process produces.
+    const ScopedCalibration guard;
+    setActiveCalibration(defaultCalibrationTable());
+    hammer::noise::ExactSampler::clearCache();
+    hammer::common::Rng wrng(3);
+    const Workload workload =
+        WorkloadRegistry::global().make("ghz:4", wrng);
+    BackendSpec spec = smallSpec();
+    spec.shots = 900;
+    AutoSampler sampler(spec);
+
+    const auto coldRanking = sampler.rank(workload.routed);
+    hammer::common::Rng coldRng(spec.seed);
+    const Distribution cold = sampler.sampleBatch(
+        workload.routed, workload.measuredQubits, spec.shots, coldRng,
+        1);
+    ASSERT_EQ(sampler.lastChoice().backend, "exact");
+    ASSERT_EQ(hammer::noise::ExactSampler::cacheStats().entries, 1u);
+
+    const auto warmRanking = sampler.rank(workload.routed);
+    hammer::common::Rng warmRng(spec.seed);
+    const Distribution warm = sampler.sampleBatch(
+        workload.routed, workload.measuredQubits, spec.shots, warmRng,
+        1);
+    EXPECT_EQ(hammer::noise::ExactSampler::cacheStats().hits, 1u);
+    ASSERT_EQ(coldRanking.size(), warmRanking.size());
+    for (std::size_t i = 0; i < coldRanking.size(); ++i) {
+        const auto &c = coldRanking[i];
+        const auto &w = warmRanking[i];
+        EXPECT_EQ(c.choice.backend, w.choice.backend) << i;
+        EXPECT_EQ(c.choice.checkpointBudgetBytes,
+                  w.choice.checkpointBudgetBytes)
+            << i;
+        EXPECT_EQ(c.choice.batchLanes, w.choice.batchLanes) << i;
+        EXPECT_EQ(c.cost.seconds, w.cost.seconds) << i;
+    }
+    EXPECT_TRUE(identical(cold, warm));
 }
 
 TEST(Calibration, JsonRoundTripsEveryCoefficient)
@@ -178,7 +220,6 @@ TEST(Calibration, JsonRoundTripsEveryCoefficient)
     EXPECT_EQ(parsed.shotNs, table.shotNs);
     EXPECT_EQ(parsed.channelFlipNs, table.channelFlipNs);
     EXPECT_EQ(parsed.densityRowNs, table.densityRowNs);
-    EXPECT_EQ(parsed.cacheHitNs, table.cacheHitNs);
     EXPECT_EQ(parsed.planOverheadNs, table.planOverheadNs);
     EXPECT_EQ(parsed.version, table.version);
 }

@@ -39,7 +39,7 @@
  *                      ghz:<n> | qaoa:[<family>:]<n>:<p> |
  *                      mirror:<n>[:<depth>]
  *   --machine <name>   noise preset (default machineA)
- *   --backend <b>      trajectory | channel | exact
+ *   --backend <b>      trajectory | channel | exact | auto
  *                      (default trajectory)
  *   --shots <k>        shot budget (default 8192)
  *   --trajectories <t> noise trajectories (default 250)
@@ -126,8 +126,8 @@ usage(int exit_code)
         "  --sample <spec>   bv:<n>[:<key>] | ghz:<n> | "
         "qaoa:[<family>:]<n>:<p> | mirror:<n>[:<depth>]\n"
         "  --machine <name>  noise preset (default machineA)\n"
-        "  --backend <b>     trajectory | channel | exact | "
-        "exact-cached | auto (default trajectory);\n"
+        "  --backend <b>     trajectory | channel | exact | auto "
+        "(default trajectory);\n"
         "                    auto ranks candidate plans under the "
         "active cost calibration and runs the cheapest\n"
         "  --explain-plan    with --sample: print the ranked "
@@ -277,6 +277,45 @@ listRegistry(const std::string &what)
     return 0;
 }
 
+/** One spec line of a --serve input, with its 1-based line number. */
+struct NumberedLine
+{
+    int number = 0;
+    std::string text;
+};
+
+/** Read --serve spec lines, skipping blank and '#' comment lines. */
+std::vector<NumberedLine>
+readSpecLines(std::istream &input)
+{
+    std::vector<NumberedLine> lines;
+    std::string line;
+    int number = 0;
+    while (std::getline(input, line)) {
+        ++number;
+        const std::size_t first = line.find_first_not_of(" \t\r");
+        if (first != std::string::npos && line[first] != '#')
+            lines.push_back({number, line});
+    }
+    return lines;
+}
+
+/**
+ * --retry-budget: arm a @p tokens-token retry budget (0 = off) on a
+ * service's or a router's options.
+ */
+template <typename Options>
+void
+applyRetryBudget(Options &options, int tokens)
+{
+    if (tokens <= 0)
+        return;
+    options.retryBudget = true;
+    options.retryBudgetOptions.initialTokens = tokens;
+    options.retryBudgetOptions.maxTokens = std::max<double>(
+        tokens, options.retryBudgetOptions.maxTokens);
+}
+
 /**
  * --serve: parse spec lines from @p input, run them through one
  * ExecutionService, stream JSON result lines as jobs complete.
@@ -295,18 +334,12 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
     // Parse everything up front so malformed traffic fails before
     // any cycles are spent executing.
     std::vector<SpecLine> requests;
-    std::string line;
-    int line_number = 0;
-    while (std::getline(input, line)) {
-        ++line_number;
-        std::size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
+    for (const NumberedLine &line : readSpecLines(input)) {
         try {
-            requests.push_back(parseSpecLine(line));
+            requests.push_back(parseSpecLine(line.text));
         } catch (const std::exception &error) {
             std::fprintf(stderr, "hammer_cli: --serve line %d: %s\n",
-                         line_number, error.what());
+                         line.number, error.what());
             return 2;
         }
     }
@@ -317,13 +350,7 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
     // matter: alert when a 64-job window's predicted/measured ratio
     // leaves the calibration band.
     options.driftWindow = 64;
-    if (retry_budget > 0) {
-        options.retryBudget = true;
-        options.retryBudgetOptions.initialTokens = retry_budget;
-        options.retryBudgetOptions.maxTokens =
-            std::max<double>(retry_budget,
-                             options.retryBudgetOptions.maxTokens);
-    }
+    applyRetryBudget(options, retry_budget);
     options.degradedServing = degraded_ok;
     ExecutionService service{options};
 
@@ -482,29 +509,12 @@ serveShards(std::istream &input,
 {
     using namespace hammer;
 
-    std::vector<std::string> lines;
-    std::string line;
-    int line_number = 0;
-    std::vector<int> line_numbers;
-    while (std::getline(input, line)) {
-        ++line_number;
-        const std::size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-        lines.push_back(line);
-        line_numbers.push_back(line_number);
-    }
+    const std::vector<NumberedLine> lines = readSpecLines(input);
 
     net::ShardRouterOptions options;
     options.addresses = addresses;
     options.heartbeatIntervalMs = 500;
-    if (retry_budget > 0) {
-        options.retryBudget = true;
-        options.retryBudgetOptions.initialTokens = retry_budget;
-        options.retryBudgetOptions.maxTokens =
-            std::max<double>(retry_budget,
-                             options.retryBudgetOptions.maxTokens);
-    }
+    applyRetryBudget(options, retry_budget);
     if (degraded_ok)
         // Per-shard circuit breakers: a flapping or dead shard is
         // skipped after 3 consecutive failures, and a fleet with
@@ -515,13 +525,13 @@ serveShards(std::istream &input,
 
     std::vector<std::uint64_t> ids;
     ids.reserve(lines.size());
-    for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (const NumberedLine &line : lines) {
         try {
-            ids.push_back(router.submit(lines[i]));
+            ids.push_back(router.submit(line.text));
         } catch (const std::exception &error) {
             std::fprintf(stderr,
                          "hammer_cli: --serve line %d: %s\n",
-                         line_numbers[i], error.what());
+                         line.number, error.what());
             return 2;
         }
     }
@@ -593,15 +603,7 @@ runShard(const std::string &listen, int threads, int retry_budget,
     net::ShardWorkerOptions options;
     options.service.workers = threads;
     options.service.driftWindow = 64;
-    if (retry_budget > 0) {
-        options.service.retryBudget = true;
-        options.service.retryBudgetOptions.initialTokens =
-            retry_budget;
-        options.service.retryBudgetOptions.maxTokens =
-            std::max<double>(
-                retry_budget,
-                options.service.retryBudgetOptions.maxTokens);
-    }
+    applyRetryBudget(options.service, retry_budget);
     options.service.degradedServing = degraded_ok;
     options.emitStats = true;
     try {
