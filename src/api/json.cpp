@@ -1,7 +1,7 @@
 #include "api/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.hpp"
@@ -11,11 +11,21 @@ namespace hammer::api {
 using common::fatal;
 using common::require;
 
-std::string
-jsonQuote(const std::string &text)
+namespace {
+
+/** Append @p text as a quoted JSON string, copying unescaped runs. */
+void
+appendQuoted(std::string &out, std::string_view text)
 {
-    std::string out = "\"";
-    for (const char c : text) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    out += '"';
+    std::size_t run = 0; // start of the pending unescaped run
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const auto c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(text.data() + run, i - run);
+        run = i + 1;
         switch (c) {
         case '"':
             out += "\\\"";
@@ -32,30 +42,59 @@ jsonQuote(const std::string &text)
         case '\t':
             out += "\\t";
             break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
+        default: {
+            const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                   kHex[c & 0xF]};
+            out.append(escape, sizeof(escape));
+        }
         }
     }
+    out.append(text.data() + run, text.size() - run);
     out += '"';
+}
+
+/**
+ * Append @p value with 17 significant digits.  std::to_chars with a
+ * precision renders exactly what printf("%.17g") does in the C
+ * locale, whatever the process locale is.
+ */
+void
+appendNumber(std::string &out, double value)
+{
+    if (!std::isfinite(value)) {
+        out += "null";
+        return;
+    }
+    char buf[32]; // "-1.7976931348623157e+308" is the longest: 24
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                  std::chars_format::general, 17)
+                        .ptr);
+}
+
+template <typename Int>
+void
+appendInteger(std::string &out, Int value)
+{
+    char buf[24]; // 2^64-1 and INT_MIN both fit
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+} // namespace
+
+std::string
+jsonQuote(std::string_view text)
+{
+    std::string out;
+    appendQuoted(out, text);
     return out;
 }
 
 std::string
 jsonNumber(double value)
 {
-    if (!std::isfinite(value))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
+    std::string out;
+    appendNumber(out, value);
+    return out;
 }
 
 void
@@ -107,34 +146,34 @@ JsonWriter::endArray()
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     separate();
-    out_ += jsonQuote(name);
+    appendQuoted(out_, name);
     out_ += ':';
     pendingKey_ = true;
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &text)
+JsonWriter::value(std::string_view text)
 {
     separate();
-    out_ += jsonQuote(text);
+    appendQuoted(out_, text);
     return *this;
 }
 
 JsonWriter &
 JsonWriter::value(const char *text)
 {
-    return value(std::string(text));
+    return value(std::string_view(text));
 }
 
 JsonWriter &
 JsonWriter::value(double number)
 {
     separate();
-    out_ += jsonNumber(number);
+    appendNumber(out_, number);
     return *this;
 }
 
@@ -142,7 +181,7 @@ JsonWriter &
 JsonWriter::value(int number)
 {
     separate();
-    out_ += std::to_string(number);
+    appendInteger(out_, number);
     return *this;
 }
 
@@ -150,7 +189,7 @@ JsonWriter &
 JsonWriter::value(std::uint64_t number)
 {
     separate();
-    out_ += std::to_string(number);
+    appendInteger(out_, number);
     return *this;
 }
 
@@ -168,6 +207,12 @@ JsonWriter::null()
     separate();
     out_ += "null";
     return *this;
+}
+
+std::string
+JsonWriter::take()
+{
+    return std::exchange(out_, {});
 }
 
 // ---------------------------------------------------------------------------

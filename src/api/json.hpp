@@ -9,6 +9,12 @@
  * requires).  The matching parser (parseJson) reads those documents
  * back — it is what hammer_cli --serve uses to accept JSON spec lines
  * and what the round-trip tests verify the writer against.
+ *
+ * The rendering is a byte contract: golden files, local-vs-sharded
+ * identity and the exec keys the router hashes all read it.  A double
+ * renders with 17 significant digits, byte-identical to
+ * printf("%.17g") in the C locale and independent of the process
+ * locale; integers render as std::to_string does.
  */
 
 #ifndef HAMMER_API_JSON_HPP
@@ -17,13 +23,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace hammer::api {
 
 /** Escape and quote @p text as a JSON string literal. */
-std::string jsonQuote(const std::string &text);
+std::string jsonQuote(std::string_view text);
 
 /** Render a double (17 significant digits; non-finite -> null). */
 std::string jsonNumber(double value);
@@ -56,9 +63,10 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Emit an object key; must be followed by exactly one value. */
-    JsonWriter &key(const std::string &name);
+    JsonWriter &key(std::string_view name);
 
-    JsonWriter &value(const std::string &text);
+    JsonWriter &value(std::string_view text);
+    // Without this overload a string literal would pick value(bool).
     JsonWriter &value(const char *text);
     JsonWriter &value(double number);
     JsonWriter &value(int number);
@@ -68,6 +76,9 @@ class JsonWriter
 
     /** The document so far. */
     const std::string &str() const { return out_; }
+
+    /** Move the finished document out; the writer is left empty. */
+    std::string take();
 
   private:
     void separate();

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "api/json.hpp"
 #include "api/service.hpp"
@@ -38,9 +38,11 @@ writeHistogramJson(JsonWriter &json, const Distribution &dist,
     for (const auto &entry : dist.sortedByProbability()) {
         if (max_outcomes >= 0 && emitted++ >= max_outcomes)
             break;
+        char bits[64];
         json.beginObject();
-        json.key("outcome").value(
-            common::toBitstring(entry.outcome, dist.numBits()));
+        json.key("outcome").value(std::string_view(
+            bits,
+            common::writeBitstring(entry.outcome, dist.numBits(), bits)));
         json.key("probability").value(entry.probability);
         json.endObject();
     }
@@ -84,6 +86,12 @@ Result::writeCsv(std::ostream &out, int precision) const
 
 void
 Result::writeJson(std::ostream &out, int max_outcomes) const
+{
+    out << json(max_outcomes);
+}
+
+std::string
+Result::json(int max_outcomes) const
 {
     JsonWriter json;
     json.beginObject();
@@ -141,15 +149,9 @@ Result::writeJson(std::ostream &out, int max_outcomes) const
     json.endObject();
 
     json.endObject();
-    out << json.str() << '\n';
-}
-
-std::string
-Result::json(int max_outcomes) const
-{
-    std::ostringstream out;
-    writeJson(out, max_outcomes);
-    return out.str();
+    std::string line = json.take();
+    line += '\n';
+    return line;
 }
 
 // ---------------------------------------------------------------------------

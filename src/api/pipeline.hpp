@@ -147,7 +147,7 @@ struct Result
      */
     void writeJson(std::ostream &out, int max_outcomes = -1) const;
 
-    /** writeJson into a string. */
+    /** The newline-terminated line writeJson prints. */
     std::string json(int max_outcomes = -1) const;
 };
 

@@ -1440,7 +1440,7 @@ canonicalResultJson(const std::string &json)
         writeJsonValue(out, member);
     }
     out.endObject();
-    return out.str();
+    return out.take();
 }
 
 } // namespace hammer::api

@@ -20,13 +20,17 @@ minHammingDistance(Bits x, const std::vector<Bits> &targets)
 std::string
 toBitstring(Bits x, int n)
 {
+    char buf[64];
+    return std::string(buf, writeBitstring(x, n, buf));
+}
+
+char *
+writeBitstring(Bits x, int n, char *out)
+{
     require(n >= 1 && n <= 64, "toBitstring: n out of range");
-    std::string s(static_cast<std::size_t>(n), '0');
-    for (int i = 0; i < n; ++i) {
-        if ((x >> i) & 1ull)
-            s[static_cast<std::size_t>(n - 1 - i)] = '1';
-    }
-    return s;
+    for (int i = 0; i < n; ++i)
+        out[n - 1 - i] = static_cast<char>('0' + ((x >> i) & 1u));
+    return out + n;
 }
 
 Bits

@@ -59,6 +59,15 @@ int minHammingDistance(Bits x, const std::vector<Bits> &targets);
 std::string toBitstring(Bits x, int n);
 
 /**
+ * toBitstring without the allocation: write the @p n characters to
+ * @p out and return out + n, for callers that render many outcomes
+ * (the Result JSON histograms).
+ *
+ * @pre out has room for n characters; 1 <= n <= 64 is checked.
+ */
+char *writeBitstring(Bits x, int n, char *out);
+
+/**
  * Parse a bitstring back into an outcome.
  *
  * @param s String of '0'/'1'; leftmost character is the highest qubit.

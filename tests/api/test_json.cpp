@@ -1,19 +1,27 @@
 /**
  * @file
  * JSON layer: writer escaping, parser correctness, writer->parser
- * round trips, and the Result golden-file regression (satellite of
- * the serving PR: serialized results must parse back cleanly,
- * adversarial strings included).
+ * round trips, the Result golden-file regression (serialized results
+ * must parse back cleanly, adversarial strings included), and the
+ * byte contract of the writer's numbers, integers and strings against
+ * in-test printf/to_string/escaper references.
  */
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "api/json.hpp"
 #include "api/pipeline.hpp"
@@ -25,10 +33,12 @@ namespace {
 
 using hammer::api::JsonValue;
 using hammer::api::JsonWriter;
+using hammer::api::jsonNumber;
 using hammer::api::jsonQuote;
 using hammer::api::parseJson;
 using hammer::api::parseSpecLine;
 using hammer::api::Result;
+using hammer::common::Rng;
 using hammer::core::Distribution;
 
 /** The adversarial label every serialization test reuses. */
@@ -243,6 +253,176 @@ TEST(SpecLineParser, MalformedSpecFuzzTable)
     EXPECT_EQ(parsed.spec.label, "\xF0\x9F\x98\x80");
 }
 
+// ---------------------------------------------------------------------------
+// Byte contract: the writer renders exactly what the printf/to_string
+// emitter it replaced did.  Golden files, local-vs-sharded identity and
+// the router's exec-key hashes (which embed jsonNumber) all read these
+// bytes.
+// ---------------------------------------------------------------------------
+
+/** The historical number rendering: %.17g, null if not finite. */
+std::string
+printfNumber(double value)
+{
+    if (!std::isfinite(value))
+        return "null";
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
+/** The historical string quoting, one byte at a time. */
+std::string
+referenceQuote(const std::string &text)
+{
+    std::string out = "\"";
+    for (const char c : text) {
+        switch (c) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\r':
+            out += "\\r";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+    return out;
+}
+
+/** A lone top-level value rendered by the writer. */
+template <typename T>
+std::string
+writerValue(T value)
+{
+    JsonWriter json;
+    json.value(value);
+    return json.str();
+}
+
+void
+expectPrintfBytes(double value)
+{
+    const std::string expected = printfNumber(value);
+    EXPECT_EQ(jsonNumber(value), expected) << "value " << expected;
+    EXPECT_EQ(writerValue(value), expected) << "value " << expected;
+}
+
+TEST(JsonNumber, MatchesPrintfOnEdgeValues)
+{
+    const double two53 = 9007199254740992.0;
+    for (const double value :
+         {0.0, -0.0, 0.1, 1.0 / 3.0, 2.0 / 3.0, 0.30000000000000004,
+          5e-324, -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX, two53,
+          two53 + 2.0, 1e21, 1e22, 1e-7, 123456.0, -1.5})
+        expectPrintfBytes(value);
+
+    // Not the shortest round-trip digits: 17 significant, as printf.
+    EXPECT_EQ(jsonNumber(0.1), "0.10000000000000001");
+    EXPECT_EQ(jsonNumber(-0.0), "-0");
+    EXPECT_EQ(jsonNumber(1e22), "1e+22");
+}
+
+TEST(JsonNumber, MatchesPrintfOnRandomBitPatterns)
+{
+    Rng rng(15);
+    int finite = 0;
+    for (int draw = 0; draw < 100000; ++draw) {
+        const std::uint64_t bits = rng();
+        double value;
+        std::memcpy(&value, &bits, sizeof(value));
+        if (!std::isfinite(value))
+            continue;
+        ++finite;
+        const std::string expected = printfNumber(value);
+        ASSERT_EQ(jsonNumber(value), expected) << "bits " << bits;
+        ASSERT_EQ(writerValue(value), expected) << "bits " << bits;
+    }
+    EXPECT_GT(finite, 99000);
+}
+
+TEST(JsonNumber, MatchesPrintfOnUniformProbabilities)
+{
+    Rng rng(16);
+    for (int draw = 0; draw < 100000; ++draw) {
+        const double value = rng.uniform();
+        const std::string expected = printfNumber(value);
+        ASSERT_EQ(jsonNumber(value), expected) << "draw " << draw;
+        ASSERT_EQ(writerValue(value), expected) << "draw " << draw;
+    }
+}
+
+TEST(JsonNumber, NonFiniteRendersAsNull)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double value :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+        EXPECT_EQ(jsonNumber(value), "null");
+        EXPECT_EQ(writerValue(value), "null");
+    }
+}
+
+TEST(JsonWriter, IntegersMatchToString)
+{
+    for (const int value : {INT_MIN, -1, 0, INT_MAX})
+        EXPECT_EQ(writerValue(value), std::to_string(value));
+    for (const std::uint64_t value :
+         {std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max()})
+        EXPECT_EQ(writerValue(value), std::to_string(value));
+}
+
+TEST(JsonQuote, MatchesTheByteWiseEscaper)
+{
+    std::vector<std::string> cases;
+    for (int byte = 0x00; byte <= 0x1F; ++byte)
+        cases.emplace_back(1, static_cast<char>(byte));
+    cases.emplace_back("\"");
+    cases.emplace_back("\\");
+    cases.emplace_back("\x7F");
+    cases.emplace_back("\xFF");
+    // UTF-8 multibyte label (e-acute, two CJK ideographs, an emoji)
+    // passes through unescaped.
+    cases.emplace_back("caf\xC3\xA9 \xE9\x87\x8F\xE5\xAD\x90 "
+                       "\xF0\x9F\x98\x80");
+    cases.emplace_back(kTrickyLabel);
+    cases.emplace_back("");
+    // Plain runs between escapes: every byte up to 0x7F in turn.
+    std::string mixed = "a";
+    for (int byte = 0x00; byte <= 0x7F; ++byte) {
+        mixed += static_cast<char>(byte);
+        mixed += "bc";
+    }
+    cases.push_back(mixed);
+
+    for (const std::string &text : cases) {
+        const std::string expected = referenceQuote(text);
+        EXPECT_EQ(jsonQuote(text), expected);
+        EXPECT_EQ(writerValue(std::string_view(text)), expected);
+        JsonWriter keyed;
+        keyed.beginObject().key(text).value(0).endObject();
+        EXPECT_EQ(keyed.str(), "{" + expected + ":0}");
+    }
+}
+
 TEST(JsonRoundTrip, WriterOutputParsesBack)
 {
     JsonWriter json;
@@ -305,6 +485,8 @@ TEST(JsonRoundTrip, GoldenFileStaysByteExact)
     std::ostringstream actual;
     goldenResult().writeJson(actual);
     EXPECT_EQ(actual.str(), golden.str());
+    // json() hands the writer's buffer out without a stream.
+    EXPECT_EQ(goldenResult().json(), golden.str());
 
     // And the pinned bytes parse cleanly.
     const JsonValue doc = parseJson(golden.str());

@@ -32,6 +32,11 @@ using namespace hammer::sim;
 // bit-for-bit (per-element branch over all 2^n indices).
 // ---------------------------------------------------------------------------
 
+// The products are written out in real arithmetic, in the kernels'
+// order.  A std::complex product is no reference: GCC's SLP
+// complex-multiply pattern turns it into a fused vfmaddsub under
+// -march=x86-64-v3 even with -ffp-contract=off, which rounds once
+// where the kernels round twice.
 void
 refApply1q(std::vector<Amp> &amps, const Mat2 &m, int q)
 {
@@ -40,10 +45,16 @@ refApply1q(std::vector<Amp> &amps, const Mat2 &m, int q)
         if (i & mask)
             continue;
         const std::size_t j = i | mask;
-        const Amp a0 = amps[i];
-        const Amp a1 = amps[j];
-        amps[i] = m[0] * a0 + m[1] * a1;
-        amps[j] = m[2] * a0 + m[3] * a1;
+        const double a0r = amps[i].real(), a0i = amps[i].imag();
+        const double a1r = amps[j].real(), a1i = amps[j].imag();
+        const auto row = [&](const Amp &u, const Amp &v) {
+            const double ur = u.real(), ui = u.imag();
+            const double vr = v.real(), vi = v.imag();
+            return Amp((ur * a0r - ui * a0i) + (vr * a1r - vi * a1i),
+                       (ur * a0i + ui * a0r) + (vr * a1i + vi * a1r));
+        };
+        amps[i] = row(m[0], m[1]);
+        amps[j] = row(m[2], m[3]);
     }
 }
 
