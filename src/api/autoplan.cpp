@@ -56,8 +56,8 @@ allDigits(const std::string &text)
 
 /**
  * Analytic (qubits, 1q gates, 2q gates) shape of a registry workload
- * spec, without building it.  Rough by design: admission control
- * needs relative ordering across a mixed queue, not exact counts.
+ * spec, without building it.  Rough by design: deadline shedding
+ * needs a backlog estimate at admission, not exact counts.
  */
 struct WorkloadShape
 {
@@ -213,7 +213,7 @@ approximateSpecFeatures(const ExperimentSpec &spec)
         model = resolveNoiseModel(spec.backendSpec);
     } catch (const std::exception &) {
         // Unknown preset: the spec will be rejected at execution;
-        // price it under default rates so ordering stays total.
+        // price it under default rates so every spec gets a cost.
     }
     if (spec.workloadInstance) {
         return plan::extractFeatures(

@@ -7,9 +7,10 @@
  *   - the BackendRegistry's `auto` entry (AutoSampler): enumerate the
  *     candidate plans for the concrete routed circuit, execute the
  *     cheapest, stay bit-identical to whichever backend it selects;
- *   - ExecutionService admission control and net::ShardRouter load
- *     balancing (estimateSpecCost): a cheap, never-throwing cost
- *     estimate from workload *shape* alone, before anything is built;
+ *   - ExecutionService admission (estimateSpecCost): a cheap,
+ *     never-throwing cost estimate from workload *shape* alone,
+ *     before anything is built, for deadline shedding and the
+ *     predicted/measured drift telemetry;
  *   - the CLI (`--explain-plan`, `--calibration`): human-readable
  *     ranking dumps and calibration.json loading.
  */
@@ -60,7 +61,7 @@ plan::CalibrationTable loadCalibrationFile(const std::string &path);
 void ensureEnvCalibrationLoaded();
 
 // ---------------------------------------------------------------------------
-// Spec-level estimation (admission control, shard routing)
+// Spec-level estimation (deadline shedding, drift telemetry)
 // ---------------------------------------------------------------------------
 
 /**
@@ -74,8 +75,8 @@ plan::PlanFeatures approximateSpecFeatures(const ExperimentSpec &spec);
  * Predicted execution cost of @p spec in seconds, under the active
  * calibration.  `auto` prices as its cheapest candidate.  Never
  * throws: specs that would fail later (unknown machine, unknown
- * family) get a small fallback cost so admission control still
- * orders them deterministically.
+ * family) get a small fallback cost, so admission still reaches
+ * its shedding decision deterministically.
  */
 double estimateSpecCost(const ExperimentSpec &spec);
 

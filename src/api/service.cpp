@@ -256,7 +256,6 @@ struct ExecutionService::JobHandle::Job
     std::uint64_t id = 0;
     std::string label;      ///< Spec label ("" = workload spec).
     bool fromCache = false; ///< Satisfied from the result LRU.
-    double estimatedCost = 0.0; ///< Admission-time predicted seconds.
     std::shared_future<Result> future;
 };
 
@@ -272,13 +271,6 @@ ExecutionService::JobHandle::servedFromCache() const
 {
     require(valid(), "JobHandle: invalid handle");
     return job_->fromCache;
-}
-
-double
-ExecutionService::JobHandle::estimatedCost() const
-{
-    require(valid(), "JobHandle: invalid handle");
-    return job_->estimatedCost;
 }
 
 // ---------------------------------------------------------------------------
@@ -442,19 +434,13 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     const auto execKey = canonicalExecKey(spec);
 
     // Admission control: predict the job's cost before it touches
-    // the queue.  The prediction orders same-priority jobs (cheap
-    // before expensive) via the pool's aged-FIFO bias, capped so an
-    // expensive job is overtaken by at most costBiasCap later
-    // submissions — starvation-proof by construction.
+    // the queue.  The prediction feeds deadline shedding and the
+    // predicted/measured telemetry only; queue order is priority,
+    // then submission order.
     const double predicted = estimateSpecCost(spec);
-    const std::uint64_t costBias = std::min<std::uint64_t>(
-        options_.costBiasCap,
-        static_cast<std::uint64_t>(
-            std::max(0.0, predicted * options_.costBiasPerSecond)));
 
     auto job = std::make_shared<JobHandle::Job>();
     job->label = spec.label;
-    job->estimatedCost = predicted;
 
     // The job's future comes from an explicit promise (not the
     // pool's) so the in-flight entry can be registered before the
@@ -765,7 +751,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                 promise->set_exception(std::current_exception());
             }
         },
-        priority, costBias);
+        priority);
 
     return JobHandle(job);
 }

@@ -4,9 +4,10 @@
  *
  * ExecutionService is the queued front door over the experiment
  * pipeline: submit(ExperimentSpec) enqueues one experiment as an
- * independent job on a priority/FIFO queue (common::ThreadPool's
- * future-returning submit), wait()/poll() observe it, and two caches
- * keep repeated traffic cheap —
+ * independent job on common::ThreadPool's future-returning queue
+ * (highest priority first, submission order within a priority),
+ * wait()/poll() observe it, and two caches keep repeated traffic
+ * cheap —
  *
  *   - request coalescing: jobs whose canonical execution key
  *     (workload, backend, noise, shots, seed) matches an in-flight or
@@ -26,6 +27,10 @@
  * Specs that the registries cannot describe canonically (prebuilt
  * workload instances, explicit noise models, opaque mitigator
  * objects) bypass both caches and simply run queued.
+ *
+ * The cost model (estimateSpecCost) predicts each admitted job's
+ * seconds for deadline shedding and for the predicted/measured
+ * drift telemetry in ServiceStats; it never reorders the queue.
  */
 
 #ifndef HAMMER_API_SERVICE_HPP
@@ -203,23 +208,6 @@ struct ExecutionServiceOptions
      * end-to-end (retry, then WorkerLostError).
      */
     std::shared_ptr<common::FaultInjector> faultInjector;
-
-    /**
-     * Admission control: scale from a job's predicted cost
-     * (estimateSpecCost, seconds) to its queue order bias.  Within a
-     * priority level the queue runs by (submission sequence + bias),
-     * so cheap jobs overtake expensive ones that arrived just before
-     * them.  0 disables cost-aware ordering (pure FIFO).
-     */
-    double costBiasPerSecond = 256.0;
-
-    /**
-     * Cap on the admission bias — the starvation bound.  However
-     * expensive a job looks, at most this many later cheap
-     * submissions can overtake it before it runs (the aging term:
-     * newer jobs' sequence numbers eventually exceed seq + cap).
-     */
-    std::uint64_t costBiasCap = 4096;
 
     /**
      * Retry budgets (off by default): one token bucket per key
@@ -432,15 +420,6 @@ class ExecutionService
 
         /** True when submit() satisfied this job from the LRU. */
         bool servedFromCache() const;
-
-        /**
-         * Predicted execution cost in seconds (estimateSpecCost at
-         * admission time); the value the queue's cost-aware
-         * ordering used.  Cache hits and coalesced attaches carry
-         * the same prediction even though they cost nothing to
-         * serve.
-         */
-        double estimatedCost() const;
 
       private:
         friend class ExecutionService;

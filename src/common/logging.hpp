@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hammer::common {
 
@@ -43,12 +44,18 @@ fatal(const std::string &msg)
     throw std::invalid_argument(msg);
 }
 
-/** Throw std::invalid_argument when @p cond is false. */
+/**
+ * Throw std::invalid_argument when @p cond is false.
+ *
+ * @p msg is a view, so a passing check on a hot path (one per weight
+ * in Rng::discrete) builds no std::string; the message is copied
+ * only when the check fails.
+ */
 inline void
-require(bool cond, const std::string &msg)
+require(bool cond, std::string_view msg)
 {
     if (!cond)
-        fatal(msg);
+        fatal(std::string(msg));
 }
 
 } // namespace hammer::common

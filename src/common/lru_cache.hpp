@@ -1,10 +1,11 @@
 /**
  * @file
- * Bounded string-keyed LRU cache.
+ * Bounded LRU cache.
  *
  * The storage primitive behind the serving layer's histogram cache
- * (api::ExecutionService) and the exact backend's density-matrix memo
- * (noise::ExactSampler): a fixed-capacity map whose least recently
+ * (api::ExecutionService), the exact backend's density-matrix memo
+ * (noise::ExactSampler) and the router's exec-key -> shard affinity
+ * map (net::ShardRouter): a fixed-capacity map whose least recently
  * used entry is evicted on overflow.  Lookup and insertion are O(1);
  * recency is tracked on both get() and put().  Not synchronised —
  * callers that share one cache across threads hold their own lock
@@ -25,9 +26,10 @@
 namespace hammer::common {
 
 /**
- * Fixed-capacity least-recently-used cache with std::string keys.
+ * Fixed-capacity least-recently-used cache; keys are std::string
+ * unless @p Key says otherwise (any hashable, copyable type).
  */
-template <typename Value>
+template <typename Value, typename Key = std::string>
 class LruCache
 {
   public:
@@ -46,7 +48,7 @@ class LruCache
      * @return Pointer to the cached value (owned by the cache, valid
      *         until the entry is evicted or replaced), or nullptr.
      */
-    Value *get(const std::string &key)
+    Value *get(const Key &key)
     {
         const auto it = index_.find(key);
         if (it == index_.end())
@@ -59,7 +61,7 @@ class LruCache
      * Insert or overwrite @p key, marking it most recently used and
      * evicting the least recently used entry on overflow.
      */
-    void put(const std::string &key, Value value)
+    void put(const Key &key, Value value)
     {
         const auto it = index_.find(key);
         if (it != index_.end()) {
@@ -76,7 +78,7 @@ class LruCache
     }
 
     /** True when @p key is cached (recency unchanged). */
-    bool contains(const std::string &key) const
+    bool contains(const Key &key) const
     {
         return index_.find(key) != index_.end();
     }
@@ -86,7 +88,7 @@ class LruCache
      * hit whose checksum fails verification is erased so the next
      * lookup recomputes).  Returns true when an entry was removed.
      */
-    bool erase(const std::string &key)
+    bool erase(const Key &key)
     {
         const auto it = index_.find(key);
         if (it == index_.end())
@@ -104,10 +106,9 @@ class LruCache
 
   private:
     std::size_t capacity_;
-    std::list<std::pair<std::string, Value>> order_; // MRU first
-    std::unordered_map<std::string,
-                       typename std::list<
-                           std::pair<std::string, Value>>::iterator>
+    std::list<std::pair<Key, Value>> order_; // MRU first
+    std::unordered_map<
+        Key, typename std::list<std::pair<Key, Value>>::iterator>
         index_;
 };
 

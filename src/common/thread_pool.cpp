@@ -120,8 +120,7 @@ ThreadPool::passesFaultGate(std::uint64_t seq)
 }
 
 void
-ThreadPool::enqueueJob(std::function<void()> run, int priority,
-                       std::uint64_t orderBias)
+ThreadPool::enqueueJob(std::function<void()> run, int priority)
 {
     if (threadCount_ == 1) {
         // No dedicated workers: run inline, as parallelFor does.
@@ -138,9 +137,7 @@ ThreadPool::enqueueJob(std::function<void()> run, int priority,
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const std::uint64_t seq = jobSeq_++;
-        jobs_.push(
-            QueuedJob{priority, seq, seq + orderBias, std::move(run)});
+        jobs_.push(QueuedJob{priority, jobSeq_++, std::move(run)});
     }
     wake_.notify_one();
 }

@@ -13,11 +13,12 @@
  * on which worker ran it.
  *
  * Alongside the barrier-style parallelFor rounds, submit() enqueues
- * independent jobs on a priority/FIFO queue and hands back a
- * std::future — the asynchronous entry the serving layer
- * (api::ExecutionService) is built on.  Queued jobs run on the same
- * workers between rounds, so one pool owns the cores no matter which
- * style a caller uses.
+ * independent jobs on a priority queue and hands back a std::future —
+ * the asynchronous entry the serving layer (api::ExecutionService) is
+ * built on.  Jobs drain highest priority first and in submission
+ * order within a priority level; nothing else reorders the queue.
+ * Queued jobs run on the same workers between rounds, so one pool
+ * owns the cores no matter which style a caller uses.
  */
 
 #ifndef HAMMER_COMMON_THREAD_POOL_HPP
@@ -93,27 +94,20 @@ class ThreadPool
      * caller before submit() returns (there are no dedicated workers
      * to hand it to), mirroring parallelFor's inline fast path.
      *
-     * @p orderBias ages a job within its priority level: the FIFO
-     * tiebreak compares (submission sequence + orderBias), so a job
-     * with bias B yields to up to B later zero-bias submissions and
-     * then runs — the starvation-proof "estimated cost" ordering
-     * admission control uses (api::ExecutionService).  Bias never
-     * crosses priority levels.
-     *
      * Jobs still queued when the pool is destroyed are discarded —
      * their futures throw std::future_error (broken_promise) from
      * get() — so tearing a pool down never executes a stale backlog;
      * jobs already started by a worker are joined to completion.
      */
     template <typename F>
-    auto submit(F &&fn, int priority = 0, std::uint64_t orderBias = 0)
+    auto submit(F &&fn, int priority = 0)
         -> std::future<std::invoke_result_t<std::decay_t<F>>>
     {
         using R = std::invoke_result_t<std::decay_t<F>>;
         auto task = std::make_shared<std::packaged_task<R()>>(
             std::forward<F>(fn));
         std::future<R> future = task->get_future();
-        enqueueJob([task] { (*task)(); }, priority, orderBias);
+        enqueueJob([task] { (*task)(); }, priority);
         return future;
     }
 
@@ -209,20 +203,18 @@ class ThreadPool
     struct QueuedJob
     {
         int priority = 0;
-        std::uint64_t seq = 0;      // Submission sequence (fault key).
-        std::uint64_t orderKey = 0; // seq + orderBias: aged FIFO rank.
+        std::uint64_t seq = 0; // Submission sequence: FIFO rank, fault key.
         std::function<void()> run;
 
         bool operator<(const QueuedJob &other) const
         {
             if (priority != other.priority)
                 return priority < other.priority;
-            return orderKey > other.orderKey;
+            return seq > other.seq;
         }
     };
 
-    void enqueueJob(std::function<void()> run, int priority,
-                    std::uint64_t orderBias);
+    void enqueueJob(std::function<void()> run, int priority);
     void workerLoop(int slot);
     void runRound(int slot);
 

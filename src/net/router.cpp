@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "api/autoplan.hpp"
 #include "api/json.hpp"
 #include "api/service.hpp"
 #include "common/checksum.hpp"
@@ -34,10 +33,20 @@ sleepMillis(int millis)
             std::chrono::milliseconds(millis));
 }
 
+std::size_t
+checkedAffinityCapacity(std::size_t capacity)
+{
+    if (capacity < 1)
+        throw std::invalid_argument(
+            "ShardRouter: affinityCapacity must be >= 1");
+    return capacity;
+}
+
 } // namespace
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
-    : options_(std::move(options))
+    : options_(std::move(options)),
+      affinity_(checkedAffinityCapacity(options_.affinityCapacity))
 {
     if (options_.addresses.empty())
         throw std::invalid_argument(
@@ -48,10 +57,7 @@ ShardRouter::ShardRouter(ShardRouterOptions options)
         shard->address = address;
         shards_.push_back(std::move(shard));
     }
-    pendingCost_.assign(shards_.size(), 0.0);
-    if (options_.affinityCapacity < 1)
-        throw std::invalid_argument(
-            "ShardRouter: affinityCapacity must be >= 1");
+    pendingJobs_.assign(shards_.size(), 0);
     if (options_.breakerFailureThreshold > 0) {
         breakers_.reserve(shards_.size());
         for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -116,20 +122,6 @@ ShardRouter::recordBreakerFailure(
         ++stats_.breakerTrips;
 }
 
-void
-ShardRouter::rememberAffinity(std::uint64_t hash, std::size_t shard)
-{
-    if (affinity_.size() >= options_.affinityCapacity) {
-        const std::uint64_t coldest = affinityLru_.back();
-        affinityLru_.pop_back();
-        affinity_.erase(coldest);
-        ++stats_.affinityEvictions;
-    }
-    affinityLru_.push_front(hash);
-    affinity_.emplace(hash,
-                      AffinityEntry{shard, affinityLru_.begin()});
-}
-
 std::uint64_t
 ShardRouter::submit(const std::string &line)
 {
@@ -144,7 +136,6 @@ ShardRouter::submit(const std::string &line)
         api::canonicalExecKey(parsed.spec);
     const std::uint64_t hash =
         mix64(common::fnv1a64(execKey ? *execKey : line));
-    const double cost = api::estimateSpecCost(parsed.spec);
 
     std::uint64_t id = 0;
     {
@@ -154,31 +145,24 @@ ShardRouter::submit(const std::string &line)
         id = nextJobId_++;
         Job job;
         job.line = line;
-        job.hash = hash;
-        job.cost = cost;
 
         // Home shard: the affinity map wins (repeats of a key must
-        // keep hitting the shard whose caches hold it); a never-seen
-        // key has no cache to protect, so take the less-loaded of
-        // its two hash candidates by estimated pending cost.
+        // keep hitting the shard whose caches hold it; the lookup
+        // also marks the key warm); a never-seen key has no cache
+        // to protect, so take whichever of its two hash candidates
+        // has fewer pending jobs.
         const std::size_t n = shards_.size();
-        const auto it = affinity_.find(hash);
-        if (it != affinity_.end()) {
-            job.base = it->second.shard;
-            // Touch: a repeat key is warm — move it to the LRU
-            // front so eviction always takes the coldest key.
-            affinityLru_.splice(affinityLru_.begin(), affinityLru_,
-                                it->second.pos);
+        if (const std::size_t *home = affinity_.get(hash)) {
+            job.base = *home;
         } else {
             const std::size_t c0 = hash % n;
             const std::size_t c1 = (hash + 1) % n;
-            job.base =
-                pendingCost_[c1] < pendingCost_[c0] ? c1 : c0;
-            if (job.base != c0)
-                ++stats_.costSteered;
-            rememberAffinity(hash, job.base);
+            job.base = pendingJobs_[c1] < pendingJobs_[c0] ? c1 : c0;
+            if (affinity_.size() >= affinity_.capacity())
+                ++stats_.affinityEvictions;
+            affinity_.put(hash, job.base);
         }
-        pendingCost_[job.base] += cost;
+        ++pendingJobs_[job.base];
         if (retryBudget_)
             retryBudget_->deposit();
         jobs_.emplace(id, std::move(job));
@@ -228,7 +212,7 @@ ShardRouter::dispatchJob(std::uint64_t id)
                     "job " + std::to_string(id) + ": " +
                     std::to_string(options_.maxAttempts) +
                     " dispatch attempts exhausted";
-                settleJobCost(job);
+                settleJob(job);
                 jobsCv_.notify_all();
                 return;
             }
@@ -247,7 +231,7 @@ ShardRouter::dispatchJob(std::uint64_t id)
                         ": retry budget exhausted at attempt " +
                         std::to_string(attempt);
                     ++stats_.retryBudgetExhausted;
-                    settleJobCost(job);
+                    settleJob(job);
                     jobsCv_.notify_all();
                     return;
                 }
@@ -292,7 +276,7 @@ ShardRouter::dispatchJob(std::uint64_t id)
                         "job " + std::to_string(id) +
                         ": every shard's circuit breaker is open";
                     ++stats_.breakerFastFails;
-                    settleJobCost(job);
+                    settleJob(job);
                     jobsCv_.notify_all();
                     return;
                 }
@@ -392,14 +376,9 @@ ShardRouter::dispatchJob(std::uint64_t id)
 }
 
 void
-ShardRouter::settleJobCost(const Job &job)
+ShardRouter::settleJob(const Job &job)
 {
-    if (job.base >= pendingCost_.size())
-        return;
-    double &pending = pendingCost_[job.base];
-    pending -= job.cost;
-    if (pending < 0.0)
-        pending = 0.0;
+    --pendingJobs_[job.base];
 }
 
 std::shared_ptr<Socket>
@@ -572,7 +551,7 @@ ShardRouter::handleJobFrame(std::size_t index, FrameType type,
             job.state = Job::State::Done;
             job.resultJson = std::move(parsed.body);
             job.shard = -1;
-            settleJobCost(job);
+            settleJob(job);
             ++stats_.resultsReceived;
             // Any accepted response proves the shard alive — an
             // Error frame included (the *job* failed, the shard
@@ -586,7 +565,7 @@ ShardRouter::handleJobFrame(std::size_t index, FrameType type,
                 parsed.kind.empty() ? "internal" : parsed.kind;
             job.errorMessage = std::move(parsed.body);
             job.shard = -1;
-            settleJobCost(job);
+            settleJob(job);
             ++stats_.errorsReceived;
             if (!breakers_.empty())
                 breakers_[index].onSuccess();

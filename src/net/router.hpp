@@ -10,9 +10,9 @@
  * coalescing keep their full hit rates — cache affinity is the whole
  * point of hashing by exec key rather than round-robin.  A key the
  * router has *never* seen has no cache to protect yet, so its home
- * shard is picked by estimated cost (api::estimateSpecCost): the
- * less loaded of the key's two hash candidates, remembered in an
- * affinity map so later repeats still coalesce.
+ * shard is the one of the key's two hash candidates with fewer
+ * pending jobs, remembered in an LRU affinity map so later repeats
+ * still coalesce.
  *
  * Failure semantics (the distributed mirror of ExecutionService's):
  *
@@ -21,9 +21,9 @@
  *     yields a bit-identical Result (the serving stack's core
  *     determinism guarantee), so replays are always safe;
  *   - a dead/unreachable shard is detected at send, at recv (reader
- *     EOF/error) or by heartbeat timeout; its pending jobs re-route
- *     to the next shard in hash order ((hash + attempt) % n) after a
- *     bounded reconnect budget;
+ *     EOF/error) or by heartbeat timeout; once a bounded reconnect
+ *     budget is spent, its pending jobs re-route to the next shard
+ *     in rotation from their home ((home + attempt) % n);
  *   - a lost response re-dispatches just that job at attempt + 1;
  *   - attempts are bounded (maxAttempts); exhaustion surfaces as
  *     RouterError from wait(), never a hang.
@@ -48,7 +48,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -58,6 +57,7 @@
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "common/lru_cache.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "resil/resil.hpp"
@@ -118,7 +118,7 @@ struct ShardRouterOptions
 
     /**
      * Dispatch attempts per job before wait() fails with
-     * RouterError.  Attempt k routes to shard (hash + k) % n, so the
+     * RouterError.  Attempt k routes to shard (home + k) % n, so the
      * budget must cover at least one full rotation to survive a
      * single dead shard.
      */
@@ -217,14 +217,6 @@ struct RouterStats
     std::uint64_t resultsReceived = 0; ///< Result frames accepted.
     std::uint64_t errorsReceived = 0;  ///< Error frames accepted.
     std::uint64_t heartbeatsSent = 0;  ///< Probes written.
-
-    /**
-     * Never-seen exec keys whose home shard was steered off the pure
-     * hash slot because the alternative candidate carried less
-     * estimated pending cost (cost-aware admission at the fleet
-     * level).
-     */
-    std::uint64_t costSteered = 0;
 
     // Resilience-policy counters (all zero when breakers/budgets
     // are disabled).
@@ -352,9 +344,7 @@ class ShardRouter
         };
 
         std::string line;
-        std::uint64_t hash = 0;
         std::size_t base = 0; ///< Home shard (affinity or least-loaded).
-        double cost = 0.0;    ///< Estimated seconds (load accounting).
         int attempt = 0; ///< Next attempt number to dispatch with.
         int shard = -1;  ///< Shard awaiting a response (-1 = none).
         State state = State::Pending;
@@ -376,12 +366,6 @@ class ShardRouter
                                   now);
 
     /**
-     * Remember @p hash -> @p shard in the bounded affinity LRU,
-     * evicting the coldest key at capacity.  Caller holds mutex_.
-     */
-    void rememberAffinity(std::uint64_t hash, std::size_t shard);
-
-    /**
      * Drive one job to a dispatched (or terminally failed) state:
      * pick shard (base + attempt) % n, consult the ShardSend seam,
      * connect if needed, send.  Loops over attempts; send failures
@@ -396,11 +380,11 @@ class ShardRouter
     Job *pendingJobLocked(std::uint64_t id);
 
     /**
-     * Settle a job's load accounting: subtract its estimated cost
-     * from its home shard's pending total.  Caller holds mutex_;
-     * called exactly once, when the job reaches a terminal state.
+     * Settle a job's load accounting: one fewer pending job on its
+     * home shard.  Caller holds mutex_; called exactly once, when
+     * the job reaches a terminal state.
      */
-    void settleJobCost(const Job &job);
+    void settleJob(const Job &job);
 
     /**
      * Connection for shard @p index, (re)connecting within the
@@ -435,27 +419,19 @@ class ShardRouter
     std::unordered_map<std::uint64_t, Job> jobs_;
 
     /**
-     * exec-key hash -> home shard, bounded by a true LRU
-     * (affinityCapacity): affinityLru_ orders keys most-recent
-     * first, each map entry holds its list position, and inserting
-     * at capacity evicts the back — long campaigns with unbounded
-     * distinct keys stay at a fixed footprint while the warm working
-     * set keeps its cache affinity.
+     * exec-key hash -> home shard, bounded by affinityCapacity:
+     * inserting at capacity evicts the coldest key, so long
+     * campaigns with unbounded distinct keys stay at a fixed
+     * footprint while the warm working set keeps its cache affinity.
      */
-    struct AffinityEntry
-    {
-        std::size_t shard = 0;
-        std::list<std::uint64_t>::iterator pos;
-    };
-    std::unordered_map<std::uint64_t, AffinityEntry> affinity_;
-    std::list<std::uint64_t> affinityLru_;
+    common::LruCache<std::size_t, std::uint64_t> affinity_;
 
     /** Per-shard breakers (empty when disabled); guarded by mutex_. */
     std::vector<resil::CircuitBreaker> breakers_;
     /** Global retry budget (nullopt when off); guarded by mutex_. */
     std::optional<resil::RetryBudget> retryBudget_;
-    /** Estimated seconds of unresolved work homed on each shard. */
-    std::vector<double> pendingCost_;
+    /** Unresolved jobs homed on each shard (the steering load). */
+    std::vector<std::size_t> pendingJobs_;
     std::uint64_t nextJobId_ = 0;
     RouterStats stats_;
     bool stopping_ = false;

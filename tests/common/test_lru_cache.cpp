@@ -1,11 +1,13 @@
 /**
  * @file
  * LruCache: bounded capacity, recency on get and put, eviction
- * order.
+ * order, for the default std::string keys and for integer keys.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -51,6 +53,17 @@ TEST(LruCache, EvictsTheLeastRecentlyUsed)
     EXPECT_TRUE(cache.contains("b"));
     EXPECT_TRUE(cache.contains("c"));
     EXPECT_EQ(cache.size(), 2u);
+
+    // Integer keys (net::ShardRouter's hash -> shard affinity map).
+    LruCache<std::size_t, std::uint64_t> affinity(2);
+    affinity.put(0xA, 0);
+    affinity.put(0xB, 1);
+    ASSERT_NE(affinity.get(0xA), nullptr); // 0xB is now LRU
+    affinity.put(0xC, 1);                  // evicts 0xB
+    EXPECT_EQ(*affinity.get(0xA), 0u);
+    EXPECT_FALSE(affinity.contains(0xB));
+    EXPECT_EQ(*affinity.get(0xC), 1u);
+    EXPECT_EQ(affinity.size(), 2u);
 }
 
 TEST(LruCache, GetRefreshesRecency)

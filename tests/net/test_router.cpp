@@ -2,10 +2,11 @@
  * @file
  * ShardRouter + ShardWorker integration over Unix-domain sockets:
  * sharded campaigns are bit-identical to local ExecutionService runs
- * (via api::canonicalResultJson), routing is cache-affine, failures
- * propagate as typed errors, and seeded FaultPlan campaigns — lost
- * sends, lost responses, a real mid-campaign shard death — complete
- * with bit-identical results and replayable decisions.
+ * (via api::canonicalResultJson), routing is cache-affine, never-seen
+ * keys spread by pending-job count, failures propagate as typed
+ * errors, and seeded FaultPlan campaigns — lost sends, lost
+ * responses, a real mid-campaign shard death — complete with
+ * bit-identical results and replayable decisions.
  */
 
 #include <gtest/gtest.h>
@@ -193,6 +194,36 @@ TEST(ShardRouter, RoutesIdenticalExecutionsToOneShard)
     EXPECT_EQ(shards_used, 1) << "affinity: one exec key, one shard";
     EXPECT_EQ(total_runs, 1u)
         << "the shard's caches must collapse the repeats";
+}
+
+TEST(ShardRouter, SpreadsNeverSeenKeysByPendingJobs)
+{
+    // Every response is held in the router's reader far longer than
+    // the eight submits take, so no job settles while the keys are
+    // placed: each never-seen key must go to whichever of its two
+    // hash candidates (with two shards, both) has fewer pending jobs.
+    FaultPlanOptions faults;
+    faults.shardRecvStallRate = 1.0;
+    faults.stallMillis = 250;
+    Fleet fleet(2);
+    ShardRouterOptions options;
+    options.addresses = fleet.addresses();
+    options.faultInjector = std::make_shared<FaultPlan>(17, faults);
+    ShardRouter router{options};
+
+    // Eight distinct exec keys of one class (only the seed differs),
+    // picked so that every key's hash slot is shard 1: the hash
+    // alone would put all eight there.
+    std::vector<std::string> lines;
+    for (const int seed : {3, 5, 7, 8, 9, 11, 13, 15})
+        lines.push_back("bv:5,channel,256," + std::to_string(seed));
+    router.runMany(lines);
+
+    for (std::size_t i = 0; i < router.shardCount(); ++i) {
+        const auto stats = parseJson(router.fetchStats(i));
+        EXPECT_EQ(stats.at("submitted").asNumber(), 4.0)
+            << "shard " << i;
+    }
 }
 
 TEST(ShardRouter, PropagatesRemoteFailuresAsTypedErrors)
