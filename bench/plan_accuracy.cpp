@@ -10,18 +10,25 @@
  * both the accuracy scoreboard CI tracks *and* the telemetry corpus
  * tools/hammer_calibrate re-fits coefficients from.
  *
+ * Every cell first runs each hand-picked backend and `auto` once,
+ * untimed, so no contestant pays a warm-up the others skip (the
+ * distribution memo, the allocator, the thread pool), then times
+ * kRounds interleaved rounds of all of them.  A contestant's cell
+ * time is the median over the rounds of its median call time.
+ *
  * Two hard checks back the perf claim:
  *
  *   - bit-identity: `auto`'s histogram must equal, entry for entry,
  *     the histogram of whichever backend it selected (the cost model
  *     picks plans, it never changes results);
- *   - the 20% gate: summed over the grid, `auto` must land within
- *     1.2x of the best hand-picked backend's total wall-clock, else
- *     exit 1.  Disabled under sanitizers — shadow-memory overhead
- *     skews backends unevenly and the wall-clock ratio is
+ *   - the 20% gate: summed over the grid's per-cell medians, `auto`
+ *     must land within 1.2x of the best hand-picked backend's total,
+ *     else exit 1.  Disabled under sanitizers — shadow-memory
+ *     overhead skews backends unevenly and the wall-clock ratio is
  *     meaningless there.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -56,6 +63,30 @@ secondsSince(std::chrono::steady_clock::time_point start)
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     return elapsed.count();
+}
+
+/** Timed rounds per cell, after one untimed warm-up. */
+constexpr int kRounds = 5;
+
+/**
+ * Shortest round.  A round repeats passes of one call per contestant,
+ * each call timed, until it spans this long; a contestant's round
+ * time is its median call time.  Smoke-sized calls take tens of
+ * microseconds: one call per round would measure the machine's load
+ * at that instant, and a mean would charge a preempted call to
+ * whichever contestant it hit.  Consecutive passes run the
+ * contestants in opposite orders, so each one follows each
+ * neighbour equally often and inherits the same cache state.
+ */
+constexpr double kMinRoundSeconds = 100e-3;
+
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 ? values[mid]
+                             : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 /** True when two distributions are bit-identical (exact doubles). */
@@ -105,8 +136,10 @@ main()
     bool identicalEverywhere = true;
 
     std::printf("== Plan accuracy (%zu cells x %zu backends + auto, "
-                "%d shots, %d trajectories) ==\n",
-                cells.size(), handPicked.size(), shots, trajectories);
+                "%d shots, %d trajectories, median of %d rounds) ==\n",
+                cells.size(), handPicked.size(), shots, trajectories,
+                kRounds);
+    report.metric("timed_rounds", kRounds);
 
     for (const std::string &cell : cells) {
         api::BackendSpec backendSpec;
@@ -122,8 +155,45 @@ main()
         const plan::PlanFeatures features = plan::extractFeatures(
             workload.routed.circuit, model, shots, trajectories);
 
+        // The contestants: every hand-picked backend, then auto.
+        std::vector<std::unique_ptr<noise::NoisySampler>> samplers;
+        for (const std::string &backend : handPicked)
+            samplers.push_back(
+                api::BackendRegistry::global().make(backend,
+                                                    backendSpec));
+        auto autoOwned = std::make_unique<api::AutoSampler>(backendSpec);
+        const api::AutoSampler &autoSampler = *autoOwned;
+        samplers.push_back(std::move(autoOwned));
+        const auto run = [&](noise::NoisySampler &sampler) {
+            common::Rng rng(grid_seed);
+            return sampler.sampleBatch(workload.routed,
+                                       workload.measuredQubits, shots,
+                                       rng, backendSpec.threads);
+        };
+
+        std::vector<core::Distribution> results;
+        for (const auto &sampler : samplers)
+            results.push_back(run(*sampler));
+        std::vector<std::vector<double>> seconds(samplers.size());
+        for (int round = 0; round < kRounds; ++round) {
+            std::vector<std::vector<double>> calls(samplers.size());
+            const auto roundStart = std::chrono::steady_clock::now();
+            for (int pass = 0;
+                 pass == 0 || secondsSince(roundStart) < kMinRoundSeconds;
+                 ++pass) {
+                for (std::size_t k = 0; k < samplers.size(); ++k) {
+                    const std::size_t i =
+                        pass % 2 ? samplers.size() - 1 - k : k;
+                    const auto start = std::chrono::steady_clock::now();
+                    run(*samplers[i]);
+                    calls[i].push_back(secondsSince(start));
+                }
+            }
+            for (std::size_t i = 0; i < samplers.size(); ++i)
+                seconds[i].push_back(median(calls[i]));
+        }
+
         // Hand-picked backends: predicted vs measured per cell.
-        std::vector<core::Distribution> handResults;
         for (std::size_t b = 0; b < handPicked.size(); ++b) {
             const std::string &backend = handPicked[b];
             plan::PlanChoice choice;
@@ -132,17 +202,8 @@ main()
                 plan::estimateCost(features, choice,
                                    plan::activeCalibration())
                     .seconds;
-
-            auto sampler = api::BackendRegistry::global().make(
-                backend, backendSpec);
-            common::Rng rng(grid_seed);
-            const auto start = std::chrono::steady_clock::now();
-            const core::Distribution dist = sampler->sampleBatch(
-                workload.routed, workload.measuredQubits, shots, rng,
-                backendSpec.threads);
-            const double measured = secondsSince(start);
+            const double measured = median(seconds[b]);
             handTotals[b] += measured;
-            handResults.push_back(dist);
 
             report.metric("predicted_ms__" + backend + "__" + cell,
                           predicted * 1e3);
@@ -154,17 +215,11 @@ main()
                         predicted * 1e3, measured * 1e3);
         }
 
-        // The auto backend: measure, then check bit-identity against
-        // a fresh run of whichever backend it selected.
-        api::AutoSampler autoSampler(backendSpec);
+        // The auto backend, then bit-identity against whichever
+        // backend it selected.
         const double autoPredicted =
             autoSampler.rank(workload.routed).front().cost.seconds;
-        common::Rng arng(grid_seed);
-        const auto start = std::chrono::steady_clock::now();
-        const core::Distribution autoDist = autoSampler.sampleBatch(
-            workload.routed, workload.measuredQubits, shots, arng,
-            backendSpec.threads);
-        const double autoMeasured = secondsSince(start);
+        const double autoMeasured = median(seconds.back());
         autoTotal += autoMeasured;
         report.metric("predicted_ms__auto__" + cell,
                       autoPredicted * 1e3);
@@ -173,23 +228,20 @@ main()
 
         const std::string selected = autoSampler.lastChoice().backend;
         report.note("auto_choice__" + cell, selected);
+        const core::Distribution &autoDist = results.back();
         bool cellIdentical = true;
         for (std::size_t b = 0; b < handPicked.size(); ++b) {
             if (handPicked[b] != selected)
                 continue;
-            cellIdentical = identical(autoDist, handResults[b]);
+            cellIdentical = identical(autoDist, results[b]);
         }
         if (selected != "channel" && selected != "trajectory") {
             // auto picked a backend outside the hand-picked set
             // (exact): rerun that backend directly.
-            auto sampler = api::BackendRegistry::global().make(
-                selected, backendSpec);
-            common::Rng rng(grid_seed);
             cellIdentical = identical(
                 autoDist,
-                sampler->sampleBatch(workload.routed,
-                                     workload.measuredQubits, shots,
-                                     rng, backendSpec.threads));
+                run(*api::BackendRegistry::global().make(selected,
+                                                         backendSpec)));
         }
         identicalEverywhere = identicalEverywhere && cellIdentical;
         std::printf("%-16s %-10s predicted %8.2f ms, "

@@ -1039,7 +1039,7 @@ ExecutionService::stats() const
     ServiceStats snapshot = stats_;
     snapshot.resultCache.entries =
         resultCache_ ? resultCache_->size() : 0;
-    snapshot.exactCache = noise::ExactSampler::cacheStats();
+    snapshot.distributionMemo = noise::DistributionMemo::shared().stats();
     return snapshot;
 }
 
@@ -1070,8 +1070,8 @@ serviceStatsJson(const ServiceStats &stats, int workers)
     json.key("execute_shared").value(stats.executeShared);
     json.key("result_cache");
     cache(json, stats.resultCache);
-    json.key("exact_cache");
-    cache(json, stats.exactCache);
+    json.key("distribution_memo");
+    cache(json, stats.distributionMemo);
     json.key("worker_deaths").value(stats.workerDeaths);
     json.key("retries").value(stats.retries);
     json.key("worker_lost").value(stats.workerLost);
@@ -1119,6 +1119,41 @@ positiveIntField(const JsonValue &value)
     return static_cast<int>(number);
 }
 
+/**
+ * Largest seed a spec line carries: 2^53 - 1, the largest integer a
+ * JSON number holds exactly, so every seed survives the wire form
+ * net::remoteSpecLine renders.
+ */
+constexpr std::uint64_t kMaxSpecSeed = (std::uint64_t{1} << 53) - 1;
+
+/** Seed from a JSON number: an integer in [0, 2^53). */
+std::uint64_t
+seedField(const JsonValue &value)
+{
+    const double number = value.asNumber();
+    if (!(number >= 0.0) ||
+        number > static_cast<double>(kMaxSpecSeed) ||
+        number != std::floor(number))
+        common::fatal("must be an integer in [0, 2^53)");
+    return static_cast<std::uint64_t>(number);
+}
+
+/** Seed from a CSV field: decimal digits, in [0, 2^53). */
+std::uint64_t
+csvSeedField(const std::string &field)
+{
+    errno = 0;
+    char *end = nullptr;
+    // strtoull accepts a sign and leading space; a seed is digits.
+    const unsigned long long value =
+        std::strtoull(field.c_str(), &end, 10);
+    if (field[0] < '0' || field[0] > '9' || *end != '\0' ||
+        errno == ERANGE || value > kMaxSpecSeed)
+        common::fatal("spec line 'seed': must be an integer in "
+                      "[0, 2^53), got '" + field + "'");
+    return value;
+}
+
 /** One key of the JSON spec form (error messages get the key prefixed). */
 void
 parseJsonSpecField(SpecLine &parsed, const std::string &key,
@@ -1138,8 +1173,7 @@ parseJsonSpecField(SpecLine &parsed, const std::string &key,
     } else if (key == "trajectories") {
         spec.backendSpec.trajectories = positiveIntField(value);
     } else if (key == "seed") {
-        spec.backendSpec.seed =
-            static_cast<std::uint64_t>(positiveIntField(value));
+        spec.backendSpec.seed = seedField(value);
     } else if (key == "mitigation") {
         spec.mitigation = value.asString();
     } else if (key == "label") {
@@ -1232,8 +1266,7 @@ parseCsvSpecLine(const std::string &line)
         spec.backendSpec.shots =
             parsePositiveInt(fields[2], "spec line 'shots'");
     if (fields.size() > 3 && !fields[3].empty())
-        spec.backendSpec.seed = static_cast<std::uint64_t>(
-            parsePositiveInt(fields[3], "spec line 'seed'"));
+        spec.backendSpec.seed = csvSeedField(fields[3]);
     if (fields.size() > 4 && !fields[4].empty()) {
         // ',' is the field separator, so multi-stage chains use '+'
         // here ("readout+hammer"), matching MitigationChain::name().

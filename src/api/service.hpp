@@ -55,7 +55,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/distribution.hpp"
-#include "noise/exact_sampler.hpp"
+#include "noise/distribution_memo.hpp"
 #include "resil/resil.hpp"
 
 namespace hammer::api {
@@ -248,7 +248,7 @@ struct ExecutionServiceOptions
  * Observability counters of one ExecutionService.
  *
  * Cache stats use the same noise::CacheStats triple as
- * noise::ExactSampler's memo, so entry points report every caching
+ * noise::DistributionMemo, so entry points report every caching
  * layer uniformly.
  */
 struct ServiceStats
@@ -275,8 +275,11 @@ struct ServiceStats
     /** The bounded result LRU (hits = served without any pipeline work). */
     noise::CacheStats resultCache;
 
-    /** noise::ExactSampler's process-wide density-matrix memo. */
-    noise::CacheStats exactCache;
+    /**
+     * The process-wide noise::DistributionMemo: clean distributions
+     * for `channel`, evolved density matrices for `exact`.
+     */
+    noise::CacheStats distributionMemo;
 
     // -- failure-semantics counters (see README "Failure semantics") --
 
@@ -369,7 +372,7 @@ struct ServiceStats
  *
  *   {"type":"service_stats","workers":N,"submitted":...,
  *    "result_cache":{"entries":..,"hits":..,"misses":..},
- *    "exact_cache":{...}, ..., "busy_seconds":...}
+ *    "distribution_memo":{...}, ..., "busy_seconds":...}
  */
 std::string serviceStatsJson(const ServiceStats &stats, int workers);
 
@@ -665,7 +668,8 @@ struct SpecLine
  * priority argument, so remote clients reach the same priority queue
  * in-process callers do.  "deadline_ms" (JSON only, positive
  * milliseconds) maps onto submit()'s deadline for deadline-aware
- * admission.
+ * admission.  "seed" takes any integer in [0, 2^53), the integers a
+ * JSON number holds exactly, in both forms.
  *
  * @throws std::invalid_argument naming the offending field on any
  *         malformed input.

@@ -3,13 +3,17 @@
  * Bounded LRU cache.
  *
  * The storage primitive behind the serving layer's histogram cache
- * (api::ExecutionService), the exact backend's density-matrix memo
- * (noise::ExactSampler) and the router's exec-key -> shard affinity
- * map (net::ShardRouter): a fixed-capacity map whose least recently
- * used entry is evicted on overflow.  Lookup and insertion are O(1);
- * recency is tracked on both get() and put().  Not synchronised —
- * callers that share one cache across threads hold their own lock
- * (each keeps it under the same mutex as its counters).
+ * (api::ExecutionService), the memo of deterministic distributions
+ * (noise::DistributionMemo) and the router's exec-key -> shard
+ * affinity map (net::ShardRouter): a map bounded by a capacity in
+ * weight units whose least recently used entries are evicted on
+ * overflow.  Every entry weighs 1 unless put() says otherwise, so the
+ * capacity counts entries by default and bytes where the caller
+ * weighs entries by their size.  Lookup and insertion are O(1) plus
+ * one step per evicted entry; recency is tracked on both get() and
+ * put().  Not synchronised — callers that share one cache across
+ * threads hold their own lock (each keeps it under the same mutex as
+ * its counters).
  */
 
 #ifndef HAMMER_COMMON_LRU_CACHE_HPP
@@ -26,21 +30,24 @@
 namespace hammer::common {
 
 /**
- * Fixed-capacity least-recently-used cache; keys are std::string
+ * Capacity-bounded least-recently-used cache; keys are std::string
  * unless @p Key says otherwise (any hashable, copyable type).
  */
 template <typename Value, typename Key = std::string>
 class LruCache
 {
   public:
-    /** @param capacity Maximum entries; must be >= 1. */
+    /** @param capacity Maximum total weight; must be >= 1. */
     explicit LruCache(std::size_t capacity) : capacity_(capacity)
     {
         require(capacity >= 1, "LruCache: capacity must be >= 1");
     }
 
     std::size_t capacity() const { return capacity_; }
+    /** Entries held. */
     std::size_t size() const { return order_.size(); }
+    /** Summed weight of the entries held; never above capacity(). */
+    std::size_t weight() const { return weight_; }
 
     /**
      * Look up @p key, refreshing its recency.
@@ -54,27 +61,29 @@ class LruCache
         if (it == index_.end())
             return nullptr;
         order_.splice(order_.begin(), order_, it->second);
-        return &it->second->second;
+        return &it->second->value;
     }
 
     /**
-     * Insert or overwrite @p key, marking it most recently used and
-     * evicting the least recently used entry on overflow.
+     * Insert or overwrite @p key with weight @p weight, marking it
+     * most recently used and evicting least recently used entries
+     * until the total weight fits the capacity.  A value heavier than
+     * the whole capacity is not kept (an older value under @p key is
+     * dropped too).
      */
-    void put(const Key &key, Value value)
+    void put(const Key &key, Value value, std::size_t weight = 1)
     {
-        const auto it = index_.find(key);
-        if (it != index_.end()) {
-            it->second->second = std::move(value);
-            order_.splice(order_.begin(), order_, it->second);
+        erase(key);
+        if (weight > capacity_)
             return;
-        }
-        if (order_.size() >= capacity_) {
-            index_.erase(order_.back().first);
+        while (weight_ + weight > capacity_) {
+            weight_ -= order_.back().weight;
+            index_.erase(order_.back().key);
             order_.pop_back();
         }
-        order_.emplace_front(key, std::move(value));
+        order_.push_front({key, std::move(value), weight});
         index_.emplace(key, order_.begin());
+        weight_ += weight;
     }
 
     /** True when @p key is cached (recency unchanged). */
@@ -93,6 +102,7 @@ class LruCache
         const auto it = index_.find(key);
         if (it == index_.end())
             return false;
+        weight_ -= it->second->weight;
         order_.erase(it->second);
         index_.erase(it);
         return true;
@@ -102,14 +112,21 @@ class LruCache
     {
         order_.clear();
         index_.clear();
+        weight_ = 0;
     }
 
   private:
+    struct Node
+    {
+        Key key;
+        Value value;
+        std::size_t weight;
+    };
+
     std::size_t capacity_;
-    std::list<std::pair<Key, Value>> order_; // MRU first
-    std::unordered_map<
-        Key, typename std::list<std::pair<Key, Value>>::iterator>
-        index_;
+    std::size_t weight_ = 0;
+    std::list<Node> order_; // MRU first
+    std::unordered_map<Key, typename std::list<Node>::iterator> index_;
 };
 
 } // namespace hammer::common

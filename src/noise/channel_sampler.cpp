@@ -7,8 +7,7 @@
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
-#include "noise/readout.hpp"
-#include "sim/simulator.hpp"
+#include "noise/distribution_memo.hpp"
 
 namespace hammer::noise {
 
@@ -217,14 +216,36 @@ struct ShotPlan
     common::Bits mask;
     double scramble;
     std::vector<CorrelatedFlip> correlated;
-    std::vector<double> independentFlip;
+    /**
+     * Per measured bit: the independent flip (gate singles +
+     * coherent) combined with the readout flip of a measured 0, and
+     * of a measured 1.
+     */
+    std::vector<double> flipIfZero;
+    std::vector<double> flipIfOne;
 };
+
+ShotPlan
+makeShotPlan(int measured_qubits, double scramble,
+             std::vector<CorrelatedFlip> correlated,
+             const std::vector<double> &independent_flip,
+             const NoiseModel &model)
+{
+    ShotPlan plan{measured_qubits == 64
+                      ? ~Bits{0}
+                      : (Bits{1} << measured_qubits) - 1,
+                  scramble, std::move(correlated), {}, {}};
+    for (const double flip : independent_flip) {
+        plan.flipIfZero.push_back(combineFlips(flip, model.readout01));
+        plan.flipIfOne.push_back(combineFlips(flip, model.readout10));
+    }
+    return plan;
+}
 
 /** Push one ideal logical outcome through the noise channels. */
 Bits
 applyShotNoise(const ShotPlan &plan, const ChannelParams &params,
-               const NoiseModel &model, Bits logical,
-               int measured_qubits, Rng &rng)
+               Bits logical, int measured_qubits, Rng &rng)
 {
     if (plan.scramble > 0.0 && rng.bernoulli(plan.scramble))
         return rng.uniformInt(Bits{1} << measured_qubits);
@@ -247,14 +268,33 @@ applyShotNoise(const ShotPlan &plan, const ChannelParams &params,
     }
     // Independent flips (gate singles + readout).
     for (int q = 0; q < measured_qubits; ++q) {
-        const bool one = (observed >> q) & 1ull;
-        const double readout = one ? model.readout10 : model.readout01;
-        const double flip = combineFlips(
-            plan.independentFlip[static_cast<std::size_t>(q)], readout);
+        const auto i = static_cast<std::size_t>(q);
+        const double flip = ((observed >> q) & 1ull)
+            ? plan.flipIfOne[i]
+            : plan.flipIfZero[i];
         if (flip > 0.0 && rng.bernoulli(flip))
             observed ^= Bits{1} << q;
     }
     return observed;
+}
+
+/**
+ * Draw @p shots clean outcomes and push each through the noise
+ * channels into @p counts.  Every uniform is drawn, in shot order,
+ * before the first noise draw: the stream StateVector::sampleShots
+ * consumed when each request swept the state itself.
+ */
+void
+drawShots(const CleanDistribution &clean, const ShotPlan &plan,
+          const ChannelParams &params, int measured_qubits, int shots,
+          Rng &rng, core::CountAccumulator &counts)
+{
+    std::vector<double> draws(static_cast<std::size_t>(shots));
+    for (double &r : draws)
+        r = rng.uniform() * clean.norm();
+    for (const double r : draws)
+        counts.add(applyShotNoise(plan, params, clean.resolve(r),
+                                  measured_qubits, rng));
 }
 
 } // namespace
@@ -268,27 +308,16 @@ ChannelSampler::sample(const circuits::RoutedCircuit &routed,
             "ChannelSampler: bad measured qubit count");
     require(shots >= 1, "ChannelSampler: need at least one shot");
 
-    const sim::StateVector state = sim::runCircuit(routed.circuit);
-    const ShotPlan plan{
-        measured_qubits == 64 ? ~Bits{0}
-                              : (Bits{1} << measured_qubits) - 1,
-        scrambleProbability(routed),
+    const auto clean = DistributionMemo::shared().clean(routed);
+    const ShotPlan plan = makeShotPlan(
+        measured_qubits, scrambleProbability(routed),
         correlatedFlips(routed, measured_qubits),
-        independentFlipProbabilities(routed, measured_qubits)};
-
-    // Sample all ideal shots in one pass (amortised CDF), reusing a
-    // single norm accumulation for the whole batch.
-    const double norm_total = state.normSquared();
-    const std::vector<Bits> ideal =
-        state.sampleShots(rng, shots, norm_total);
+        independentFlipProbabilities(routed, measured_qubits), model_);
 
     core::CountAccumulator counts;
-    counts.reserve(ideal.size());
-    for (Bits physical : ideal) {
-        const Bits logical = routed.toLogical(physical);
-        counts.add(applyShotNoise(plan, params_, model_, logical,
-                                  measured_qubits, rng));
-    }
+    counts.reserve(static_cast<std::size_t>(shots));
+    drawShots(*clean, plan, params_, measured_qubits, shots, rng,
+              counts);
     return counts.toDistribution(measured_qubits);
 }
 
@@ -302,13 +331,11 @@ ChannelSampler::sampleBatch(const circuits::RoutedCircuit &routed,
             "ChannelSampler: bad measured qubit count");
     require(shots >= 1, "ChannelSampler: need at least one shot");
 
-    const sim::StateVector state = sim::runCircuit(routed.circuit);
-    const ShotPlan plan{
-        measured_qubits == 64 ? ~Bits{0}
-                              : (Bits{1} << measured_qubits) - 1,
-        scrambleProbability(routed),
+    const auto clean = DistributionMemo::shared().clean(routed);
+    const ShotPlan plan = makeShotPlan(
+        measured_qubits, scrambleProbability(routed),
         correlatedFlips(routed, measured_qubits),
-        independentFlipProbabilities(routed, measured_qubits)};
+        independentFlipProbabilities(routed, measured_qubits), model_);
 
     // Fixed-size chunks: the chunk schedule depends only on the shot
     // count — never the thread count — so every thread count
@@ -317,10 +344,6 @@ ChannelSampler::sampleBatch(const circuits::RoutedCircuit &routed,
     // spreads across 8 workers.
     constexpr int kChunkShots = 1024;
     const int chunks = (shots + kChunkShots - 1) / kChunkShots;
-
-    // One norm pass shared by every chunk; the state is immutable
-    // for the whole batch.
-    const double norm_total = state.normSquared();
 
     const Rng master = rng.split();
 
@@ -336,15 +359,8 @@ ChannelSampler::sampleBatch(const circuits::RoutedCircuit &routed,
             const int base = static_cast<int>(c) * kChunkShots;
             const int quota = std::min(kChunkShots, shots - base);
             Rng stream = master.fork(c);
-            core::CountAccumulator &local =
-                partials[static_cast<std::size_t>(slot)];
-            for (Bits physical :
-                 state.sampleShots(stream, quota, norm_total)) {
-                const Bits logical = routed.toLogical(physical);
-                local.add(applyShotNoise(plan, params_, model_,
-                                         logical, measured_qubits,
-                                         stream));
-            }
+            drawShots(*clean, plan, params_, measured_qubits, quota,
+                      stream, partials[static_cast<std::size_t>(slot)]);
         });
 
     const core::CountAccumulator merged =

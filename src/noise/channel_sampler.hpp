@@ -3,9 +3,11 @@
  * Analytic local-error channel sampler.
  *
  * The fast backend for large sweeps (hundreds of circuits, up to 20+
- * qubits).  It runs the ideal simulation once, then models noise at
- * the distribution level as the end-of-circuit limit of depolarising
- * Pauli errors:
+ * qubits).  It runs the ideal simulation once per distinct circuit —
+ * the clean distribution is kept in the process-wide
+ * DistributionMemo, so a repeated circuit costs O(shots · log
+ * support) — then models noise at the distribution level as the
+ * end-of-circuit limit of depolarising Pauli errors:
  *
  *  - with probability `scramble`, the shot decoheres completely and
  *    yields a uniformly random outcome (error cascades through deep
@@ -114,8 +116,8 @@ class ChannelSampler : public NoisySampler
                               common::Rng &rng) override;
 
     /**
-     * Parallel shot fan-out: the ideal state and channel parameters
-     * are computed once, then the shot budget is split into
+     * Parallel shot fan-out: the clean distribution and channel
+     * parameters are fetched once, then the shot budget is split into
      * fixed-size chunks (the chunking depends only on the shot
      * count, never on the thread count), each chunk drawing from its
      * own forked RNG stream.  Results are bit-identical for every

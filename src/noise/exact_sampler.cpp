@@ -1,14 +1,11 @@
 #include "noise/exact_sampler.hpp"
 
-#include <cstring>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
-#include "common/lru_cache.hpp"
+#include "noise/distribution_memo.hpp"
 #include "noise/readout.hpp"
 #include "sim/density_matrix.hpp"
 
@@ -18,65 +15,6 @@ using common::Bits;
 using common::require;
 using common::Rng;
 using core::Distribution;
-
-namespace {
-
-/** Append the raw bytes of @p value to @p key. */
-template <typename T>
-void
-appendBytes(std::string &key, const T &value)
-{
-    char bytes[sizeof(T)];
-    std::memcpy(bytes, &value, sizeof(T));
-    key.append(bytes, sizeof(T));
-}
-
-/**
- * Exact (collision-free) fingerprint of everything the density-matrix
- * evolution depends on: gate stream, layout, model rates, width.
- */
-std::string
-exactKey(const circuits::RoutedCircuit &routed, int measured_qubits,
-         const NoiseModel &model)
-{
-    std::string key;
-    key.reserve(64 + routed.circuit.gates().size() * 24);
-    appendBytes(key, routed.circuit.numQubits());
-    appendBytes(key, measured_qubits);
-    appendBytes(key, model.p1q);
-    appendBytes(key, model.p2q);
-    appendBytes(key, model.readout01);
-    appendBytes(key, model.readout10);
-    for (const int physical : routed.logicalToPhysical)
-        appendBytes(key, physical);
-    for (const sim::Gate &g : routed.circuit.gates()) {
-        appendBytes(key, static_cast<int>(g.kind));
-        appendBytes(key, g.q0);
-        appendBytes(key, g.q1);
-        appendBytes(key, g.theta);
-    }
-    return key;
-}
-
-struct Memo
-{
-    std::mutex mutex;
-    // shared_ptr values: a sampler keeps drawing from a distribution
-    // it already resolved even if eviction or clearCache() drops it.
-    common::LruCache<std::shared_ptr<const Distribution>> lru{
-        ExactSampler::kMemoCapacity};
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-};
-
-Memo &
-memo()
-{
-    static Memo instance;
-    return instance;
-}
-
-} // namespace
 
 ExactSampler::ExactSampler(const NoiseModel &model)
     : model_(model)
@@ -134,26 +72,10 @@ ExactSampler::sample(const circuits::RoutedCircuit &routed,
                      int measured_qubits, int shots, Rng &rng)
 {
     require(shots >= 1, "ExactSampler: need at least one shot");
-    Memo &m = memo();
-    const std::string key = exactKey(routed, measured_qubits, model_);
-    std::shared_ptr<const Distribution> exact;
-    {
-        std::lock_guard<std::mutex> lock(m.mutex);
-        if (auto *hit = m.lru.get(key)) {
-            ++m.hits;
-            exact = *hit;
-        }
-    }
-    if (!exact) {
-        // Evolve outside the lock: concurrent first requests may both
-        // compute, but the result is deterministic so either insert
-        // wins.
-        exact = std::make_shared<const Distribution>(
-            exactDistribution(routed, measured_qubits));
-        std::lock_guard<std::mutex> lock(m.mutex);
-        ++m.misses;
-        m.lru.put(key, exact);
-    }
+    const std::shared_ptr<const Distribution> exact =
+        DistributionMemo::shared().exact(
+            routed, measured_qubits, model_,
+            [&] { return exactDistribution(routed, measured_qubits); });
 
     std::vector<double> weights;
     weights.reserve(exact->support());
@@ -167,24 +89,6 @@ ExactSampler::sample(const circuits::RoutedCircuit &routed,
         counts.add(exact->entries()[pick].outcome);
     }
     return counts.toDistribution(measured_qubits);
-}
-
-CacheStats
-ExactSampler::cacheStats()
-{
-    Memo &m = memo();
-    std::lock_guard<std::mutex> lock(m.mutex);
-    return CacheStats{m.lru.size(), m.hits, m.misses};
-}
-
-void
-ExactSampler::clearCache()
-{
-    Memo &m = memo();
-    std::lock_guard<std::mutex> lock(m.mutex);
-    m.lru.clear();
-    m.hits = 0;
-    m.misses = 0;
 }
 
 } // namespace hammer::noise

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "sim/compiled.hpp"
@@ -228,16 +229,19 @@ extractFeatures(const sim::Circuit &circuit,
         }
     }
 
+    // Every gate of a kind adds the same term, so it is computed once.
+    const double log1q = std::log1p(-std::min(model.p1q, 1.0 - 1e-12));
+    const double log2q = std::log1p(-std::min(model.p2q, 1.0 - 1e-12));
     double logZero = 0.0;
     for (const sim::Gate &g : circuit.gates()) {
         f.sourceGates += 1;
         if (g.isTwoQubit()) {
             f.source2q += 1;
             f.expectedErrors += model.p2q;
-            logZero += std::log1p(-std::min(model.p2q, 1.0 - 1e-12));
+            logZero += log2q;
         } else {
             f.expectedErrors += model.p1q;
-            logZero += std::log1p(-std::min(model.p1q, 1.0 - 1e-12));
+            logZero += log1q;
         }
     }
     f.zeroErrorFraction = std::exp(logZero);
@@ -304,22 +308,23 @@ estimateCost(const PlanFeatures &features, const PlanChoice &choice,
 std::vector<RankedPlan>
 rankPlans(const PlanFeatures &features, const CalibrationTable &table)
 {
-    std::vector<PlanChoice> candidates;
-    candidates.push_back({"channel", std::size_t{64} << 20, 8});
+    std::vector<RankedPlan> ranked;
+    ranked.reserve(8);
+    const auto add = [&](PlanChoice c) {
+        const PlanCost cost = estimateCost(features, c, table);
+        ranked.push_back({std::move(c), cost});
+    };
+    add({"channel", std::size_t{64} << 20, 8});
     for (const std::size_t budget :
          {std::size_t{16} << 20, std::size_t{64} << 20,
           std::size_t{256} << 20}) {
         for (const int lanes : {4, 8})
-            candidates.push_back({"trajectory", budget, lanes});
+            add({"trajectory", budget, lanes});
     }
     // The density-matrix backend hard-requires <= 10 qubits.
     if (features.qubits <= 10)
-        candidates.push_back({"exact", std::size_t{64} << 20, 8});
+        add({"exact", std::size_t{64} << 20, 8});
 
-    std::vector<RankedPlan> ranked;
-    ranked.reserve(candidates.size());
-    for (const PlanChoice &c : candidates)
-        ranked.push_back({c, estimateCost(features, c, table)});
     std::sort(ranked.begin(), ranked.end(),
               [](const RankedPlan &a, const RankedPlan &b) {
                   if (a.cost.seconds != b.cost.seconds)

@@ -57,6 +57,7 @@ CompiledCircuit::compile(const Circuit &circuit,
 {
     CompiledCircuit compiled(circuit.numQubits());
     compiled.stats_.sourceGates = circuit.size();
+    compiled.ops_.reserve(circuit.size()); // fusion only merges
 
     const auto n = static_cast<std::size_t>(circuit.numQubits());
     std::vector<Mat2> pending(n);

@@ -257,4 +257,21 @@ StateVector::sampleShots(common::Rng &rng, int shots,
     return out;
 }
 
+StateVector::SparseCdf
+StateVector::sparseCdf() const
+{
+    // The same ordered accumulation as sampleShots' sweep.
+    SparseCdf cdf;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < re_.size(); ++i) {
+        const double next = acc + (re_[i] * re_[i] + im_[i] * im_[i]);
+        if (next > acc) {
+            cdf.indices.push_back(i);
+            cdf.prefix.push_back(next);
+        }
+        acc = next;
+    }
+    return cdf;
+}
+
 } // namespace hammer::sim

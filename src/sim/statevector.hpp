@@ -152,6 +152,25 @@ class StateVector
     std::vector<common::Bits> sampleShots(common::Rng &rng, int shots,
                                           double norm_total) const;
 
+    /** sampleShots' running CDF, kept only where it grows. */
+    struct SparseCdf
+    {
+        std::vector<common::Bits> indices; ///< Ascending basis states.
+        std::vector<double> prefix;        ///< Strictly increasing.
+    };
+
+    /**
+     * The running sums `acc += |a_i|^2` of sampleShots' sweep, in
+     * index order, at every index where the sum grows.  A draw the
+     * sweep resolves to basis state i is resolved to the same i by
+     * the first prefix above it (std::upper_bound): an index whose
+     * probability does not move the sum (an exact zero, or an entry
+     * below the sum's rounding) is never the first index whose sum
+     * exceeds a draw.  A draw at or past prefix.back() is the sweep's
+     * fallback, the last basis state.
+     */
+    SparseCdf sparseCdf() const;
+
   private:
     int numQubits_;
     common::AlignedVector<double> re_;

@@ -10,7 +10,7 @@
 
 #include "api/backend.hpp"
 #include "api/workload.hpp"
-#include "noise/exact_sampler.hpp"
+#include "noise/distribution_memo.hpp"
 
 namespace {
 
@@ -19,6 +19,7 @@ using hammer::api::BackendSpec;
 using hammer::api::resolveNoiseModel;
 using hammer::api::validateBackendSpec;
 using hammer::common::Rng;
+using hammer::noise::DistributionMemo;
 
 TEST(BackendRegistry, GlobalKnowsTheBuiltinBackends)
 {
@@ -67,11 +68,11 @@ TEST(BackendRegistry, CachedExactMatchesExactBitForBit)
     // The exact backend's memo must be a pure memoisation: a memo hit
     // draws the same histogram as a cold evolution from the same RNG
     // state, for every shot budget.
-    using hammer::noise::ExactSampler;
+    DistributionMemo &memo = DistributionMemo::shared();
     const auto workload = hammer::api::makeGhzWorkload(4);
     BackendSpec spec;
     for (int shots : {64, 256}) {
-        ExactSampler::clearCache();
+        memo.clear();
         const auto exact =
             BackendRegistry::global().make("exact", spec);
         Rng cold_rng(7), warm_rng(7);
@@ -79,8 +80,8 @@ TEST(BackendRegistry, CachedExactMatchesExactBitForBit)
             exact->sample(workload.routed, 4, shots, cold_rng);
         const auto warm =
             exact->sample(workload.routed, 4, shots, warm_rng);
-        EXPECT_EQ(ExactSampler::cacheStats().misses, 1u);
-        EXPECT_EQ(ExactSampler::cacheStats().hits, 1u);
+        EXPECT_EQ(memo.stats().misses, 1u);
+        EXPECT_EQ(memo.stats().hits, 1u);
         ASSERT_EQ(cold.support(), warm.support()) << shots << " shots";
         for (std::size_t i = 0; i < cold.entries().size(); ++i) {
             EXPECT_EQ(cold.entries()[i].outcome,
@@ -94,31 +95,31 @@ TEST(BackendRegistry, CachedExactMatchesExactBitForBit)
 
 TEST(BackendRegistry, CachedExactReusesTheDensityMatrixEvolution)
 {
-    using hammer::noise::ExactSampler;
-    ExactSampler::clearCache();
+    DistributionMemo &memo = DistributionMemo::shared();
+    memo.clear();
     const auto workload = hammer::api::makeGhzWorkload(4);
     BackendSpec spec;
     Rng rng(11);
     const auto sampler = BackendRegistry::global().make("exact", spec);
 
     sampler->sample(workload.routed, 4, 100, rng);
-    EXPECT_EQ(ExactSampler::cacheStats().entries, 1u);
-    EXPECT_EQ(ExactSampler::cacheStats().hits, 0u);
+    EXPECT_EQ(memo.stats().entries, 1u);
+    EXPECT_EQ(memo.stats().hits, 0u);
 
     // Further budgets resample the memoised distribution.
     sampler->sample(workload.routed, 4, 500, rng);
     sampler->sampleBatch(workload.routed, 4, 2000, rng, 2);
-    EXPECT_EQ(ExactSampler::cacheStats().entries, 1u);
-    EXPECT_EQ(ExactSampler::cacheStats().hits, 2u);
+    EXPECT_EQ(memo.stats().entries, 1u);
+    EXPECT_EQ(memo.stats().hits, 2u);
 
     // A different measured width is a different key.
     sampler->sample(workload.routed, 3, 100, rng);
-    EXPECT_EQ(ExactSampler::cacheStats().entries, 2u);
+    EXPECT_EQ(memo.stats().entries, 2u);
 }
 
 TEST(BackendRegistry, CachedExactSampleBatchDeterministicAcrossThreads)
 {
-    hammer::noise::ExactSampler::clearCache();
+    DistributionMemo::shared().clear();
     const auto workload = hammer::api::makeGhzWorkload(4);
     BackendSpec spec;
     const auto sampler = BackendRegistry::global().make("exact", spec);

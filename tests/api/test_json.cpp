@@ -229,14 +229,19 @@ TEST(SpecLineParser, MalformedSpecFuzzTable)
         // Required key missing.
         "{\"shots\": 100}",
         "{}",
-        // CSV budgets past INT_MAX: 2^32 + 1 shots, a seed of
-        // 2^32 + 7 (both used to wrap to 1 and 7).
+        // CSV budgets past their range: 2^32 + 1 shots (used to wrap
+        // to 1), a seed of 2^53 (past what a JSON number holds).
         "bv:5,channel,4294967297,3",
-        "bv:5,channel,4096,4294967303",
+        "bv:5,channel,4096,9007199254740992",
     };
     for (const char *line : rejected)
         EXPECT_THROW(parseSpecLine(line), std::invalid_argument)
             << line;
+    // A seed past INT_MAX is kept whole, not wrapped (2^32 + 7 used
+    // to run seed 7).
+    EXPECT_EQ(parseSpecLine("bv:5,channel,4096,4294967303")
+                  .spec.backendSpec.seed,
+              4294967303u);
 
     // Workload arguments go through the same check when the spec
     // resolves: bv:(2^32 + 5) used to build bv:5.

@@ -16,7 +16,8 @@
 #include "api/pipeline.hpp"
 #include "api/service.hpp"
 #include "graph/generators.hpp"
-#include "noise/exact_sampler.hpp"
+#include "net/remote_backend.hpp"
+#include "noise/distribution_memo.hpp"
 
 namespace {
 
@@ -28,6 +29,7 @@ using hammer::api::ExperimentSpec;
 using hammer::api::parseSpecLine;
 using hammer::api::Pipeline;
 using hammer::api::Result;
+using hammer::api::SpecLine;
 using hammer::core::Distribution;
 
 bool
@@ -356,7 +358,7 @@ TEST(ExecutionService, ExposesTheExactCacheUniformly)
     // the 4^n density-matrix evolution must still run only once —
     // the service routes that level of caching through the exact
     // backend's memo rather than duplicating it.
-    hammer::noise::ExactSampler::clearCache();
+    hammer::noise::DistributionMemo::shared().clear();
     ExecutionService service;
     ExperimentSpec spec;
     spec.workload = "ghz:4";
@@ -368,10 +370,10 @@ TEST(ExecutionService, ExposesTheExactCacheUniformly)
 
     const auto stats = service.stats();
     EXPECT_EQ(stats.executeRuns, 2u) << "distinct shot budgets";
-    EXPECT_EQ(stats.exactCache.entries, 1u)
+    EXPECT_EQ(stats.distributionMemo.entries, 1u)
         << "one density-matrix evolution";
-    EXPECT_GE(stats.exactCache.hits, 1u);
-    EXPECT_EQ(stats.exactCache.misses, 1u);
+    EXPECT_GE(stats.distributionMemo.hits, 1u);
+    EXPECT_EQ(stats.distributionMemo.misses, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -428,6 +430,31 @@ TEST(SpecLine, ParsesPositionalCsv)
     EXPECT_EQ(chained.spec.backendSpec.machine, "machineB");
 }
 
+TEST(SpecLine, KeepsEverySeedTheRemoteWireFormRenders)
+{
+    // net::remoteSpecLine renders the seed as a full uint64; a shard
+    // parses it back.  Every seed in [0, 2^53) must survive, in both
+    // spec-line forms.
+    ExperimentSpec spec;
+    spec.workload = "ghz:3";
+    spec.backend = "remote";
+    spec.backendSpec.serviceBackend = "channel";
+    spec.backendSpec.shots = 100;
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1} << 31,
+          (std::uint64_t{1} << 53) - 1}) {
+        spec.backendSpec.seed = seed;
+        const SpecLine parsed =
+            parseSpecLine(hammer::net::remoteSpecLine(spec));
+        EXPECT_EQ(parsed.spec.backendSpec.seed, seed);
+        EXPECT_EQ(parsed.spec.backend, "channel");
+        EXPECT_EQ(parseSpecLine("ghz:3,channel,100," +
+                                std::to_string(seed))
+                      .spec.backendSpec.seed,
+                  seed);
+    }
+}
+
 TEST(SpecLine, RejectsMalformedLines)
 {
     EXPECT_THROW(parseSpecLine(""), std::invalid_argument);
@@ -458,6 +485,30 @@ TEST(SpecLine, RejectsMalformedLines)
                                "\"shots\": 100, \"shots\": 200}"),
                  std::invalid_argument)
         << "duplicate keys must not silently last-one-win";
+
+    // Seeds outside [0, 2^53) are rejected, naming the key.
+    for (const char *seed : {"-1", "9007199254740992", "1.5", "1e300"}) {
+        try {
+            parseSpecLine(std::string("{\"workload\": \"bv:5\", "
+                                      "\"seed\": ") + seed + "}");
+            FAIL() << "JSON seed " << seed;
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("'seed'"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    for (const char *seed : {"-1", "+5", "9007199254740992",
+                             "18446744073709551616", "5x"}) {
+        try {
+            parseSpecLine(std::string("bv:5,channel,100,") + seed);
+            FAIL() << "CSV seed '" << seed << "'";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("'seed'"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 
     // Type errors name the offending key.
     try {

@@ -136,32 +136,4 @@ TEST(ExactSampler, RejectsOutOfRangeModel)
                  std::invalid_argument);
 }
 
-TEST(ExactSampler, MemoNeverExceedsItsCapacity)
-{
-    // Every model is a distinct memo key; past the capacity the least
-    // recently used distribution is evicted.
-    ExactSampler::clearCache();
-    const auto routed = trivialRouting(ghz(2));
-    const std::size_t keys = ExactSampler::kMemoCapacity + 16;
-    const auto model = [](std::size_t i) {
-        return NoiseModel{1e-4 * static_cast<double>(i + 1), 0.0, 0.0,
-                          0.0};
-    };
-    Rng rng(4);
-    for (std::size_t i = 0; i < keys; ++i) {
-        ExactSampler(model(i)).sample(routed, 2, 1, rng);
-        ASSERT_LE(ExactSampler::cacheStats().entries,
-                  ExactSampler::kMemoCapacity);
-    }
-    EXPECT_EQ(ExactSampler::cacheStats().entries,
-              ExactSampler::kMemoCapacity);
-    EXPECT_EQ(ExactSampler::cacheStats().misses, keys);
-
-    ExactSampler(model(keys - 1)).sample(routed, 2, 1, rng);
-    EXPECT_EQ(ExactSampler::cacheStats().hits, 1u);
-    ExactSampler(model(0)).sample(routed, 2, 1, rng);
-    EXPECT_EQ(ExactSampler::cacheStats().misses, keys + 1)
-        << "the oldest key was evicted";
-}
-
 } // namespace

@@ -14,7 +14,7 @@
 #include "api/api.hpp"
 #include "api/autoplan.hpp"
 #include "common/rng.hpp"
-#include "noise/exact_sampler.hpp"
+#include "noise/distribution_memo.hpp"
 #include "plan/cost_model.hpp"
 
 namespace {
@@ -162,7 +162,7 @@ TEST(AutoBackend, PlanIgnoresTheExactMemo)
     // cold process produces.
     const ScopedCalibration guard;
     setActiveCalibration(defaultCalibrationTable());
-    hammer::noise::ExactSampler::clearCache();
+    hammer::noise::DistributionMemo::shared().clear();
     hammer::common::Rng wrng(3);
     const Workload workload =
         WorkloadRegistry::global().make("ghz:4", wrng);
@@ -176,14 +176,14 @@ TEST(AutoBackend, PlanIgnoresTheExactMemo)
         workload.routed, workload.measuredQubits, spec.shots, coldRng,
         1);
     ASSERT_EQ(sampler.lastChoice().backend, "exact");
-    ASSERT_EQ(hammer::noise::ExactSampler::cacheStats().entries, 1u);
+    ASSERT_EQ(hammer::noise::DistributionMemo::shared().stats().entries, 1u);
 
     const auto warmRanking = sampler.rank(workload.routed);
     hammer::common::Rng warmRng(spec.seed);
     const Distribution warm = sampler.sampleBatch(
         workload.routed, workload.measuredQubits, spec.shots, warmRng,
         1);
-    EXPECT_EQ(hammer::noise::ExactSampler::cacheStats().hits, 1u);
+    EXPECT_EQ(hammer::noise::DistributionMemo::shared().stats().hits, 1u);
     ASSERT_EQ(coldRanking.size(), warmRanking.size());
     for (std::size_t i = 0; i < coldRanking.size(); ++i) {
         const auto &c = coldRanking[i];
