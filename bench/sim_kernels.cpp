@@ -1,10 +1,10 @@
 /**
  * @file
  * Simulation-engine microbenchmark: SIMD kernel tiers, specialised
- * kernels, the fusion pass, checkpointed trajectory replay, and
- * batched (multi-lane SoA) trajectory replay, against replicas of the
- * pre-overhaul engine (branchy generic kernels, circuit-per-
- * trajectory re-simulation, binary-search sampling).
+ * kernels, the fusion pass and checkpointed trajectory replay,
+ * against replicas of the pre-overhaul engine (branchy generic
+ * kernels, circuit-per-trajectory re-simulation, binary-search
+ * sampling).
  *
  * All speedup gates are ops-reduction or serial-wall-clock based —
  * nothing here depends on thread scaling, so the checks are safe on
@@ -530,90 +530,6 @@ main()
     report.metric("work_reduction_overall", overall_reduction);
     std::printf("\noverall simulated-gate work reduction: %.2fx\n",
                 overall_reduction);
-
-    // -- 5. Batched trajectory replay: whole sampleBatch() wall-clock
-    //       with the best tier and 8 SoA lanes vs the scalar tier
-    //       with batching disabled, on the same bv/qaoa sweep.  Noise
-    //       is scaled up so most trajectories actually replay gates —
-    //       at paper-scale rates the zero-error fast path dominates
-    //       and batching has nothing to accelerate.  The two runs
-    //       must agree bit for bit (checked even when the perf gate
-    //       is off); the >= 1.5x floor covers SIMD + shared-decode
-    //       gains together.
-    const noise::NoiseModel loud = model.scaled(4.0);
-    common::Table batched_table(
-        {"workload", "single_ms", "batched_ms", "batched_x"});
-    double total_single = 0.0;
-    double total_batched = 0.0;
-    for (const api::Workload &wl : sweep) {
-        auto run = [&](const sim::KernelTier tier, int lanes,
-                       core::Distribution &out) {
-            sim::setActiveKernels(sim::kernelsForTier(tier));
-            // Best-of-5, same flake armour as the tier sweep.
-            double best = -1.0;
-            for (int pass = 0; pass < 5; ++pass) {
-                noise::TrajectorySampler sampler(
-                    loud, trajectories,
-                    {.batchLanes = lanes});
-                Rng run_rng(0xBA7C);
-                const auto start = std::chrono::steady_clock::now();
-                out = sampler.sampleBatch(
-                    wl.routed, wl.measuredQubits, shots, run_rng, 1);
-                const double secs = secondsSince(start);
-                if (best < 0.0 || secs < best)
-                    best = secs;
-            }
-            sim::setActiveKernels(nullptr);
-            return best;
-        };
-
-        core::Distribution single_dist(wl.measuredQubits);
-        core::Distribution batched_dist(wl.measuredQubits);
-        const double t_single =
-            run(sim::KernelTier::Scalar, 1, single_dist);
-        const double t_batched = run(best_tier, 8, batched_dist);
-
-        // Bit-identity across tier AND batch width — the hard
-        // invariant of the SoA engine.
-        bool identical =
-            single_dist.support() == batched_dist.support();
-        if (identical) {
-            for (const auto &e : single_dist.entries()) {
-                if (e.probability !=
-                    batched_dist.probability(e.outcome))
-                    identical = false;
-            }
-        }
-        if (!identical) {
-            std::puts("ERROR: batched and single-state replay "
-                      "histograms disagree");
-            return 1;
-        }
-
-        const double batched_x =
-            t_batched > 0.0 ? t_single / t_batched : 0.0;
-        total_single += t_single;
-        total_batched += t_batched;
-        batched_table.addRow(
-            {wl.family, common::Table::fmt(t_single * 1e3, 2),
-             common::Table::fmt(t_batched * 1e3, 2),
-             common::Table::fmt(batched_x, 2)});
-        report.metric("batched_replay_x_" + wl.family, batched_x);
-    }
-    batched_table.print(std::cout);
-
-    const double batched_overall =
-        total_batched > 0.0 ? total_single / total_batched : 0.0;
-    report.metric("batched_replay_x_overall", batched_overall);
-    std::printf("batched replay speedup over scalar single-state: "
-                "%.2fx\n",
-                batched_overall);
-    if (perf_gates && batched_overall < 1.5) {
-        std::printf("ERROR: expected >= 1.5x batched replay "
-                    "speedup, got %.2fx\n",
-                    batched_overall);
-        return 1;
-    }
 
     // Acceptance gate: the replay engine must at least halve the
     // simulated-gate work at paper-scale error rates.  Ops-based, so

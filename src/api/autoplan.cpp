@@ -271,9 +271,7 @@ AutoSampler::build(const plan::PlanChoice &choice) const
 {
     if (choice.backend == "trajectory") {
         return std::make_unique<noise::TrajectorySampler>(
-            model_, spec_.trajectories,
-            plan::replayOptionsFor(choice,
-                                   plan::activeCalibration()));
+            model_, spec_.trajectories);
     }
     if (choice.backend == "exact")
         return std::make_unique<noise::ExactSampler>(model_);
@@ -338,9 +336,6 @@ explainPlan(const ExperimentSpec &spec)
         const plan::RankedPlan &r = ranked[i];
         out << (i == 0 ? "  -> " : "     ") << std::left
             << std::setw(13) << r.choice.backend << std::right
-            << " ckpt=" << std::setw(4)
-            << (r.choice.checkpointBudgetBytes >> 20) << "MiB"
-            << " lanes=" << r.choice.batchLanes
             << " predicted=" << r.cost.seconds * 1e3 << "ms";
         // The two dominant cost groups, for drift debugging.
         std::size_t top = 0, second = 0;

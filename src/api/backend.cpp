@@ -96,15 +96,8 @@ defaultBackendRegistry()
 {
     BackendRegistry registry;
     registry.add("trajectory", [](const BackendSpec &spec) {
-        // Batching-planner constants (dispatch overhead, injection
-        // weight, checkpoint budget) come from the active
-        // calibration; the compiled-in table reproduces the old
-        // hand-tuned defaults, and none of them change histograms.
-        ensureEnvCalibrationLoaded();
         return std::make_unique<noise::TrajectorySampler>(
-            resolveNoiseModel(spec), spec.trajectories,
-            plan::replayOptionsFor(plan::PlanChoice{},
-                                   plan::activeCalibration()));
+            resolveNoiseModel(spec), spec.trajectories);
     });
     registry.add("channel", [](const BackendSpec &spec) {
         return std::make_unique<noise::ChannelSampler>(

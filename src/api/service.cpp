@@ -735,7 +735,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                               << "] over the last "
                               << options_.driftWindow
                               << " jobs — recalibrate "
-                                 "(hammer_cli calibrate)\n";
+                                 "(hammer_calibrate)\n";
                 promise->set_value(std::move(result));
             } catch (...) {
                 {

@@ -4,8 +4,7 @@
  *
  * The SoA statevector planes want 64-byte (cache-line / AVX-512-safe)
  * alignment so every kernel tier can issue aligned or unaligned loads
- * at full speed and rows of the batched layout start on vector
- * boundaries.  std::vector's default allocator only guarantees
+ * at full speed.  std::vector's default allocator only guarantees
  * alignof(std::max_align_t); this allocator routes through the
  * aligned operator new.
  */

@@ -40,26 +40,6 @@ applyPauli(StateVector &state, GateKind pauli, int qubit)
     common::panic("ReplayEngine: error event is not a Pauli");
 }
 
-void
-applyPauliLane(sim::BatchedStateVector &batch, int lane, GateKind pauli,
-               int qubit)
-{
-    switch (pauli) {
-      case GateKind::X:
-        batch.applyXLane(lane, qubit);
-        return;
-      case GateKind::Y:
-        batch.applyYLane(lane, qubit);
-        return;
-      case GateKind::Z:
-        batch.applyPhaseLane(lane, sim::Amp(-1.0), qubit);
-        return;
-      default:
-        break;
-    }
-    common::panic("ReplayEngine: error event is not a Pauli");
-}
-
 } // namespace
 
 ReplayEngine::ReplayEngine(const sim::Circuit &circuit,
@@ -67,11 +47,8 @@ ReplayEngine::ReplayEngine(const sim::Circuit &circuit,
                            const ReplayOptions &options)
     : model_(model),
       ops_(sim::CompiledCircuit::compile(circuit, {.fuse1q = false})),
-      batchLanes_(options.batchLanes),
       final_(circuit.numQubits())
 {
-    require(batchLanes_ >= 1,
-            "ReplayEngine: batchLanes must be >= 1");
     const std::size_t gates = ops_.ops().size();
 
     // Checkpoint interval from the memory budget: one dense state is
@@ -179,76 +156,6 @@ ReplayEngine::replay(const std::vector<ErrorEvent> &events) const
         }
     }
     return state;
-}
-
-sim::BatchedStateVector
-ReplayEngine::replayBatch(
-    std::size_t start,
-    const std::vector<const std::vector<ErrorEvent> *> &group) const
-{
-    require(!group.empty() &&
-                group.size() <= static_cast<std::size_t>(batchLanes_),
-            "ReplayEngine::replayBatch: group size out of range");
-    const std::size_t gates = ops_.ops().size();
-    const int lanes = static_cast<int>(group.size());
-
-    // Lanes may start at different checkpoints; the batch starts at
-    // the earliest and later lanes ride the shared clean prefix.
-    std::vector<std::size_t> own(group.size());
-    std::size_t earliest = gates;
-    for (std::size_t g = 0; g < group.size(); ++g) {
-        require(group[g] != nullptr && !group[g]->empty(),
-                "ReplayEngine::replayBatch: zero-error trajectories "
-                "are served by cleanState()");
-        own[g] = replayStart(*group[g]);
-        require(own[g] >= start,
-                "ReplayEngine::replayBatch: trajectory starts before "
-                "the batch checkpoint");
-        earliest = std::min(earliest, own[g]);
-    }
-    require(earliest == start,
-            "ReplayEngine::replayBatch: batch start must be the "
-            "earliest trajectory checkpoint");
-
-    sim::BatchedStateVector batch(ops_.numQubits(), lanes);
-    if (start != 0)
-        batch.fillFrom(checkpoints_[start / interval_ - 1]);
-
-    // Per-lane cursor into that trajectory's ordered event list.
-    std::vector<std::size_t> cursor(group.size(), 0);
-
-    for (std::size_t i = start; i < gates; ++i) {
-        // A lane reaching its own checkpoint first takes its
-        // boundary errors (fired after gate own-1, which its
-        // checkpoint already covers), exactly where single-state
-        // replay() injects them after the checkpoint copy.  The
-        // clean prefix a later lane replayed batched is bit-identical
-        // to that copy, by the kernel bit-identity invariant.
-        for (int g = 0; g < lanes; ++g) {
-            if (own[static_cast<std::size_t>(g)] != i)
-                continue;
-            const auto &events = *group[g];
-            while (cursor[g] < events.size() &&
-                   events[cursor[g]].gateIndex < i) {
-                applyPauliLane(batch, g, events[cursor[g]].pauli,
-                               events[cursor[g]].qubit);
-                ++cursor[g];
-            }
-        }
-        ops_.apply(batch, i, i + 1);
-        for (int g = 0; g < lanes; ++g) {
-            if (i < own[static_cast<std::size_t>(g)])
-                continue;
-            const auto &events = *group[g];
-            while (cursor[g] < events.size() &&
-                   events[cursor[g]].gateIndex == i) {
-                applyPauliLane(batch, g, events[cursor[g]].pauli,
-                               events[cursor[g]].qubit);
-                ++cursor[g];
-            }
-        }
-    }
-    return batch;
 }
 
 } // namespace hammer::noise

@@ -32,7 +32,6 @@
 
 #include "common/rng.hpp"
 #include "noise/noise_model.hpp"
-#include "sim/batched_statevector.hpp"
 #include "sim/circuit.hpp"
 #include "sim/compiled.hpp"
 #include "sim/statevector.hpp"
@@ -47,7 +46,7 @@ struct ErrorEvent
     int qubit;
 };
 
-/** Replay tuning knobs. */
+/** Replay engine configuration. */
 struct ReplayOptions
 {
     /**
@@ -55,35 +54,9 @@ struct ReplayOptions
      * per sample() call).  The checkpoint interval K is the smallest
      * gate stride whose checkpoint count fits the budget; a budget
      * too small for even one checkpoint degrades gracefully to
-     * replay-from-scratch.
+     * replay-from-scratch.  Never changes results.
      */
     std::size_t checkpointBudgetBytes = std::size_t{64} << 20;
-
-    /**
-     * Lane count for batched trajectory replay (sampleBatch groups up
-     * to this many trajectories sharing a checkpoint into one SoA
-     * sweep).  1 disables batching (every trajectory replays alone,
-     * the historical single-state path).
-     */
-    int batchLanes = 8;
-
-    /**
-     * Fixed per-gate dispatch cost, expressed as equivalent amplitude
-     * rows.  Batched replay amortises only this fixed part across
-     * lanes, so it decides when an SoA sweep beats single-state
-     * replays.  The default matches the hand calibration of the
-     * original batching planner; plan::CalibrationTable carries a
-     * fitted value (plan::replayOptionsFor).
-     */
-    double dispatchOverheadRows = 512.0;
-
-    /**
-     * Relative cost of one per-lane error injection versus one
-     * batched gate application (a strided pass drags every padded
-     * lane through the cache).  Same calibration story as
-     * dispatchOverheadRows.
-     */
-    double injectionWeight = 4.0 / 3.0;
 };
 
 /** Work accounting for the replay engine (gate applications). */
@@ -94,9 +67,6 @@ struct ReplayStats
     std::uint64_t gatesFull = 0;     ///< From-scratch engine would run.
     std::uint64_t gatesReplayed = 0; ///< Actually run (incl. clean
                                      ///< pass + injected Paulis).
-    std::uint64_t batchSweeps = 0;   ///< Batched replay sweeps run.
-    std::uint64_t batchedTrajectories = 0; ///< Trajectories served by
-                                           ///< a shared batch sweep.
 
     /** Fraction of trajectories served without simulating a gate. */
     double hitRate() const
@@ -122,8 +92,6 @@ struct ReplayStats
         zeroError += other.zeroError;
         gatesFull += other.gatesFull;
         gatesReplayed += other.gatesReplayed;
-        batchSweeps += other.batchSweeps;
-        batchedTrajectories += other.batchedTrajectories;
     }
 };
 
@@ -172,30 +140,6 @@ class ReplayEngine
     sim::StateVector replay(
         const std::vector<ErrorEvent> &events) const;
 
-    /**
-     * Simulate up to batchLanes() trajectories in a single batched
-     * SoA sweep.
-     *
-     * @p start must equal the earliest replayStart(*events) in the
-     * group.  Lanes whose own checkpoint lies deeper simply ride the
-     * shared clean gate stream until they reach it — bit-identical to
-     * copying that checkpoint, because the batched kernels evaluate
-     * the same per-lane formulas that produced it — and only then
-     * start taking their error injections.  Lane g of the result is
-     * bit-identical to replay(*group[g]).
-     *
-     * @param start Earliest member checkpoint (a checkpoint boundary).
-     * @param group One non-empty event list per lane, each ordered by
-     *        gateIndex; size in [1, batchLanes()].
-     */
-    sim::BatchedStateVector replayBatch(
-        std::size_t start,
-        const std::vector<const std::vector<ErrorEvent> *> &group)
-        const;
-
-    /** Configured lane budget for replayBatch (>= 1). */
-    int batchLanes() const { return batchLanes_; }
-
     std::size_t numGates() const { return ops_.ops().size(); }
     std::size_t checkpointInterval() const { return interval_; }
     std::size_t checkpointCount() const { return checkpoints_.size(); }
@@ -203,7 +147,6 @@ class ReplayEngine
   private:
     NoiseModel model_;
     sim::CompiledCircuit ops_; ///< Unfused: op i == source gate i.
-    int batchLanes_;           ///< Lane budget for replayBatch.
     std::size_t interval_;     ///< Gates between checkpoints.
     /** checkpoints_[k] = state after the first (k+1)*interval_ gates. */
     std::vector<sim::StateVector> checkpoints_;

@@ -1,13 +1,11 @@
 #include "noise/trajectory_sampler.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "noise/readout.hpp"
-#include "sim/kernels.hpp"
 
 namespace hammer::noise {
 
@@ -26,8 +24,6 @@ TrajectorySampler::TrajectorySampler(const NoiseModel &model,
 {
     require(trajectories >= 1,
             "TrajectorySampler: need at least one trajectory");
-    require(options.batchLanes >= 1,
-            "TrajectorySampler: batchLanes must be >= 1");
 }
 
 Circuit
@@ -106,275 +102,100 @@ runTrajectory(const ReplayEngine &engine,
     }
 }
 
+/** Validate a request and return the mask of its measured bits. */
+Bits
+measuredMask(const circuits::RoutedCircuit &routed, int measured_qubits,
+             int shots)
+{
+    require(measured_qubits >= 1 &&
+                measured_qubits <= routed.circuit.numQubits(),
+            "TrajectorySampler: bad measured qubit count");
+    require(shots >= 1, "TrajectorySampler: need at least one shot");
+    return measured_qubits == 64 ? ~Bits{0}
+                                 : (Bits{1} << measured_qubits) - 1;
+}
+
+/**
+ * Shots per trajectory: the budget spread evenly, earlier
+ * trajectories absorbing the remainder so the total is exactly
+ * @p shots (a trajectory whose quota is 0 is skipped).
+ */
+std::vector<int>
+shotQuotas(int shots, int trajectories)
+{
+    std::vector<int> quotas(static_cast<std::size_t>(trajectories));
+    int assigned = 0;
+    for (int t = 0; t < trajectories; ++t) {
+        quotas[static_cast<std::size_t>(t)] =
+            (shots - assigned) / (trajectories - t);
+        assigned += quotas[static_cast<std::size_t>(t)];
+    }
+    return quotas;
+}
+
 } // namespace
 
 Distribution
 TrajectorySampler::sample(const circuits::RoutedCircuit &routed,
                           int measured_qubits, int shots, Rng &rng)
 {
-    const int n = routed.circuit.numQubits();
-    require(measured_qubits >= 1 && measured_qubits <= n,
-            "TrajectorySampler: bad measured qubit count");
-    require(shots >= 1, "TrajectorySampler: need at least one shot");
-
-    const Bits mask = measured_qubits == 64
-        ? ~Bits{0}
-        : (Bits{1} << measured_qubits) - 1;
-
+    const Bits mask = measuredMask(routed, measured_qubits, shots);
     const ReplayEngine engine(routed.circuit, model_, options_);
     ReplayStats stats;
     stats.gatesReplayed += engine.numGates(); // the one clean pass
 
     core::CountAccumulator counts;
     counts.reserve(static_cast<std::size_t>(shots));
-    int assigned = 0;
-    for (int t = 0; t < trajectories_; ++t) {
-        // Spread the budget evenly; earlier trajectories absorb the
-        // remainder so the total is exactly `shots`.
-        const int quota = (shots - assigned) / (trajectories_ - t);
-        if (quota == 0)
-            continue;
-        assigned += quota;
-        runTrajectory(engine, routed, model_, mask, quota, rng,
-                      counts, stats);
+    for (const int quota : shotQuotas(shots, trajectories_)) {
+        if (quota > 0)
+            runTrajectory(engine, routed, model_, mask, quota, rng,
+                          counts, stats);
     }
     stats_.merge(stats);
     return counts.toDistribution(measured_qubits);
 }
-
-namespace {
-
-/** One pre-drawn trajectory awaiting simulation + sampling. */
-struct PendingTrajectory
-{
-    int quota;
-    Rng stream; ///< Forked stream, positioned after drawErrors.
-    std::vector<ErrorEvent> events;
-    std::size_t start; ///< replayStart(events).
-};
-
-/**
- * One deterministic work unit: either a single zero-error trajectory
- * (samples the shared clean state) or a group of noisy trajectories
- * swept together from the earliest member's checkpoint (one batched
- * SoA pass, up to batchLanes lanes).  The item list depends only on
- * the pre-drawn events, never on scheduling, so any thread count
- * produces the same partition.
- */
-struct WorkItem
-{
-    bool clean;
-    std::size_t start;
-    std::vector<std::size_t> members; ///< Indices into the pending list.
-};
-
-/** Sample + readout one finished trajectory state into @p counts. */
-void
-resolveShots(const std::vector<Bits> &raw,
-             const circuits::RoutedCircuit &routed,
-             const NoiseModel &model, Bits mask, Rng &rng,
-             core::CountAccumulator &counts)
-{
-    const int n = routed.circuit.numQubits();
-    for (Bits physical : raw) {
-        physical = applyReadoutError(physical, n, model, rng);
-        const Bits logical = routed.toLogical(physical);
-        counts.add(logical & mask);
-    }
-}
-
-} // namespace
 
 Distribution
 TrajectorySampler::sampleBatch(const circuits::RoutedCircuit &routed,
                                int measured_qubits, int shots,
                                Rng &rng, int threads)
 {
-    const int n = routed.circuit.numQubits();
-    require(measured_qubits >= 1 && measured_qubits <= n,
-            "TrajectorySampler: bad measured qubit count");
-    require(shots >= 1, "TrajectorySampler: need at least one shot");
-
-    const Bits mask = measured_qubits == 64
-        ? ~Bits{0}
-        : (Bits{1} << measured_qubits) - 1;
-
-    // Same quota schedule as the serial path: spread the budget
-    // evenly, earlier trajectories absorbing the remainder.
-    std::vector<int> quotas(static_cast<std::size_t>(trajectories_));
-    int assigned = 0;
-    for (int t = 0; t < trajectories_; ++t) {
-        quotas[static_cast<std::size_t>(t)] =
-            (shots - assigned) / (trajectories_ - t);
-        assigned += quotas[static_cast<std::size_t>(t)];
-    }
+    const Bits mask = measuredMask(routed, measured_qubits, shots);
+    const std::vector<int> quotas = shotQuotas(shots, trajectories_);
 
     // One draw from the caller's generator seeds the whole batch;
     // trajectory t then runs off master.fork(t), making its output a
     // pure function of (caller RNG state, t) — independent of thread
-    // count, scheduling order and batch grouping.
+    // count and scheduling order.
     const Rng master = rng.split();
 
     // The replay engine is immutable after construction: every
     // worker reads the same checkpoints and clean state.
     const ReplayEngine engine(routed.circuit, model_, options_);
 
-    ReplayStats stats;
-    stats.gatesReplayed += engine.numGates(); // the one clean pass
-
-    // Pre-draw every trajectory's error placements on its own stream.
-    // Each stream stays positioned right after drawErrors, exactly
-    // where the historical per-trajectory worker would be, so the
-    // later sampleShots/readout draws consume it identically.
-    std::vector<PendingTrajectory> pending;
-    pending.reserve(static_cast<std::size_t>(trajectories_));
-    for (int t = 0; t < trajectories_; ++t) {
-        const int quota = quotas[static_cast<std::size_t>(t)];
-        if (quota == 0)
-            continue;
-        PendingTrajectory p;
-        p.quota = quota;
-        p.stream = master.fork(static_cast<std::uint64_t>(t));
-        p.events = engine.drawErrors(p.stream);
-        p.start = engine.replayStart(p.events);
-        pending.push_back(std::move(p));
-        stats.trajectories += 1;
-        stats.gatesFull +=
-            engine.numGates() + pending.back().events.size();
-    }
-
-    // Deterministic work partition: zero-error trajectories are
-    // singleton clean items; noisy trajectories sort by replay
-    // checkpoint and pack greedily into batches.  Lanes in a batch
-    // may start at different checkpoints — the sweep begins at the
-    // earliest one and later lanes ride the shared clean prefix
-    // (bit-identical to copying their own checkpoint).  A member
-    // joins only while its own replay covers most of the sweep, and
-    // the chunk batches only when a cost model predicts the SoA pass
-    // beats the single-state replays it replaces.
-    //
-    // The model, in amplitude-row units: a gate application costs
-    // (overhead + rows), where `overhead` is the fixed per-gate
-    // dispatch cost expressed as equivalent rows
-    // (options_.dispatchOverheadRows, calibrated).  Batching
-    // amortises only that fixed part across lanes, so it pays off on
-    // small, overhead-dominated states; for large states the sweep
-    // is bandwidth-bound and a lane stays as cheap alone as in a
-    // batch.  A per-lane error injection is a strided pass that
-    // drags every padded lane through the cache — about one
-    // injectionWeight of a whole batched gate — which makes
-    // event-dense trajectories poor batching candidates.
-    std::vector<WorkItem> items;
-    std::vector<std::size_t> noisy;
-    for (std::size_t idx = 0; idx < pending.size(); ++idx) {
-        if (pending[idx].events.empty()) {
-            items.push_back({true, engine.numGates(), {idx}});
-            stats.zeroError += 1;
-        } else {
-            noisy.push_back(idx);
-            stats.gatesReplayed +=
-                (engine.numGates() - pending[idx].start) +
-                pending[idx].events.size();
-        }
-    }
-    std::stable_sort(noisy.begin(), noisy.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return pending[a].start < pending[b].start;
-                     });
-    const std::size_t lanes =
-        static_cast<std::size_t>(engine.batchLanes());
-    const std::size_t gates = engine.numGates();
-    const double overhead = options_.dispatchOverheadRows /
-        static_cast<double>(engine.cleanState().dimension());
-    for (std::size_t at = 0; at < noisy.size();) {
-        const std::size_t chunk_start = pending[noisy[at]].start;
-        const std::size_t sweep = gates - chunk_start;
-        std::size_t end = at + 1;
-        std::size_t single_work = sweep;
-        std::size_t chunk_events = pending[noisy[at]].events.size();
-        while (end - at < lanes && end < noisy.size() &&
-               4 * (gates - pending[noisy[end]].start) >= 3 * sweep) {
-            single_work += gates - pending[noisy[end]].start;
-            chunk_events += pending[noisy[end]].events.size();
-            ++end;
-        }
-        const std::size_t padded =
-            (end - at + sim::kBatchLaneMultiple - 1) /
-            sim::kBatchLaneMultiple * sim::kBatchLaneMultiple;
-        const double batched_cost =
-            (overhead + static_cast<double>(padded)) *
-                static_cast<double>(sweep) +
-            options_.injectionWeight * static_cast<double>(padded) *
-                static_cast<double>(chunk_events);
-        const double single_cost = (overhead + 1.0) *
-            static_cast<double>(single_work + chunk_events);
-        if (end - at >= 2 && batched_cost <= single_cost) {
-            items.push_back(
-                {false, chunk_start,
-                 {noisy.begin() + static_cast<std::ptrdiff_t>(at),
-                  noisy.begin() + static_cast<std::ptrdiff_t>(end)}});
-            stats.batchSweeps += 1;
-            stats.batchedTrajectories += end - at;
-        } else {
-            // Padding, prefix redo or injection traffic would
-            // outweigh the sharing: fall back to single-state
-            // replays.
-            for (std::size_t g = at; g < end; ++g)
-                items.push_back({false, pending[noisy[g]].start,
-                                 {noisy[g]}});
-        }
-        at = end;
-    }
-
-    // Resolve the request against the item count and run on the
-    // shared pool when possible (no per-call thread spawning).
+    // One work item per trajectory on the shared pool (no per-call
+    // thread spawning).  Counts and stats are integer sums, so the
+    // merged histogram is the same for any partition over slots.
     const int workers = common::ThreadPool::resolveThreadCount(
-        threads, items.size());
+        threads, quotas.size());
     std::vector<core::CountAccumulator> partials(
         static_cast<std::size_t>(workers));
+    std::vector<ReplayStats> slotStats(
+        static_cast<std::size_t>(workers));
     common::ThreadPool::run(
-        workers, items.size(), [&](std::size_t w, int slot) {
-            const WorkItem &item = items[w];
-            core::CountAccumulator &counts =
-                partials[static_cast<std::size_t>(slot)];
-            if (item.clean) {
-                PendingTrajectory &p = pending[item.members[0]];
-                const std::vector<Bits> raw =
-                    engine.cleanState().sampleShots(
-                        p.stream, p.quota, engine.cleanNorm());
-                resolveShots(raw, routed, model_, mask, p.stream,
-                             counts);
+        workers, quotas.size(), [&](std::size_t t, int slot) {
+            if (quotas[t] == 0)
                 return;
-            }
-            if (item.members.size() == 1) {
-                // Lone trajectory at this checkpoint: the
-                // single-state replay path (identical formulas, no
-                // batch copy overhead).
-                PendingTrajectory &p = pending[item.members[0]];
-                const std::vector<Bits> raw =
-                    engine.replay(p.events).sampleShots(p.stream,
-                                                        p.quota);
-                resolveShots(raw, routed, model_, mask, p.stream,
-                             counts);
-                return;
-            }
-            std::vector<const std::vector<ErrorEvent> *> group;
-            group.reserve(item.members.size());
-            for (std::size_t idx : item.members)
-                group.push_back(&pending[idx].events);
-            const sim::BatchedStateVector batch =
-                engine.replayBatch(item.start, group);
-            for (std::size_t g = 0; g < item.members.size(); ++g) {
-                PendingTrajectory &p = pending[item.members[g]];
-                const sim::StateVector state =
-                    batch.extractLane(static_cast<int>(g));
-                const std::vector<Bits> raw =
-                    state.sampleShots(p.stream, p.quota);
-                resolveShots(raw, routed, model_, mask, p.stream,
-                             counts);
-            }
+            Rng stream = master.fork(static_cast<std::uint64_t>(t));
+            const auto s = static_cast<std::size_t>(slot);
+            runTrajectory(engine, routed, model_, mask, quotas[t],
+                          stream, partials[s], slotStats[s]);
         });
 
+    ReplayStats stats;
+    stats.gatesReplayed += engine.numGates(); // the one clean pass
+    for (const ReplayStats &slot : slotStats)
+        stats.merge(slot);
     stats_.merge(stats);
 
     const core::CountAccumulator merged =

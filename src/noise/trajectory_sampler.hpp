@@ -38,7 +38,7 @@ class TrajectorySampler : public NoisySampler
      * @param model Noise parameters.
      * @param trajectories Number of independent noise realisations;
      *        the shot budget is spread evenly across them.
-     * @param options Replay tuning (checkpoint memory budget).
+     * @param options Checkpoint memory budget (never changes results).
      */
     explicit TrajectorySampler(const NoiseModel &model,
                                int trajectories = 250,
@@ -49,19 +49,16 @@ class TrajectorySampler : public NoisySampler
                               common::Rng &rng) override;
 
     /**
-     * Parallel batched trajectory fan-out.
+     * Parallel trajectory fan-out.
      *
      * Every trajectory runs off its own forked RNG stream
      * (master.fork(t)), so its output is a pure function of the
-     * caller RNG state and t.  Error placements are pre-drawn for all
-     * trajectories; noisy trajectories sharing a replay checkpoint
-     * are then grouped into batches of up to
-     * ReplayOptions::batchLanes lanes and swept through the gate
-     * suffix in one SoA pass (ReplayEngine::replayBatch), while
-     * zero-error trajectories sample the shared clean state directly.
-     * The work-item list is deterministic and per-item results merge
+     * caller RNG state and t.  Each trajectory is one work item on
+     * the shared pool: it draws its error placements, samples the
+     * shared clean state when none fired, and otherwise replays from
+     * its checkpoint (ReplayEngine::replay).  Per-item results merge
      * through commutative integer counts, so the histogram is
-     * bit-identical for every thread count AND every batch width.
+     * bit-identical for every thread count.
      */
     core::Distribution sampleBatch(const circuits::RoutedCircuit &routed,
                                    int measured_qubits, int shots,

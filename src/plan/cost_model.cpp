@@ -17,6 +17,9 @@ namespace {
 
 constexpr double kNs = 1e-9;
 
+/** The trajectory backend's checkpoint budget (noise::ReplayOptions). */
+constexpr double kCheckpointBudgetBytes = 64.0 * 1024.0 * 1024.0;
+
 /** Group index helper. */
 constexpr std::size_t
 idx(CostGroup g)
@@ -96,8 +99,7 @@ channelCost(const PlanFeatures &f, const CalibrationTable &t)
 }
 
 PlanCost
-trajectoryCost(const PlanFeatures &f, const PlanChoice &c,
-               const CalibrationTable &t)
+trajectoryCost(const PlanFeatures &f, const CalibrationTable &t)
 {
     PlanCost cost;
     const double rows = static_cast<double>(f.rows());
@@ -107,8 +109,7 @@ trajectoryCost(const PlanFeatures &f, const PlanChoice &c,
 
     // Checkpoint spacing from the memory budget (16 bytes/row).
     const double ckBytes = rows * 16.0;
-    const double maxCk = std::floor(
-        static_cast<double>(c.checkpointBudgetBytes) / ckBytes);
+    const double maxCk = std::floor(kCheckpointBudgetBytes / ckBytes);
     const double ckCount = std::min(maxCk, gates);
     const double interval =
         ckCount >= 1.0 ? std::max(1.0, gates / ckCount) : gates;
@@ -130,12 +131,10 @@ trajectoryCost(const PlanFeatures &f, const PlanChoice &c,
         g1q * t.dense1qRowNs * passes;
     cost.groups[idx(CostGroup::Twoq)] += g2q * t.twoqRowNs * passes;
 
-    // Batched sweeps amortise the fixed dispatch cost across lanes.
-    const double laneAmort =
-        static_cast<double>(std::max(1, c.batchLanes));
-    addDispatch(cost, t, gates + noisy * suffix / laneAmort);
+    // Every replayed gate pays the fixed dispatch cost.
+    addDispatch(cost, t, gates + noisy * suffix);
 
-    // In-place Pauli injections, weighted per the batching planner.
+    // In-place Pauli injections.
     cost.groups[idx(CostGroup::Injection)] +=
         static_cast<double>(f.trajectories) * f.expectedErrors *
         t.injectionWeight * rows * t.permRowNs * simScale(f) * kNs;
@@ -297,7 +296,7 @@ estimateCost(const PlanFeatures &features, const PlanChoice &choice,
              const CalibrationTable &table)
 {
     if (choice.backend == "trajectory")
-        return trajectoryCost(features, choice, table);
+        return trajectoryCost(features, table);
     if (choice.backend == "exact")
         return exactCost(features, table);
     // Unknown backends (remote) cost like the channel plan they
@@ -309,47 +308,25 @@ std::vector<RankedPlan>
 rankPlans(const PlanFeatures &features, const CalibrationTable &table)
 {
     std::vector<RankedPlan> ranked;
-    ranked.reserve(8);
-    const auto add = [&](PlanChoice c) {
-        const PlanCost cost = estimateCost(features, c, table);
-        ranked.push_back({std::move(c), cost});
+    ranked.reserve(3);
+    const auto add = [&](const char *backend) {
+        PlanChoice choice{backend};
+        const PlanCost cost = estimateCost(features, choice, table);
+        ranked.push_back({std::move(choice), cost});
     };
-    add({"channel", std::size_t{64} << 20, 8});
-    for (const std::size_t budget :
-         {std::size_t{16} << 20, std::size_t{64} << 20,
-          std::size_t{256} << 20}) {
-        for (const int lanes : {4, 8})
-            add({"trajectory", budget, lanes});
-    }
+    add("channel");
+    add("trajectory");
     // The density-matrix backend hard-requires <= 10 qubits.
     if (features.qubits <= 10)
-        add({"exact", std::size_t{64} << 20, 8});
+        add("exact");
 
     std::sort(ranked.begin(), ranked.end(),
               [](const RankedPlan &a, const RankedPlan &b) {
                   if (a.cost.seconds != b.cost.seconds)
                       return a.cost.seconds < b.cost.seconds;
-                  if (a.choice.backend != b.choice.backend)
-                      return a.choice.backend < b.choice.backend;
-                  if (a.choice.checkpointBudgetBytes !=
-                      b.choice.checkpointBudgetBytes)
-                      return a.choice.checkpointBudgetBytes <
-                          b.choice.checkpointBudgetBytes;
-                  return a.choice.batchLanes < b.choice.batchLanes;
+                  return a.choice.backend < b.choice.backend;
               });
     return ranked;
-}
-
-noise::ReplayOptions
-replayOptionsFor(const PlanChoice &choice,
-                 const CalibrationTable &table)
-{
-    noise::ReplayOptions options;
-    options.checkpointBudgetBytes = choice.checkpointBudgetBytes;
-    options.batchLanes = choice.batchLanes;
-    options.dispatchOverheadRows = table.dispatchOverheadRows;
-    options.injectionWeight = table.injectionWeight;
-    return options;
 }
 
 // ---------------------------------------------------------------------------
@@ -446,8 +423,13 @@ Calibrator::fit(const CalibrationTable &seed) const
     out.diagRowNs *= x[idx(CostGroup::Diag)];
     out.permRowNs *= x[idx(CostGroup::Perm)];
     out.twoqRowNs *= x[idx(CostGroup::Twoq)];
-    out.dispatchOverheadRows *= x[idx(CostGroup::Dispatch)];
-    out.injectionWeight *= x[idx(CostGroup::Injection)];
+    // Dispatch is priced in dense1q rows and injections in perm
+    // rows, so these two coefficients take their group's scale
+    // relative to the row cost they multiply.
+    out.dispatchOverheadRows *= x[idx(CostGroup::Dispatch)] /
+        x[idx(CostGroup::Dense1q)];
+    out.injectionWeight *=
+        x[idx(CostGroup::Injection)] / x[idx(CostGroup::Perm)];
     out.checkpointRowNs *= x[idx(CostGroup::Checkpoint)];
     out.shotNs *= x[idx(CostGroup::Shots)];
     out.channelFlipNs *= x[idx(CostGroup::Flips)];

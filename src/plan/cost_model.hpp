@@ -3,11 +3,10 @@
  * Calibrated analytical cost model for execution-plan selection.
  *
  * The registry offers several interchangeable execution plans
- * (trajectory replay, analytic channel, exact density matrix) plus
- * tuning knobs (replay checkpoint budget, batch lane
- * width), and callers historically picked one by hand.  This module
- * follows the autoscheduling recipe of Ahrens & Kjolstad (PAPERS.md):
- * a *pure* cost function over spec-derived features, a calibration
+ * (trajectory replay, analytic channel, exact density matrix), and
+ * callers historically picked one by hand.  This module follows the
+ * autoscheduling recipe of Ahrens & Kjolstad (PAPERS.md): a *pure*
+ * cost function over spec-derived features, a calibration
  * table of fitted per-kernel-class coefficients, deterministic
  * candidate enumeration and ranking, and a fitter that re-derives the
  * coefficients from measured bench telemetry — predict, rank, then
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "noise/noise_model.hpp"
-#include "noise/replay.hpp"
 #include "sim/circuit.hpp"
 
 namespace hammer::plan {
@@ -126,11 +124,8 @@ const char *costGroupName(CostGroup group);
  * measurements on the reference AVX2 CI host), so nothing new is
  * required at runtime; `hammer_calibrate` re-fits them from
  * BENCH_plan.json telemetry and the api layer can load the result
- * from calibration.json.
- *
- * The two planner constants PR 8 hand-tuned — the 512-amplitude
- * dispatch overhead and the 4/3 injection weight — live here now and
- * flow back into noise::ReplayOptions via replayOptionsFor().
+ * from calibration.json.  Every field is a model coefficient: none
+ * of them configures a backend.
  */
 struct CalibrationTable
 {
@@ -143,7 +138,7 @@ struct CalibrationTable
 
     /** Fixed per-gate dispatch cost in dense1q-row equivalents. */
     double dispatchOverheadRows = 512.0;
-    /** Per-lane error injection vs one batched gate application. */
+    /** One in-place Pauli injection, in permutation-row passes. */
     double injectionWeight = 4.0 / 3.0;
 
     /** Checkpoint store/copy cost per amplitude row, ns. */
@@ -178,12 +173,10 @@ struct PlanCost
     std::array<double, kCostGroups> groups{}; ///< Seconds per group.
 };
 
-/** One candidate execution plan: backend × tuning knobs. */
+/** One candidate execution plan. */
 struct PlanChoice
 {
     std::string backend = "channel"; ///< Registry backend name.
-    std::size_t checkpointBudgetBytes = std::size_t{64} << 20;
-    int batchLanes = 8;
 };
 
 /**
@@ -204,22 +197,13 @@ struct RankedPlan
 };
 
 /**
- * Enumerate the candidate plans for @p features (channel; trajectory
- * across checkpoint budgets x batch widths; exact when the density
- * matrix fits) and return them cheapest-first.  Ties
- * break on (backend name, budget, lanes), so the ranking is a pure
- * function of (features, table).
+ * Enumerate one candidate plan per backend (channel; trajectory;
+ * exact when the density matrix fits) and return them
+ * cheapest-first.  Ties break on the backend name, so the ranking is
+ * a pure function of (features, table).
  */
 std::vector<RankedPlan> rankPlans(const PlanFeatures &features,
                                   const CalibrationTable &table);
-
-/**
- * Replay options for a trajectory-family plan, carrying the table's
- * fitted dispatch-overhead and injection-weight coefficients into
- * the sampleBatch batching planner (ROADMAP PR 8 follow-on).
- */
-noise::ReplayOptions replayOptionsFor(const PlanChoice &choice,
-                                      const CalibrationTable &table);
 
 // ---------------------------------------------------------------------------
 // Calibration fitting

@@ -134,51 +134,11 @@ applyOp(StateVector &state, const CompiledOp &op)
 }
 
 void
-applyOp(BatchedStateVector &batch, const CompiledOp &op)
-{
-    switch (op.kind) {
-      case KernelKind::Mat1q:
-        batch.apply1q(op.m, op.q0);
-        return;
-      case KernelKind::Diag:
-        batch.applyDiagonal(op.m[0], op.m[3], op.q0);
-        return;
-      case KernelKind::Phase:
-        batch.applyPhase(op.m[3], op.q0);
-        return;
-      case KernelKind::PauliX:
-        batch.applyX(op.q0);
-        return;
-      case KernelKind::PauliY:
-        batch.applyY(op.q0);
-        return;
-      case KernelKind::CX:
-        batch.applyCX(op.q0, op.q1);
-        return;
-      case KernelKind::CZ:
-        batch.applyCZ(op.q0, op.q1);
-        return;
-      case KernelKind::Swap:
-        batch.applySwap(op.q0, op.q1);
-        return;
-    }
-    panic("applyOp: unknown kernel kind");
-}
-
-void
 CompiledCircuit::apply(StateVector &state, std::size_t begin,
                        std::size_t end) const
 {
     for (std::size_t i = begin; i < end; ++i)
         applyOp(state, ops_[i]);
-}
-
-void
-CompiledCircuit::apply(BatchedStateVector &batch, std::size_t begin,
-                       std::size_t end) const
-{
-    for (std::size_t i = begin; i < end; ++i)
-        applyOp(batch, ops_[i]);
 }
 
 StateVector

@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "sim/batched_statevector.hpp"
 #include "sim/circuit.hpp"
 #include "sim/statevector.hpp"
 
@@ -112,21 +111,6 @@ class CompiledCircuit
         apply(state, 0, ops_.size());
     }
 
-    /**
-     * Apply ops [begin, end) to every lane of @p batch in order.
-     *
-     * One SoA sweep per op over all lanes; each lane's amplitudes end
-     * up bit-identical to the single-state apply() above.
-     */
-    void apply(BatchedStateVector &batch, std::size_t begin,
-               std::size_t end) const;
-
-    /** Apply every op to @p batch. */
-    void apply(BatchedStateVector &batch) const
-    {
-        apply(batch, 0, ops_.size());
-    }
-
     /** Run from |0...0> and return the final state. */
     StateVector run() const;
 
@@ -143,9 +127,6 @@ class CompiledCircuit
 
 /** Execute one op on @p state (the kernel dispatch). */
 void applyOp(StateVector &state, const CompiledOp &op);
-
-/** Execute one op on every lane of @p batch. */
-void applyOp(BatchedStateVector &batch, const CompiledOp &op);
 
 /**
  * Classify a single-qubit unitary onto the cheapest kernel (exact

@@ -3,22 +3,15 @@
  * Runtime-dispatched SIMD kernel table for the SoA statevector.
  *
  * Every gate kernel operates on separate re/im double planes
- * (structure-of-arrays) in two shapes:
- *
- *  - single-state: planes of length 2^n, one amplitude per index;
- *  - batched: planes of length 2^n * stride, amplitude-major — the
- *    `stride` doubles at row i hold amplitude i of every lane of a
- *    BatchedStateVector, so the innermost loop is contiguous for any
- *    target qubit (including qubit 0, where the single-state layout
- *    degrades to scalar pairs).
+ * (structure-of-arrays) of length 2^n, one amplitude per index.
  *
  * One KernelTable per ISA tier (scalar / SSE2 / AVX2 / NEON).  All
  * tiers instantiate the same templated per-lane formulas
  * (kernels_generic.hpp) over a 1/2/4-wide vector abstraction, so a
  * wider tier performs exactly the same IEEE-754 operations per
  * amplitude in the same order — outputs are bit-identical across
- * tiers, batch sizes and thread counts (no FMA contraction anywhere:
- * the build compiles with -ffp-contract=off).
+ * tiers and thread counts (no FMA contraction anywhere: the build
+ * compiles with -ffp-contract=off).
  *
  * The tier itself is chosen by the process-wide probe in
  * common/kernel_tier.hpp (CPUID, or HAMMER_KERNELS for the parity
@@ -43,17 +36,6 @@ using common::tierName;
 using common::tierSupported;
 
 /**
- * Batched-plane lane stride granularity, in doubles.
- *
- * BatchedStateVector pads its lane count up to a multiple of this, so
- * every tier's vector width (1, 2 or 4) divides the row stride and
- * the batched kernels never need a scalar tail.  4 doubles matches
- * the widest tier and keeps each 32-byte amplitude row aligned while
- * bounding the padding overhead of narrow batches.
- */
-inline constexpr std::size_t kBatchLaneMultiple = 4;
-
-/**
  * One ISA tier's kernel set.
  *
  * Matrix/diagonal parameters arrive as unpacked component arrays:
@@ -65,7 +47,6 @@ struct KernelTable
     KernelTier tier;
     int lanes; ///< Doubles per vector register (1, 2 or 4).
 
-    // -- Single-state kernels: SoA planes of length dim.
     void (*apply1q)(double *re, double *im, std::size_t dim,
                     std::size_t mask, const double *m);
     void (*applyDiag)(double *re, double *im, std::size_t dim,
@@ -82,31 +63,6 @@ struct KernelTable
                     std::size_t amask, std::size_t bmask);
     void (*applySwap)(double *re, double *im, std::size_t dim,
                       std::size_t amask, std::size_t bmask);
-
-    // -- Batched kernels: dim amplitude rows of `stride` doubles,
-    //    stride a multiple of kBatchLaneMultiple.
-    void (*batch1q)(double *re, double *im, std::size_t dim,
-                    std::size_t mask, std::size_t stride,
-                    const double *m);
-    void (*batchDiag)(double *re, double *im, std::size_t dim,
-                      std::size_t mask, std::size_t stride,
-                      const double *d);
-    void (*batchPhase)(double *re, double *im, std::size_t dim,
-                       std::size_t mask, std::size_t stride, double pr,
-                       double pi);
-    void (*batchX)(double *re, double *im, std::size_t dim,
-                   std::size_t mask, std::size_t stride);
-    void (*batchY)(double *re, double *im, std::size_t dim,
-                   std::size_t mask, std::size_t stride);
-    void (*batchCX)(double *re, double *im, std::size_t dim,
-                    std::size_t cmask, std::size_t tmask,
-                    std::size_t stride);
-    void (*batchCZ)(double *re, double *im, std::size_t dim,
-                    std::size_t amask, std::size_t bmask,
-                    std::size_t stride);
-    void (*batchSwap)(double *re, double *im, std::size_t dim,
-                      std::size_t amask, std::size_t bmask,
-                      std::size_t stride);
 };
 
 // Tier tables.  Plain globals with constant initialisation: taking

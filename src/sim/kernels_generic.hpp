@@ -23,9 +23,6 @@
  *    contiguous with length min(mask_a, mask_b) — same ascending
  *    index order as the historical bit-insertion enumeration, without
  *    the per-index shifts.
- *  - batched kernels add an innermost lane loop over the row stride;
- *    the stride is a multiple of every tier's width
- *    (kBatchLaneMultiple), so the lane loop is always full vectors.
  *
  * NOT included here: norm accumulation and CDF sampling.  Those are
  * ordered reductions; they stay scalar-sequential in StateVector so
@@ -56,10 +53,6 @@ struct VScalar
     static Reg mul(Reg a, Reg b) { return a * b; }
     static Reg neg(Reg a) { return -a; }
 };
-
-// ---------------------------------------------------------------------------
-// Single-state kernels (planes of length dim)
-// ---------------------------------------------------------------------------
 
 template <typename V>
 inline void
@@ -361,239 +354,6 @@ applySwapT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
     })
 }
 
-// ---------------------------------------------------------------------------
-// Batched kernels (dim amplitude rows of `stride` doubles each)
-//
-// The lane loop is the innermost dimension and stride is a multiple
-// of every tier's width, so these never need a scalar tail: padding
-// lanes are zero-initialised and every kernel maps zero to zero.
-// ---------------------------------------------------------------------------
-
-template <typename V>
-inline void
-batch1qT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-         std::size_t dim, std::size_t mask, std::size_t stride,
-         const double *HAMMER_RESTRICT m)
-{
-    const auto vm0r = V::set1(m[0]), vm0i = V::set1(m[1]);
-    const auto vm1r = V::set1(m[2]), vm1i = V::set1(m[3]);
-    const auto vm2r = V::set1(m[4]), vm2i = V::set1(m[5]);
-    const auto vm3r = V::set1(m[6]), vm3i = V::set1(m[7]);
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            double *HAMMER_RESTRICT r0 = re + i * stride;
-            double *HAMMER_RESTRICT c0 = im + i * stride;
-            double *HAMMER_RESTRICT r1 = re + j * stride;
-            double *HAMMER_RESTRICT c1 = im + j * stride;
-            for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto a0r = V::load(r0 + s);
-                const auto a0i = V::load(c0 + s);
-                const auto a1r = V::load(r1 + s);
-                const auto a1i = V::load(c1 + s);
-                V::store(r0 + s,
-                         V::add(V::sub(V::mul(vm0r, a0r),
-                                       V::mul(vm0i, a0i)),
-                                V::sub(V::mul(vm1r, a1r),
-                                       V::mul(vm1i, a1i))));
-                V::store(c0 + s,
-                         V::add(V::add(V::mul(vm0r, a0i),
-                                       V::mul(vm0i, a0r)),
-                                V::add(V::mul(vm1r, a1i),
-                                       V::mul(vm1i, a1r))));
-                V::store(r1 + s,
-                         V::add(V::sub(V::mul(vm2r, a0r),
-                                       V::mul(vm2i, a0i)),
-                                V::sub(V::mul(vm3r, a1r),
-                                       V::mul(vm3i, a1i))));
-                V::store(c1 + s,
-                         V::add(V::add(V::mul(vm2r, a0i),
-                                       V::mul(vm2i, a0r)),
-                                V::add(V::mul(vm3r, a1i),
-                                       V::mul(vm3i, a1r))));
-            }
-        }
-    }
-}
-
-template <typename V>
-inline void
-batchDiagT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-           std::size_t dim, std::size_t mask, std::size_t stride,
-           const double *HAMMER_RESTRICT d)
-{
-    const auto v0r = V::set1(d[0]), v0i = V::set1(d[1]);
-    const auto v1r = V::set1(d[2]), v1i = V::set1(d[3]);
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            double *HAMMER_RESTRICT r0 = re + i * stride;
-            double *HAMMER_RESTRICT c0 = im + i * stride;
-            double *HAMMER_RESTRICT r1 = re + j * stride;
-            double *HAMMER_RESTRICT c1 = im + j * stride;
-            for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto a0r = V::load(r0 + s);
-                const auto a0i = V::load(c0 + s);
-                const auto a1r = V::load(r1 + s);
-                const auto a1i = V::load(c1 + s);
-                V::store(r0 + s, V::sub(V::mul(v0r, a0r),
-                                        V::mul(v0i, a0i)));
-                V::store(c0 + s, V::add(V::mul(v0r, a0i),
-                                        V::mul(v0i, a0r)));
-                V::store(r1 + s, V::sub(V::mul(v1r, a1r),
-                                        V::mul(v1i, a1i)));
-                V::store(c1 + s, V::add(V::mul(v1r, a1i),
-                                        V::mul(v1i, a1r)));
-            }
-        }
-    }
-}
-
-template <typename V>
-inline void
-batchPhaseT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-            std::size_t dim, std::size_t mask, std::size_t stride,
-            double pr, double pi)
-{
-    const auto vpr = V::set1(pr), vpi = V::set1(pi);
-    for (std::size_t base = mask; base < dim; base += mask << 1) {
-        for (std::size_t j = base; j < base + mask; ++j) {
-            double *HAMMER_RESTRICT r1 = re + j * stride;
-            double *HAMMER_RESTRICT c1 = im + j * stride;
-            for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto ar = V::load(r1 + s);
-                const auto ai = V::load(c1 + s);
-                V::store(r1 + s, V::sub(V::mul(vpr, ar),
-                                        V::mul(vpi, ai)));
-                V::store(c1 + s, V::add(V::mul(vpr, ai),
-                                        V::mul(vpi, ar)));
-            }
-        }
-    }
-}
-
-template <typename V>
-inline void
-batchXT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-        std::size_t dim, std::size_t mask, std::size_t stride)
-{
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            double *HAMMER_RESTRICT r0 = re + i * stride;
-            double *HAMMER_RESTRICT c0 = im + i * stride;
-            double *HAMMER_RESTRICT r1 = re + j * stride;
-            double *HAMMER_RESTRICT c1 = im + j * stride;
-            for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto ar = V::load(r0 + s);
-                const auto ai = V::load(c0 + s);
-                V::store(r0 + s, V::load(r1 + s));
-                V::store(c0 + s, V::load(c1 + s));
-                V::store(r1 + s, ar);
-                V::store(c1 + s, ai);
-            }
-        }
-    }
-}
-
-template <typename V>
-inline void
-batchYT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-        std::size_t dim, std::size_t mask, std::size_t stride)
-{
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            double *HAMMER_RESTRICT r0 = re + i * stride;
-            double *HAMMER_RESTRICT c0 = im + i * stride;
-            double *HAMMER_RESTRICT r1 = re + j * stride;
-            double *HAMMER_RESTRICT c1 = im + j * stride;
-            for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto a0r = V::load(r0 + s);
-                const auto a0i = V::load(c0 + s);
-                const auto a1r = V::load(r1 + s);
-                const auto a1i = V::load(c1 + s);
-                V::store(r0 + s, a1i);
-                V::store(c0 + s, V::neg(a1r));
-                V::store(r1 + s, V::neg(a0i));
-                V::store(c1 + s, a0r);
-            }
-        }
-    }
-}
-
-template <typename V>
-inline void
-batchCXT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-         std::size_t dim, std::size_t cmask, std::size_t tmask,
-         std::size_t stride)
-{
-    const std::size_t lo = cmask < tmask ? cmask : tmask;
-    const std::size_t hi = cmask < tmask ? tmask : cmask;
-    HAMMER_FOR_QUARTER(lo, hi, dim, 1, {
-        const std::size_t i = i0 | cmask;
-        const std::size_t j = i | tmask;
-        double *HAMMER_RESTRICT r0 = re + i * stride;
-        double *HAMMER_RESTRICT c0 = im + i * stride;
-        double *HAMMER_RESTRICT r1 = re + j * stride;
-        double *HAMMER_RESTRICT c1 = im + j * stride;
-        for (std::size_t s = 0; s < stride; s += V::width) {
-            const auto ar = V::load(r0 + s);
-            const auto ai = V::load(c0 + s);
-            V::store(r0 + s, V::load(r1 + s));
-            V::store(c0 + s, V::load(c1 + s));
-            V::store(r1 + s, ar);
-            V::store(c1 + s, ai);
-        }
-    })
-}
-
-template <typename V>
-inline void
-batchCZT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-         std::size_t dim, std::size_t amask, std::size_t bmask,
-         std::size_t stride)
-{
-    const std::size_t lo = amask < bmask ? amask : bmask;
-    const std::size_t hi = amask < bmask ? bmask : amask;
-    const std::size_t both = amask | bmask;
-    HAMMER_FOR_QUARTER(lo, hi, dim, 1, {
-        const std::size_t k = i0 | both;
-        double *HAMMER_RESTRICT r1 = re + k * stride;
-        double *HAMMER_RESTRICT c1 = im + k * stride;
-        for (std::size_t s = 0; s < stride; s += V::width) {
-            V::store(r1 + s, V::neg(V::load(r1 + s)));
-            V::store(c1 + s, V::neg(V::load(c1 + s)));
-        }
-    })
-}
-
-template <typename V>
-inline void
-batchSwapT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-           std::size_t dim, std::size_t amask, std::size_t bmask,
-           std::size_t stride)
-{
-    const std::size_t lo = amask < bmask ? amask : bmask;
-    const std::size_t hi = amask < bmask ? bmask : amask;
-    HAMMER_FOR_QUARTER(lo, hi, dim, 1, {
-        const std::size_t i = i0 | amask;
-        const std::size_t j = i0 | bmask;
-        double *HAMMER_RESTRICT r0 = re + i * stride;
-        double *HAMMER_RESTRICT c0 = im + i * stride;
-        double *HAMMER_RESTRICT r1 = re + j * stride;
-        double *HAMMER_RESTRICT c1 = im + j * stride;
-        for (std::size_t s = 0; s < stride; s += V::width) {
-            const auto ar = V::load(r0 + s);
-            const auto ai = V::load(c0 + s);
-            V::store(r0 + s, V::load(r1 + s));
-            V::store(c0 + s, V::load(c1 + s));
-            V::store(r1 + s, ar);
-            V::store(c1 + s, ai);
-        }
-    })
-}
-
 #undef HAMMER_FOR_QUARTER
 
 /** Fill a tier's KernelTable from the template instantiations. */
@@ -612,14 +372,6 @@ makeKernelTable(KernelTier tier)
         &applyCXT<V>,
         &applyCZT<V>,
         &applySwapT<V>,
-        &batch1qT<V>,
-        &batchDiagT<V>,
-        &batchPhaseT<V>,
-        &batchXT<V>,
-        &batchYT<V>,
-        &batchCXT<V>,
-        &batchCZT<V>,
-        &batchSwapT<V>,
     };
 }
 

@@ -9,9 +9,9 @@
  *    circuit from scratch;
  *  - TrajectorySampler::sample reproduces the historical
  *    build-a-circuit-per-trajectory engine bit-for-bit;
- *  - sample()/sampleBatch() determinism (thread-count invariance,
- *    checkpoint-budget invariance) holds on the new paths, including
- *    the zero-error fast path.
+ *  - sample()/sampleBatch() determinism (thread-count, checkpoint-
+ *    budget and kernel-tier invariance) holds on the new paths,
+ *    including the zero-error fast path.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "noise/readout.hpp"
 #include "noise/replay.hpp"
 #include "noise/trajectory_sampler.hpp"
+#include "sim/kernels.hpp"
 
 namespace {
 
@@ -294,6 +295,31 @@ TEST(ReplayDeterminism, CheckpointBudgetNeverChangesResults)
         expectIdentical(expected,
                         sampler.sample(routed, 5, 2500, rng));
     }
+}
+
+TEST(ReplayDeterminism, TierInvariance)
+{
+    // The whole noisy pipeline — clean pass, checkpoints, replay,
+    // sampling — agrees bitwise across every supported ISA tier.
+    const RoutedCircuit routed =
+        trivialRouting(bernsteinVazirani(5, 0b10011));
+    const NoiseModel loud = machinePreset("machineA").scaled(4.0);
+    auto run = [&] {
+        TrajectorySampler sampler(loud, 40);
+        Rng rng(31);
+        return sampler.sampleBatch(routed, 5, 2000, rng, 2);
+    };
+
+    hammer::sim::setActiveKernels(
+        hammer::sim::kernelsForTier(hammer::sim::KernelTier::Scalar));
+    const Distribution want = run();
+    for (const auto tier : hammer::sim::supportedTiers()) {
+        hammer::sim::setActiveKernels(hammer::sim::kernelsForTier(tier));
+        const Distribution got = run();
+        hammer::sim::setActiveKernels(nullptr);
+        expectIdentical(want, got);
+    }
+    hammer::sim::setActiveKernels(nullptr);
 }
 
 TEST(ReplayDeterminism, StatsAccountForFastPathAndReplay)

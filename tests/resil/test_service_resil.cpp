@@ -244,9 +244,18 @@ TEST(ServiceDrift, OutOfBandWindowCountsAnAlert)
     options.driftBandHigh = 2e9;
     ExecutionService service{options};
 
+    testing::internal::CaptureStderr();
     service.wait(service.submit(spec(8)));
     service.wait(service.submit(spec(9)));
+    const std::string log = testing::internal::GetCapturedStderr();
     EXPECT_GE(service.stats().calibrationDriftAlerts, 2u);
+    // The alert names the fitter operators actually have.
+    const std::size_t line = log.find("calibration_drift:");
+    ASSERT_NE(line, std::string::npos) << log;
+    EXPECT_NE(log.substr(line, log.find('\n', line) - line)
+                  .find("hammer_calibrate"),
+              std::string::npos)
+        << log;
 }
 
 TEST(ServiceDrift, DisabledWindowNeverAlerts)

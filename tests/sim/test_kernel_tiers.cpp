@@ -5,9 +5,8 @@
  * The contract under test (the bit-identity invariant of the SoA
  * engine): every supported ISA tier — scalar, SSE2, AVX2, NEON —
  * produces EXACTLY the same amplitudes as the scalar reference for
- * every kernel, both single-state and batched, because all tiers
- * instantiate the same per-lane formulas and the build disables FMA
- * contraction.  EXPECT_EQ on doubles throughout; no tolerances.
+ * every kernel, because all tiers instantiate the same per-lane
+ * formulas and the build disables FMA contraction.  EXPECT_EQ on doubles throughout; no tolerances.
  *
  * These tests force tiers in-process via setActiveKernels(), so one
  * binary run covers every tier the host supports.  The ctest
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/batched_statevector.hpp"
 #include "sim/circuit.hpp"
 #include "sim/compiled.hpp"
 #include "sim/kernels.hpp"
@@ -78,13 +76,9 @@ expectBitIdentical(const StateVector &got, const StateVector &want,
     }
 }
 
-/**
- * Every gate kernel once per qubit.  Templated so the same stream
- * drives a StateVector and every lane of a BatchedStateVector.
- */
-template <typename State>
+/** Every gate kernel once per qubit. */
 void
-runAllKernels(State &sv, const Mat2 &m, Rng &rng)
+runAllKernels(StateVector &sv, const Mat2 &m, Rng &rng)
 {
     const int qubits = [&] {
         int q = 0;
@@ -147,10 +141,6 @@ TEST(KernelDispatch, TablesDeclareTheirTier)
         ASSERT_NE(table, nullptr);
         EXPECT_EQ(table->tier, tier);
         EXPECT_GE(table->lanes, 1);
-        EXPECT_EQ(kBatchLaneMultiple %
-                      static_cast<std::size_t>(table->lanes),
-                  0u)
-            << "batch stride must be divisible by every tier width";
     }
 }
 
@@ -252,109 +242,6 @@ TEST(TierParity, SamplingIdenticalAcrossTiers)
         TierGuard guard(tier);
         Rng r(55);
         EXPECT_EQ(sv.sampleShots(r, 512), want) << tierName(tier);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched parity: every lane == its own StateVector, exactly,
-// including odd batch tails (B not a multiple of any vector width)
-// ---------------------------------------------------------------------------
-
-TEST(TierParity, BatchedLanesMatchSingleStateExactly)
-{
-    const int n = 5;
-    Rng seedRng(9090);
-    std::vector<StateVector> inits;
-    for (int b = 0; b < 9; ++b)
-        inits.push_back(randomState(n, seedRng));
-    const Mat2 m = randomMat(seedRng);
-
-    for (const KernelTier tier : supportedTiers()) {
-        TierGuard guard(tier);
-        for (const int lanes : {1, 2, 3, 5, 7, 8, 9}) {
-            BatchedStateVector batch(n, lanes);
-            std::vector<StateVector> singles;
-            for (int b = 0; b < lanes; ++b) {
-                batch.setLane(b, inits[static_cast<std::size_t>(b)]);
-                singles.push_back(
-                    inits[static_cast<std::size_t>(b)]);
-            }
-
-            Rng batchRng(13), singleRng(13);
-            runAllKernels(batch, m, batchRng);
-            for (auto &sv : singles) {
-                Rng r(13); // every lane sees the same gate stream
-                runAllKernels(sv, m, r);
-            }
-            (void)singleRng;
-
-            for (int b = 0; b < lanes; ++b) {
-                const StateVector got = batch.extractLane(b);
-                expectBitIdentical(
-                    got, singles[static_cast<std::size_t>(b)],
-                    tierName(tier));
-            }
-        }
-    }
-}
-
-TEST(TierParity, PerLaneInjectionsMatchSingleStateExactly)
-{
-    const int n = 4;
-    Rng seedRng(717);
-    std::vector<StateVector> inits;
-    for (int b = 0; b < 5; ++b)
-        inits.push_back(randomState(n, seedRng));
-
-    for (const KernelTier tier : supportedTiers()) {
-        TierGuard guard(tier);
-        BatchedStateVector batch(n, 5);
-        std::vector<StateVector> singles = inits;
-        for (int b = 0; b < 5; ++b)
-            batch.setLane(b, inits[static_cast<std::size_t>(b)]);
-
-        // Shared gate, then a different injection per lane, then
-        // another shared gate — the replayBatch access pattern.
-        batch.applyCX(0, 2);
-        for (auto &sv : singles)
-            sv.applyCX(0, 2);
-
-        batch.applyXLane(0, 1);
-        singles[0].applyX(1);
-        batch.applyYLane(1, 3);
-        singles[1].applyY(3);
-        batch.applyPhaseLane(2, Amp(-1.0, 0.0), 0);
-        singles[2].applyPhase(Amp(-1.0, 0.0), 0);
-        // lanes 3, 4: no injection.
-
-        const Mat2 h = gateMatrix(GateKind::H);
-        batch.apply1q(h, 2);
-        for (auto &sv : singles)
-            sv.apply1q(h, 2);
-
-        for (int b = 0; b < 5; ++b) {
-            expectBitIdentical(batch.extractLane(b),
-                               singles[static_cast<std::size_t>(b)],
-                               tierName(tier));
-        }
-    }
-}
-
-TEST(TierParity, FillFromBroadcastsAndPaddingLanesStayZero)
-{
-    Rng seedRng(818);
-    const StateVector src = randomState(3, seedRng);
-    for (const KernelTier tier : supportedTiers()) {
-        TierGuard guard(tier);
-        BatchedStateVector batch(3, 3); // stride pads 3 -> 8
-        batch.fillFrom(src);
-        batch.applyGate({GateKind::H, 1});
-
-        StateVector want = src;
-        want.applyGate({GateKind::H, 1});
-        for (int b = 0; b < 3; ++b)
-            expectBitIdentical(batch.extractLane(b), want,
-                               tierName(tier));
     }
 }
 

@@ -188,8 +188,8 @@ usage(int exit_code)
         "  --list <what>     workloads | backends | mitigations\n"
         "diagnostics:\n"
         "  --kernels         print the dispatched simulation kernel "
-        "tier (ISA), vector and batch widths, the HAMMER scan tier, "
-        "and exit\n");
+        "tier (ISA), its vector width, the HAMMER scan tier and the "
+        "supported tiers, and exit\n");
     std::exit(exit_code);
 }
 
@@ -245,8 +245,6 @@ printKernels()
     const sim::KernelTable &active = sim::activeKernels();
     std::printf("active tier: %s\n", sim::tierName(active.tier));
     std::printf("vector width: %d doubles\n", active.lanes);
-    std::printf("batch lane multiple: %d doubles\n",
-                static_cast<int>(sim::kBatchLaneMultiple));
     std::printf("hammer scan tier: %s\n",
                 sim::tierName(hammer::core::hammerScanTier()));
     std::printf("supported tiers:");
