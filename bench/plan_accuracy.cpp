@@ -1,14 +1,13 @@
 /**
  * @file
- * Plan-accuracy bench: the calibrated cost model against wall-clock,
- * and the `auto` backend against every hand-picked backend.
+ * Plan-accuracy bench: the fixed cost model against wall-clock, and
+ * the `auto` backend against every hand-picked backend.
  *
  * One bv/qaoa sweep grid, executed under each concrete backend
  * (trajectory, channel) and under `auto`.  Per cell the bench records
- * predicted milliseconds (plan::estimateCost under the active
- * calibration) next to measured wall-clock, so BENCH_plan.json is
- * both the accuracy scoreboard CI tracks *and* the telemetry corpus
- * tools/hammer_calibrate re-fits coefficients from.
+ * predicted milliseconds (plan::estimateCost) next to measured
+ * wall-clock, so BENCH_plan.json is the accuracy scoreboard CI
+ * tracks.
  *
  * Every cell first runs each hand-picked backend and `auto` once,
  * untimed, so no contestant pays a warm-up the others skip (the
@@ -113,9 +112,7 @@ main()
 
     bench::BenchReport report("plan");
 
-    // The sweep grid.  grid_seed/grid_shots/grid_trajectories are
-    // recorded so hammer_calibrate can rebuild each cell's feature
-    // vector from the workload spec alone.
+    // The sweep grid.
     const std::uint64_t grid_seed = 1;
     const int shots = api::smokeShots(4096);
     const int trajectories = api::smokeCount(200, 40);
@@ -124,10 +121,6 @@ main()
         cells.push_back("bv:" + std::to_string(size));
     for (const int size : api::smokeSizes({6, 8, 10}, 1, 6))
         cells.push_back("qaoa:ring:" + std::to_string(size) + ":2");
-    report.metric("grid_seed", static_cast<double>(grid_seed));
-    report.metric("grid_shots", shots);
-    report.metric("grid_trajectories", trajectories);
-    report.note("grid_machine", "machineA");
 
     const std::vector<std::string> handPicked = {"channel",
                                                  "trajectory"};
@@ -199,9 +192,7 @@ main()
             plan::PlanChoice choice;
             choice.backend = backend;
             const double predicted =
-                plan::estimateCost(features, choice,
-                                   plan::activeCalibration())
-                    .seconds;
+                plan::estimateCost(features, choice).seconds;
             const double measured = median(seconds[b]);
             handTotals[b] += measured;
 

@@ -286,31 +286,33 @@ main()
     const auto tiers = sim::supportedTiers();
     const double dim_bytes_base =
         static_cast<double>(std::size_t{1} << n_tier);
-    // seconds[kernel][tier], best of 3 timing passes.
+    // seconds[kernel][tier], best of 5 timing passes.  The speedup
+    // floors gate on these numbers, so contention on a busy runner
+    // must hit every tier alike: each pass times all tiers back to
+    // back, in the opposite order to the pass before.
     std::map<std::string, std::map<sim::KernelTier, double>> tier_secs;
-    for (const sim::KernelTier tier : tiers) {
-        sim::setActiveKernels(sim::kernelsForTier(tier));
-        for (const TierKernel &k : tier_kernels) {
-            StateVector sv(n_tier);
-            {
-                Rng fill(0xF111);
-                for (std::size_t i = 0; i < sv.dimension(); ++i)
-                    sv.setAmplitude(i, Amp(fill.uniform(-1.0, 1.0),
-                                           fill.uniform(-1.0, 1.0)));
-            }
-            // Best-of-5: the speedup floors gate on these numbers,
-            // and one descheduled pass on a busy runner must not
-            // flake the build.
-            double best = -1.0;
-            for (int pass = 0; pass < 5; ++pass) {
+    for (const TierKernel &k : tier_kernels) {
+        StateVector sv(n_tier);
+        {
+            Rng fill(0xF111);
+            for (std::size_t i = 0; i < sv.dimension(); ++i)
+                sv.setAmplitude(i, Amp(fill.uniform(-1.0, 1.0),
+                                       fill.uniform(-1.0, 1.0)));
+        }
+        std::map<sim::KernelTier, double> &best = tier_secs[k.name];
+        for (int pass = 0; pass < 5; ++pass) {
+            for (std::size_t t = 0; t < tiers.size(); ++t) {
+                const sim::KernelTier tier =
+                    tiers[pass % 2 ? tiers.size() - 1 - t : t];
+                sim::setActiveKernels(sim::kernelsForTier(tier));
                 const auto start = std::chrono::steady_clock::now();
                 for (int r = 0; r < reps_tier; ++r)
                     k.apply(sv, r % n_tier);
                 const double secs = secondsSince(start);
-                if (best < 0.0 || secs < best)
-                    best = secs;
+                const auto [slot, fresh] = best.try_emplace(tier, secs);
+                if (!fresh)
+                    slot->second = std::min(slot->second, secs);
             }
-            tier_secs[k.name][tier] = best;
         }
     }
     sim::setActiveKernels(nullptr);

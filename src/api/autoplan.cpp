@@ -1,15 +1,10 @@
 #include "api/autoplan.hpp"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
-#include "api/json.hpp"
 #include "api/pipeline.hpp"
 #include "api/workload.hpp"
 #include "common/logging.hpp"
@@ -21,26 +16,6 @@ namespace hammer::api {
 using common::require;
 
 namespace {
-
-/** The table coefficient a cost group scales (name == JSON key). */
-double &
-coefficient(plan::CalibrationTable &table, plan::CostGroup group)
-{
-    switch (group) {
-    case plan::CostGroup::Dense1q: return table.dense1qRowNs;
-    case plan::CostGroup::Diag: return table.diagRowNs;
-    case plan::CostGroup::Perm: return table.permRowNs;
-    case plan::CostGroup::Twoq: return table.twoqRowNs;
-    case plan::CostGroup::Dispatch: return table.dispatchOverheadRows;
-    case plan::CostGroup::Injection: return table.injectionWeight;
-    case plan::CostGroup::Checkpoint: return table.checkpointRowNs;
-    case plan::CostGroup::Shots: return table.shotNs;
-    case plan::CostGroup::Flips: return table.channelFlipNs;
-    case plan::CostGroup::Density: return table.densityRowNs;
-    case plan::CostGroup::Overhead: return table.planOverheadNs;
-    }
-    throw std::invalid_argument("unknown cost group");
-}
 
 bool
 allDigits(const std::string &text)
@@ -114,96 +89,7 @@ approximateShape(const std::string &workload)
     return shape;
 }
 
-std::once_flag envCalibrationOnce;
-
 } // namespace
-
-std::string
-calibrationJson(const plan::CalibrationTable &table)
-{
-    plan::CalibrationTable copy = table;
-    JsonWriter out;
-    out.beginObject();
-    out.key("type").value("hammer_calibration");
-    out.key("version").value(table.version);
-    out.key("coefficients").beginObject();
-    for (std::size_t g = 0; g < plan::kCostGroups; ++g) {
-        const auto group = static_cast<plan::CostGroup>(g);
-        out.key(plan::costGroupName(group))
-            .value(coefficient(copy, group));
-    }
-    out.endObject();
-    out.endObject();
-    return out.str();
-}
-
-plan::CalibrationTable
-parseCalibration(const std::string &json)
-{
-    const JsonValue root = parseJson(json);
-    require(root.isObject(), "calibration: root must be an object");
-    if (const JsonValue *type = root.find("type"))
-        require(type->asString() == "hammer_calibration",
-                "calibration: unexpected type '" + type->asString() +
-                    "'");
-
-    plan::CalibrationTable table = plan::defaultCalibrationTable();
-    if (const JsonValue *version = root.find("version"))
-        table.version = static_cast<int>(version->asNumber());
-
-    const JsonValue &coeffs = root.at("coefficients");
-    require(coeffs.isObject(),
-            "calibration: coefficients must be an object");
-    for (const auto &[name, value] : coeffs.members()) {
-        bool known = false;
-        for (std::size_t g = 0; g < plan::kCostGroups; ++g) {
-            const auto group = static_cast<plan::CostGroup>(g);
-            if (name == plan::costGroupName(group)) {
-                const double v = value.asNumber();
-                require(v > 0.0,
-                        "calibration: coefficient '" + name +
-                            "' must be > 0");
-                coefficient(table, group) = v;
-                known = true;
-                break;
-            }
-        }
-        require(known,
-                "calibration: unknown coefficient '" + name + "'");
-    }
-    return table;
-}
-
-plan::CalibrationTable
-loadCalibrationFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    require(in.good(),
-            "calibration: cannot read '" + path + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseCalibration(text.str());
-}
-
-void
-ensureEnvCalibrationLoaded()
-{
-    std::call_once(envCalibrationOnce, [] {
-        const char *path = std::getenv("HAMMER_CALIBRATION");
-        if (path == nullptr || *path == '\0')
-            return;
-        try {
-            plan::setActiveCalibration(loadCalibrationFile(path));
-        } catch (const std::exception &e) {
-            // A bad table must never take the process down: warn and
-            // keep the compiled-in defaults.
-            std::fprintf(stderr,
-                         "hammer: ignoring HAMMER_CALIBRATION=%s: "
-                         "%s\n",
-                         path, e.what());
-        }
-    });
-}
 
 plan::PlanFeatures
 approximateSpecFeatures(const ExperimentSpec &spec)
@@ -229,19 +115,14 @@ approximateSpecFeatures(const ExperimentSpec &spec)
 double
 estimateSpecCost(const ExperimentSpec &spec)
 {
-    ensureEnvCalibrationLoaded();
     try {
         const plan::PlanFeatures features =
             approximateSpecFeatures(spec);
-        const plan::CalibrationTable &table =
-            plan::activeCalibration();
-        if (spec.backend == "auto") {
-            const auto ranked = plan::rankPlans(features, table);
-            return ranked.front().cost.seconds;
-        }
+        if (spec.backend == "auto")
+            return plan::rankPlans(features).front().cost.seconds;
         plan::PlanChoice choice;
         choice.backend = spec.backend;
-        return plan::estimateCost(features, choice, table).seconds;
+        return plan::estimateCost(features, choice).seconds;
     } catch (const std::exception &) {
         return 1e-3; // Deterministic fallback for unpriceable specs.
     }
@@ -254,16 +135,13 @@ estimateSpecCost(const ExperimentSpec &spec)
 AutoSampler::AutoSampler(const BackendSpec &spec)
     : spec_(spec), model_(resolveNoiseModel(spec))
 {
-    ensureEnvCalibrationLoaded();
 }
 
 std::vector<plan::RankedPlan>
 AutoSampler::rank(const circuits::RoutedCircuit &routed) const
 {
-    return plan::rankPlans(
-        plan::extractFeatures(routed.circuit, model_, spec_.shots,
-                              spec_.trajectories),
-        plan::activeCalibration());
+    return plan::rankPlans(plan::extractFeatures(
+        routed.circuit, model_, spec_.shots, spec_.trajectories));
 }
 
 std::unique_ptr<noise::NoisySampler>
@@ -307,7 +185,6 @@ AutoSampler::sampleBatch(const circuits::RoutedCircuit &routed,
 std::string
 explainPlan(const ExperimentSpec &spec)
 {
-    ensureEnvCalibrationLoaded();
     common::Rng rng(spec.backendSpec.seed);
     const Workload workload = spec.workloadInstance
         ? *spec.workloadInstance
@@ -317,8 +194,7 @@ explainPlan(const ExperimentSpec &spec)
     const plan::PlanFeatures features = plan::extractFeatures(
         workload.routed.circuit, model, spec.backendSpec.shots,
         spec.backendSpec.trajectories);
-    const auto ranked =
-        plan::rankPlans(features, plan::activeCalibration());
+    const auto ranked = plan::rankPlans(features);
 
     std::ostringstream out;
     out << "plan candidates for " << workload.spec << " on "
@@ -337,7 +213,7 @@ explainPlan(const ExperimentSpec &spec)
         out << (i == 0 ? "  -> " : "     ") << std::left
             << std::setw(13) << r.choice.backend << std::right
             << " predicted=" << r.cost.seconds * 1e3 << "ms";
-        // The two dominant cost groups, for drift debugging.
+        // The two dominant cost groups.
         std::size_t top = 0, second = 0;
         for (std::size_t g = 1; g < plan::kCostGroups; ++g) {
             if (r.cost.groups[g] > r.cost.groups[top]) {

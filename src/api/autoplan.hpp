@@ -1,7 +1,7 @@
 /**
  * @file
  * The `auto` backend and spec-level cost estimation — the api-layer
- * face of the plan::CalibrationTable cost model.
+ * face of the plan:: cost model.
  *
  * Three consumers sit on this header:
  *   - the BackendRegistry's `auto` entry (AutoSampler): enumerate the
@@ -10,9 +10,8 @@
  *   - ExecutionService admission (estimateSpecCost): a cheap,
  *     never-throwing cost estimate from workload *shape* alone,
  *     before anything is built, for deadline shedding and the
- *     predicted/measured drift telemetry;
- *   - the CLI (`--explain-plan`, `--calibration`): human-readable
- *     ranking dumps and calibration.json loading.
+ *     predicted/measured cost totals in ServiceStats;
+ *   - the CLI (`--explain-plan`): human-readable ranking dumps.
  */
 
 #ifndef HAMMER_API_AUTOPLAN_HPP
@@ -31,37 +30,7 @@ namespace hammer::api {
 struct ExperimentSpec;
 
 // ---------------------------------------------------------------------------
-// calibration.json I/O
-// ---------------------------------------------------------------------------
-
-/** Serialise a table as calibration.json (hammer_calibrate output). */
-std::string calibrationJson(const plan::CalibrationTable &table);
-
-/**
- * Parse a calibration.json document.  Unknown coefficients are
- * rejected; absent ones keep their compiled-in defaults.
- *
- * @throws std::invalid_argument on malformed input.
- */
-plan::CalibrationTable parseCalibration(const std::string &json);
-
-/**
- * Read and parse @p path.
- *
- * @throws std::invalid_argument when unreadable or malformed.
- */
-plan::CalibrationTable loadCalibrationFile(const std::string &path);
-
-/**
- * Install the table named by $HAMMER_CALIBRATION (if set) as the
- * active calibration.  Runs once per process; malformed files warn on
- * stderr and fall back to the compiled-in defaults, so a bad file
- * can never take the serving stack down.
- */
-void ensureEnvCalibrationLoaded();
-
-// ---------------------------------------------------------------------------
-// Spec-level estimation (deadline shedding, drift telemetry)
+// Spec-level estimation (deadline shedding, cost telemetry)
 // ---------------------------------------------------------------------------
 
 /**
@@ -72,11 +41,10 @@ void ensureEnvCalibrationLoaded();
 plan::PlanFeatures approximateSpecFeatures(const ExperimentSpec &spec);
 
 /**
- * Predicted execution cost of @p spec in seconds, under the active
- * calibration.  `auto` prices as its cheapest candidate.  Never
- * throws: specs that would fail later (unknown machine, unknown
- * family) get a small fallback cost, so admission still reaches
- * its shedding decision deterministically.
+ * Predicted execution cost of @p spec in seconds.  `auto` prices as
+ * its cheapest candidate.  Never throws: specs that would fail later
+ * (unknown machine, unknown family) get a small fallback cost, so
+ * admission still reaches its shedding decision deterministically.
  */
 double estimateSpecCost(const ExperimentSpec &spec);
 
@@ -90,9 +58,10 @@ double estimateSpecCost(const ExperimentSpec &spec);
  * passing the RNG straight through — the returned histogram is
  * bit-identical to running the selected backend directly.
  *
- * Selection is a pure function of (circuit, spec, active calibration
- * table) — never of what earlier traffic left in a cache — so a
- * fixed table makes the choice deterministic.
+ * Selection is a pure function of the circuit, the noise model, the
+ * shots and the trajectories — never of the kernel tier, the
+ * environment or what earlier traffic left in a cache — so every
+ * process on every host picks the same plan for the same spec.
  */
 class AutoSampler final : public noise::NoisySampler
 {

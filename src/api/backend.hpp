@@ -80,9 +80,9 @@ void validateBackendSpec(const BackendSpec &spec);
  *   channel       analytic end-of-circuit channel (fast sweeps)
  *   exact         density-matrix ground truth (<= ~10 qubits),
  *                 evolved once per (circuit, model) and resampled
- *   auto          cost-model-selected: ranks candidate plans under
- *                 the active plan::CalibrationTable and executes the
- *                 cheapest, bit-identical to that backend
+ *   auto          cost-model-selected: ranks candidate plans with the
+ *                 fixed plan:: cost model and executes the cheapest,
+ *                 bit-identical to that backend
  */
 class BackendRegistry
 {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <iostream>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -364,30 +363,6 @@ ExecutionService::degradedSubstituteLocked(const ExperimentSpec &spec)
     return best;
 }
 
-bool
-ExecutionService::recordDriftLocked(double predicted,
-                                    double measured)
-{
-    if (options_.driftWindow == 0)
-        return false;
-    driftWindowPredicted_ += predicted;
-    driftWindowMeasured_ += measured;
-    if (++driftWindowCount_ < options_.driftWindow)
-        return false;
-    const double ratio = driftWindowPredicted_ > 0.0
-                             ? driftWindowMeasured_ /
-                                   driftWindowPredicted_
-                             : 0.0;
-    driftWindowPredicted_ = 0.0;
-    driftWindowMeasured_ = 0.0;
-    driftWindowCount_ = 0;
-    const bool drifted = ratio < options_.driftBandLow ||
-                         ratio > options_.driftBandHigh;
-    if (drifted)
-        ++stats_.calibrationDriftAlerts;
-    return drifted;
-}
-
 ExecutionService::~ExecutionService() = default;
 
 int
@@ -695,7 +670,6 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                     reduced.backendSpec.trajectories = 0;
                     reducedKey = canonicalSpecKey(reduced);
                 }
-                bool drifted = false;
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
                     if (fullKey) {
@@ -717,25 +691,14 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                     const double busy = busyElapsed();
                     ++stats_.completed;
                     stats_.busySeconds += busy;
-                    // Calibration-drift telemetry: executed jobs
-                    // accumulate prediction and measurement side by
-                    // side.
+                    // Cost telemetry: executed jobs accumulate
+                    // prediction and measurement side by side.
                     stats_.predictedCostSeconds += predicted;
                     stats_.measuredCostSeconds += busy;
                     pendingPredictedCost_ =
                         std::max(0.0,
                                  pendingPredictedCost_ - predicted);
-                    drifted = recordDriftLocked(predicted, busy);
                 }
-                if (drifted)
-                    std::cerr << "calibration_drift: predicted/"
-                                 "measured cost ratio left ["
-                              << options_.driftBandLow << ", "
-                              << options_.driftBandHigh
-                              << "] over the last "
-                              << options_.driftWindow
-                              << " jobs — recalibrate "
-                                 "(hammer_calibrate)\n";
                 promise->set_value(std::move(result));
             } catch (...) {
                 {
@@ -1086,8 +1049,6 @@ serviceStatsJson(const ServiceStats &stats, int workers)
     json.key("degraded_served").value(stats.degradedServed);
     json.key("retry_budget_exhausted")
         .value(stats.retryBudgetExhausted);
-    json.key("calibration_drift_alerts")
-        .value(stats.calibrationDriftAlerts);
     json.key("queue_peak_depth").value(stats.queuePeakDepth);
     json.key("predicted_cost_seconds")
         .value(stats.predictedCostSeconds);

@@ -29,8 +29,8 @@
  * objects) bypass both caches and simply run queued.
  *
  * The cost model (estimateSpecCost) predicts each admitted job's
- * seconds for deadline shedding and for the predicted/measured
- * drift telemetry in ServiceStats; it never reorders the queue.
+ * seconds for deadline shedding and for the predicted/measured cost
+ * totals in ServiceStats; it never reorders the queue.
  */
 
 #ifndef HAMMER_API_SERVICE_HPP
@@ -231,17 +231,6 @@ struct ExecutionServiceOptions
      * is never silently substituted for the real one.
      */
     bool degradedServing = false;
-
-    /**
-     * Calibration-drift alerting: once driftWindow executed jobs
-     * accumulate, the window's measured/predicted cost ratio is
-     * checked against [driftBandLow, driftBandHigh]; leaving the
-     * band emits one `calibration_drift` line on stderr, bumps
-     * calibrationDriftAlerts and restarts the window.  0 disables.
-     */
-    std::size_t driftWindow = 0;
-    double driftBandLow = 0.5;
-    double driftBandHigh = 2.0;
 };
 
 /**
@@ -329,14 +318,6 @@ struct ServiceStats
     std::uint64_t retryBudgetExhausted = 0;
 
     /**
-     * Drift windows whose measured/predicted cost ratio left
-     * [driftBandLow, driftBandHigh] — each also emitted one
-     * `calibration_drift` line on stderr (re-fit with
-     * hammer_calibrate when these accumulate).
-     */
-    std::uint64_t calibrationDriftAlerts = 0;
-
-    /**
      * High-water mark of the pool's job queue depth, observed at
      * submit time (counts the submitting job).  0 on a 1-worker
      * service — jobs run inline, the queue never grows.
@@ -346,10 +327,9 @@ struct ServiceStats
     /**
      * Sum of predicted job costs (estimateSpecCost, seconds) over
      * successfully executed jobs, with the matching measured CPU
-     * seconds alongside — the calibration-drift telemetry: when
-     * measured/predicted wanders from ~1, re-fit with
-     * hammer_calibrate.  Cache hits and coalesced attaches are
-     * excluded from both sides.
+     * seconds alongside: measured/predicted is the cost model's
+     * accuracy on this traffic.  Cache hits and coalesced attaches
+     * are excluded from both sides.
      */
     double predictedCostSeconds = 0.0;
     double measuredCostSeconds = 0.0;
@@ -574,14 +554,6 @@ class ExecutionService
     std::shared_ptr<const Result>
     degradedSubstituteLocked(const ExperimentSpec &spec);
 
-    /**
-     * Fold one executed job's (predicted, measured) cost pair into
-     * the drift window; true when the window closed out of band
-     * (caller emits the stderr line outside the lock).  Caller
-     * holds mutex_.
-     */
-    bool recordDriftLocked(double predicted, double measured);
-
     const Pipeline pipeline_;
     const ExecutionServiceOptions options_;
 
@@ -622,11 +594,6 @@ class ExecutionService
 
     /** ShedDecision seam sequence (one consult per admission). */
     std::uint64_t shedSequence_ = 0;
-
-    /** Calibration-drift sliding window accumulators. */
-    double driftWindowPredicted_ = 0.0;
-    double driftWindowMeasured_ = 0.0;
-    std::size_t driftWindowCount_ = 0;
 
     // Declared last: destroyed first, so queued jobs drained by the
     // pool destructor still see live caches and counters.

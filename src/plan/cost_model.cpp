@@ -2,20 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <utility>
 
-#include "common/logging.hpp"
 #include "sim/compiled.hpp"
-#include "sim/kernels.hpp"
 
 namespace hammer::plan {
-
-using common::require;
 
 namespace {
 
 constexpr double kNs = 1e-9;
+
+// The coefficient table: hand measurements on the reference AVX2 CI
+// host.  The same constants price every host and kernel tier, so a
+// plan is a pure function of its spec.
+
+// Per-amplitude-row kernel costs, nanoseconds.
+constexpr double kDense1qRowNs = 1.3;
+constexpr double kDiagRowNs = 0.8;
+constexpr double kPermRowNs = 0.7;
+constexpr double kTwoqRowNs = 1.6;
+
+/** Fixed per-gate dispatch cost in dense1q-row equivalents. */
+constexpr double kDispatchOverheadRows = 512.0;
+/** One in-place Pauli injection, in permutation-row passes. */
+constexpr double kInjectionWeight = 4.0 / 3.0;
+
+/** Checkpoint store/copy cost per amplitude row, ns. */
+constexpr double kCheckpointRowNs = 0.9;
+/** Per-shot sampling cost (CDF walk + readout + histogram), ns. */
+constexpr double kShotNs = 55.0;
+/** Channel backend: per shot-gate analytic flip draw, ns. */
+constexpr double kChannelFlipNs = 2.6;
+/** Exact backend: per density-matrix element per gate, ns. */
+constexpr double kDensityRowNs = 2.2;
+/** Fixed per-plan overhead (compile, engine set-up), ns. */
+constexpr double kPlanOverheadNs = 60000.0;
 
 /** The trajectory backend's checkpoint budget (noise::ReplayOptions). */
 constexpr double kCheckpointBudgetBytes = 64.0 * 1024.0 * 1024.0;
@@ -25,14 +46,6 @@ constexpr std::size_t
 idx(CostGroup g)
 {
     return static_cast<std::size_t>(g);
-}
-
-/** Per-row sim slowdown of the active tier vs the 4-lane reference. */
-double
-simScale(const PlanFeatures &f)
-{
-    const int lanes = std::max(1, f.kernelLanes);
-    return 4.0 / static_cast<double>(std::min(4, lanes));
 }
 
 void
@@ -45,61 +58,58 @@ finalize(PlanCost &cost)
 
 /** Fold the shared per-shot sampling terms into @p cost. */
 void
-addSampling(PlanCost &cost, const PlanFeatures &f,
-            const CalibrationTable &t, double cdfBuilds)
+addSampling(PlanCost &cost, const PlanFeatures &f, double cdfBuilds)
 {
     cost.groups[idx(CostGroup::Shots)] +=
         (static_cast<double>(f.shots) +
          0.25 * cdfBuilds * static_cast<double>(f.rows())) *
-        t.shotNs * kNs;
+        kShotNs * kNs;
 }
 
 /** One fused pass over the statevector, split by kernel class. */
 void
-addFusedPass(PlanCost &cost, const PlanFeatures &f,
-             const CalibrationTable &t, double passes)
+addFusedPass(PlanCost &cost, const PlanFeatures &f, double passes)
 {
     const double rows = static_cast<double>(f.rows());
-    const double scale = simScale(f) * passes * rows * kNs;
+    const double scale = passes * rows * kNs;
     cost.groups[idx(CostGroup::Dense1q)] +=
-        static_cast<double>(f.dense1q) * t.dense1qRowNs * scale;
+        static_cast<double>(f.dense1q) * kDense1qRowNs * scale;
     cost.groups[idx(CostGroup::Diag)] +=
-        static_cast<double>(f.diag) * t.diagRowNs * scale;
+        static_cast<double>(f.diag) * kDiagRowNs * scale;
     cost.groups[idx(CostGroup::Perm)] +=
-        static_cast<double>(f.perm) * t.permRowNs * scale;
+        static_cast<double>(f.perm) * kPermRowNs * scale;
     cost.groups[idx(CostGroup::Twoq)] +=
-        static_cast<double>(f.twoq) * t.twoqRowNs * scale;
+        static_cast<double>(f.twoq) * kTwoqRowNs * scale;
 }
 
 /** Fixed per-gate dispatch cost for @p ops gate applications. */
 void
-addDispatch(PlanCost &cost, const CalibrationTable &t, double ops)
+addDispatch(PlanCost &cost, double ops)
 {
     cost.groups[idx(CostGroup::Dispatch)] +=
-        ops * t.dispatchOverheadRows * t.dense1qRowNs * kNs;
+        ops * kDispatchOverheadRows * kDense1qRowNs * kNs;
 }
 
 PlanCost
-channelCost(const PlanFeatures &f, const CalibrationTable &t)
+channelCost(const PlanFeatures &f)
 {
     PlanCost cost;
     // One ideal fused simulation...
-    addFusedPass(cost, f, t, 1.0);
-    addDispatch(cost, t,
-                static_cast<double>(f.dense1q + f.diag + f.perm +
-                                    f.twoq));
+    addFusedPass(cost, f, 1.0);
+    addDispatch(cost, static_cast<double>(f.dense1q + f.diag +
+                                          f.perm + f.twoq));
     // ...then analytic per-gate flip draws for every shot.
     cost.groups[idx(CostGroup::Flips)] +=
         static_cast<double>(f.shots) *
-        static_cast<double>(f.sourceGates) * t.channelFlipNs * kNs;
-    addSampling(cost, f, t, 1.0);
-    cost.groups[idx(CostGroup::Overhead)] += t.planOverheadNs * kNs;
+        static_cast<double>(f.sourceGates) * kChannelFlipNs * kNs;
+    addSampling(cost, f, 1.0);
+    cost.groups[idx(CostGroup::Overhead)] += kPlanOverheadNs * kNs;
     finalize(cost);
     return cost;
 }
 
 PlanCost
-trajectoryCost(const PlanFeatures &f, const CalibrationTable &t)
+trajectoryCost(const PlanFeatures &f)
 {
     PlanCost cost;
     const double rows = static_cast<double>(f.rows());
@@ -125,33 +135,30 @@ trajectoryCost(const PlanFeatures &f, const CalibrationTable &t)
 
     // The replay stream is unfused 1q/2q gates: one clean pass plus
     // the expected replayed suffixes.
-    const double passes = (1.0 + noisy * frac) * simScale(f) * rows *
-        kNs;
-    cost.groups[idx(CostGroup::Dense1q)] +=
-        g1q * t.dense1qRowNs * passes;
-    cost.groups[idx(CostGroup::Twoq)] += g2q * t.twoqRowNs * passes;
+    const double passes = (1.0 + noisy * frac) * rows * kNs;
+    cost.groups[idx(CostGroup::Dense1q)] += g1q * kDense1qRowNs * passes;
+    cost.groups[idx(CostGroup::Twoq)] += g2q * kTwoqRowNs * passes;
 
     // Every replayed gate pays the fixed dispatch cost.
-    addDispatch(cost, t, gates + noisy * suffix);
+    addDispatch(cost, gates + noisy * suffix);
 
     // In-place Pauli injections.
     cost.groups[idx(CostGroup::Injection)] +=
         static_cast<double>(f.trajectories) * f.expectedErrors *
-        t.injectionWeight * rows * t.permRowNs * simScale(f) * kNs;
+        kInjectionWeight * rows * kPermRowNs * kNs;
 
     // Checkpoint stores during the clean pass + one copy per replay.
     cost.groups[idx(CostGroup::Checkpoint)] +=
-        (ckCount + noisy) * rows * t.checkpointRowNs * kNs;
+        (ckCount + noisy) * rows * kCheckpointRowNs * kNs;
 
-    addSampling(cost, f, t, static_cast<double>(f.trajectories));
-    cost.groups[idx(CostGroup::Overhead)] +=
-        2.0 * t.planOverheadNs * kNs;
+    addSampling(cost, f, static_cast<double>(f.trajectories));
+    cost.groups[idx(CostGroup::Overhead)] += 2.0 * kPlanOverheadNs * kNs;
     finalize(cost);
     return cost;
 }
 
 PlanCost
-exactCost(const PlanFeatures &f, const CalibrationTable &t)
+exactCost(const PlanFeatures &f)
 {
     PlanCost cost;
     const double rows = static_cast<double>(f.rows());
@@ -160,25 +167,11 @@ exactCost(const PlanFeatures &f, const CalibrationTable &t)
     // coefficient).
     cost.groups[idx(CostGroup::Density)] +=
         static_cast<double>(f.sourceGates) * rows * rows *
-        t.densityRowNs * kNs;
-    cost.groups[idx(CostGroup::Overhead)] += t.planOverheadNs * kNs;
-    addSampling(cost, f, t, 1.0);
+        kDensityRowNs * kNs;
+    cost.groups[idx(CostGroup::Overhead)] += kPlanOverheadNs * kNs;
+    addSampling(cost, f, 1.0);
     finalize(cost);
     return cost;
-}
-
-CalibrationTable &
-mutableActive()
-{
-    static CalibrationTable table = defaultCalibrationTable();
-    return table;
-}
-
-std::mutex &
-activeMutex()
-{
-    static std::mutex mutex;
-    return mutex;
 }
 
 } // namespace
@@ -211,7 +204,6 @@ extractFeatures(const sim::Circuit &circuit,
     f.qubits = circuit.numQubits();
     f.shots = shots;
     f.trajectories = trajectories;
-    f.kernelLanes = sim::activeKernels().lanes;
 
     const sim::CompiledCircuit compiled =
         sim::CompiledCircuit::compile(circuit, {});
@@ -257,7 +249,6 @@ approximateFeatures(int qubits, std::uint64_t gates1q,
     f.qubits = qubits;
     f.shots = shots;
     f.trajectories = trajectories;
-    f.kernelLanes = sim::activeKernels().lanes;
     // Assume fusion halves the 1q stream and the usual CX/CZ split.
     f.dense1q = (gates1q + 1) / 2;
     f.twoq = (gates2q + 1) / 2;
@@ -270,48 +261,26 @@ approximateFeatures(int qubits, std::uint64_t gates1q,
     return f;
 }
 
-CalibrationTable
-defaultCalibrationTable()
-{
-    return CalibrationTable{};
-}
-
-const CalibrationTable &
-activeCalibration()
-{
-    // Callers install tables at start-up (CLI flag, env var, tests);
-    // reads during steady-state execution see a stable object.
-    return mutableActive();
-}
-
-void
-setActiveCalibration(const CalibrationTable &table)
-{
-    std::lock_guard<std::mutex> lock(activeMutex());
-    mutableActive() = table;
-}
-
 PlanCost
-estimateCost(const PlanFeatures &features, const PlanChoice &choice,
-             const CalibrationTable &table)
+estimateCost(const PlanFeatures &features, const PlanChoice &choice)
 {
     if (choice.backend == "trajectory")
-        return trajectoryCost(features, table);
+        return trajectoryCost(features);
     if (choice.backend == "exact")
-        return exactCost(features, table);
+        return exactCost(features);
     // Unknown backends (remote) cost like the channel plan they
     // typically delegate to.
-    return channelCost(features, table);
+    return channelCost(features);
 }
 
 std::vector<RankedPlan>
-rankPlans(const PlanFeatures &features, const CalibrationTable &table)
+rankPlans(const PlanFeatures &features)
 {
     std::vector<RankedPlan> ranked;
     ranked.reserve(3);
     const auto add = [&](const char *backend) {
         PlanChoice choice{backend};
-        const PlanCost cost = estimateCost(features, choice, table);
+        const PlanCost cost = estimateCost(features, choice);
         ranked.push_back({std::move(choice), cost});
     };
     add("channel");
@@ -327,116 +296,6 @@ rankPlans(const PlanFeatures &features, const CalibrationTable &table)
                   return a.choice.backend < b.choice.backend;
               });
     return ranked;
-}
-
-// ---------------------------------------------------------------------------
-// Calibrator
-// ---------------------------------------------------------------------------
-
-void
-Calibrator::addSample(const CalibrationSample &sample)
-{
-    require(sample.measuredSeconds >= 0.0,
-            "Calibrator: negative measurement");
-    samples_.push_back(sample);
-}
-
-CalibrationTable
-Calibrator::fit(const CalibrationTable &seed) const
-{
-    constexpr std::size_t n = kCostGroups;
-
-    // Basis: each sample's predicted per-group seconds under the
-    // seed table.  We solve for one scale per group, ridge-shrunk
-    // toward 1 so unobserved groups keep their seed values.
-    std::vector<std::array<double, n>> basis;
-    std::vector<double> measured;
-    basis.reserve(samples_.size());
-    double trace = 0.0;
-    for (const CalibrationSample &s : samples_) {
-        const PlanCost predicted =
-            estimateCost(s.features, s.choice, seed);
-        basis.push_back(predicted.groups);
-        measured.push_back(s.measuredSeconds);
-        for (const double g : predicted.groups)
-            trace += g * g;
-    }
-    const double lambda =
-        1e-3 * trace / static_cast<double>(n) + 1e-18;
-
-    // Normal equations A x = b with A = G^T G + lambda I and
-    // b = G^T y + lambda * 1.
-    std::array<std::array<double, n>, n> A{};
-    std::array<double, n> b{};
-    for (std::size_t i = 0; i < n; ++i) {
-        A[i][i] = lambda;
-        b[i] = lambda;
-    }
-    for (std::size_t s = 0; s < basis.size(); ++s) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (basis[s][i] == 0.0)
-                continue;
-            b[i] += basis[s][i] * measured[s];
-            for (std::size_t j = 0; j < n; ++j)
-                A[i][j] += basis[s][i] * basis[s][j];
-        }
-    }
-
-    // Gaussian elimination with partial pivoting (n is tiny).
-    std::array<double, n> x{};
-    for (std::size_t col = 0; col < n; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < n; ++r) {
-            if (std::fabs(A[r][col]) > std::fabs(A[pivot][col]))
-                pivot = r;
-        }
-        std::swap(A[col], A[pivot]);
-        std::swap(b[col], b[pivot]);
-        const double diag = A[col][col];
-        if (std::fabs(diag) < 1e-300)
-            continue;
-        for (std::size_t r = col + 1; r < n; ++r) {
-            const double factor = A[r][col] / diag;
-            if (factor == 0.0)
-                continue;
-            for (std::size_t c = col; c < n; ++c)
-                A[r][c] -= factor * A[col][c];
-            b[r] -= factor * b[col];
-        }
-    }
-    for (std::size_t col = n; col-- > 0;) {
-        double sum = b[col];
-        for (std::size_t c = col + 1; c < n; ++c)
-            sum -= A[col][c] * x[c];
-        x[col] = std::fabs(A[col][col]) < 1e-300
-            ? 1.0
-            : sum / A[col][col];
-    }
-
-    // Clamp: a fit should recalibrate, never invert or zero a
-    // coefficient (which could break cost monotonicity).
-    for (double &scale : x)
-        scale = std::clamp(scale, 0.05, 20.0);
-
-    CalibrationTable out = seed;
-    out.dense1qRowNs *= x[idx(CostGroup::Dense1q)];
-    out.diagRowNs *= x[idx(CostGroup::Diag)];
-    out.permRowNs *= x[idx(CostGroup::Perm)];
-    out.twoqRowNs *= x[idx(CostGroup::Twoq)];
-    // Dispatch is priced in dense1q rows and injections in perm
-    // rows, so these two coefficients take their group's scale
-    // relative to the row cost they multiply.
-    out.dispatchOverheadRows *= x[idx(CostGroup::Dispatch)] /
-        x[idx(CostGroup::Dense1q)];
-    out.injectionWeight *=
-        x[idx(CostGroup::Injection)] / x[idx(CostGroup::Perm)];
-    out.checkpointRowNs *= x[idx(CostGroup::Checkpoint)];
-    out.shotNs *= x[idx(CostGroup::Shots)];
-    out.channelFlipNs *= x[idx(CostGroup::Flips)];
-    out.densityRowNs *= x[idx(CostGroup::Density)];
-    out.planOverheadNs *= x[idx(CostGroup::Overhead)];
-    out.version = seed.version + 1;
-    return out;
 }
 
 } // namespace hammer::plan

@@ -2,7 +2,10 @@
 # Multi-process shard smoke: two real `hammer_cli --shard` workers on
 # Unix-domain sockets, a `--serve --shards` router over both, and a
 # byte-for-byte diff against the single-process `--serve --canonical`
-# run.  Usage: shard_smoke.sh <hammer_cli> <specs-file>
+# run.  The shards run the scalar kernel tier while the local run keeps
+# the host's best, so the diff also checks that no Result (nor the plan
+# `auto` picks) depends on the tier.
+# Usage: shard_smoke.sh <hammer_cli> <specs-file>
 set -euo pipefail
 
 cli=$1
@@ -24,7 +27,8 @@ trap cleanup EXIT
 addresses=()
 for i in 0 1; do
     sock="$workdir/shard$i.sock"
-    "$cli" --shard --listen "unix:$sock" 2> "$workdir/shard$i.log" &
+    HAMMER_KERNELS=scalar "$cli" --shard --listen "unix:$sock" \
+        2> "$workdir/shard$i.log" &
     pids+=($!)
     addresses+=("unix:$sock")
 done

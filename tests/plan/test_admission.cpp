@@ -2,8 +2,8 @@
  * @file
  * Admission telemetry: the ExecutionService's predicted-vs-measured
  * cost and peak queue depth, across 1/2/4 workers.  The predictions
- * drive deadline shedding (tests/resil) and drift alerts; queue order
- * is priority then FIFO (ThreadPool's own tests).
+ * drive deadline shedding (tests/resil); queue order is priority then
+ * FIFO (ThreadPool's own tests).
  */
 
 #include <gtest/gtest.h>

@@ -1,50 +1,33 @@
 /**
  * @file
  * The `auto` backend: registry integration, bit-identity with the
- * selected backend, calibration-forced plan choices, calibration
- * JSON round-trips and the --explain-plan dump.
+ * selected backend, plan choices decided by the spec alone (never by
+ * the kernel tier or a cache), and the --explain-plan dump.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/api.hpp"
 #include "api/autoplan.hpp"
 #include "common/rng.hpp"
 #include "noise/distribution_memo.hpp"
-#include "plan/cost_model.hpp"
+#include "sim/kernels.hpp"
 
 namespace {
 
 using hammer::api::AutoSampler;
 using hammer::api::BackendRegistry;
 using hammer::api::BackendSpec;
-using hammer::api::calibrationJson;
 using hammer::api::estimateSpecCost;
 using hammer::api::explainPlan;
 using hammer::api::ExperimentSpec;
-using hammer::api::parseCalibration;
 using hammer::api::Workload;
 using hammer::api::WorkloadRegistry;
 using hammer::core::Distribution;
-using hammer::plan::activeCalibration;
-using hammer::plan::CalibrationTable;
-using hammer::plan::defaultCalibrationTable;
-using hammer::plan::setActiveCalibration;
-
-/** Restore the process-wide calibration on scope exit. */
-class ScopedCalibration
-{
-  public:
-    ScopedCalibration() : saved_(activeCalibration()) {}
-    ~ScopedCalibration() { setActiveCalibration(saved_); }
-
-  private:
-    CalibrationTable saved_;
-};
 
 bool
 identical(const Distribution &a, const Distribution &b)
@@ -80,9 +63,6 @@ TEST(AutoBackend, RegisteredAlongsideTheHandPickedBackends)
 
 TEST(AutoBackend, BitIdenticalToTheSelectedBackend)
 {
-    const ScopedCalibration guard;
-    setActiveCalibration(defaultCalibrationTable());
-
     for (const char *workloadSpec : {"bv:7", "qaoa:ring:6:1"}) {
         hammer::common::Rng wrng(3);
         const Workload workload =
@@ -107,40 +87,69 @@ TEST(AutoBackend, BitIdenticalToTheSelectedBackend)
     }
 }
 
-TEST(AutoBackend, CalibrationForcesThePlanChoice)
+TEST(AutoBackend, SpecDecidesThePlan)
 {
-    const ScopedCalibration guard;
     hammer::common::Rng wrng(3);
-    // 13 physical qubits: the exact backends are not candidates, so
-    // the choice is channel vs trajectory and the table decides.
+    // 13 physical qubits: exact is not a candidate, so the choice is
+    // channel vs trajectory, and the spec's shots and trajectories
+    // decide it.  Only 100 shots are sampled; the plan prices the
+    // spec's budget.
     const Workload workload =
         WorkloadRegistry::global().make("bv:12", wrng);
-    const BackendSpec spec = smallSpec();
 
-    CalibrationTable channelHostile = defaultCalibrationTable();
-    channelHostile.channelFlipNs = 1e9;
-    setActiveCalibration(channelHostile);
-    AutoSampler a(spec);
-    hammer::common::Rng rng1(spec.seed);
+    // Many shots, few trajectories: channel's per-shot flip draws
+    // cost more than two replayed trajectories.
+    BackendSpec manyShots = smallSpec();
+    manyShots.shots = 100000;
+    manyShots.trajectories = 2;
+    AutoSampler a(manyShots);
+    hammer::common::Rng rng1(manyShots.seed);
     (void)a.sample(workload.routed, workload.measuredQubits, 100,
                    rng1);
     EXPECT_EQ(a.lastChoice().backend, "trajectory");
 
-    CalibrationTable trajectoryHostile = defaultCalibrationTable();
-    trajectoryHostile.checkpointRowNs = 1e9;
-    trajectoryHostile.injectionWeight = 1e9;
-    setActiveCalibration(trajectoryHostile);
-    AutoSampler b(spec);
-    hammer::common::Rng rng2(spec.seed);
+    // Few shots, many trajectories: one ideal simulation wins.
+    AutoSampler b(smallSpec());
+    hammer::common::Rng rng2(smallSpec().seed);
     (void)b.sample(workload.routed, workload.measuredQubits, 100,
                    rng2);
     EXPECT_EQ(b.lastChoice().backend, "channel");
 }
 
+TEST(AutoBackend, SamePlanOnEveryKernelTier)
+{
+    // The cost model prices every tier alike, so a narrower SIMD
+    // tier can never flip the plan; qaoa:ring:6:2 at 3150 shots sits
+    // within 1% of the channel/exact boundary.
+    hammer::common::Rng wrng(5);
+    const Workload workload =
+        WorkloadRegistry::global().make("qaoa:ring:6:2", wrng);
+    BackendSpec spec;
+    spec.shots = 3150;
+    spec.seed = 5;
+
+    const auto tiers = hammer::sim::supportedTiers();
+    std::vector<std::string> choices;
+    std::vector<Distribution> dists;
+    for (const hammer::sim::KernelTier tier : tiers) {
+        hammer::sim::setActiveKernels(hammer::sim::kernelsForTier(tier));
+        AutoSampler sampler(spec);
+        hammer::common::Rng rng(spec.seed);
+        dists.push_back(sampler.sampleBatch(workload.routed,
+                                            workload.measuredQubits,
+                                            spec.shots, rng, 1));
+        choices.push_back(sampler.lastChoice().backend);
+    }
+    hammer::sim::setActiveKernels(nullptr);
+    for (std::size_t i = 1; i < tiers.size(); ++i) {
+        const char *tier = hammer::sim::tierName(tiers[i]);
+        EXPECT_EQ(choices[i], choices[0]) << tier;
+        EXPECT_TRUE(identical(dists[i], dists[0])) << tier;
+    }
+}
+
 TEST(AutoBackend, RankingIsDeterministic)
 {
-    const ScopedCalibration guard;
-    setActiveCalibration(defaultCalibrationTable());
     hammer::common::Rng wrng(3);
     const Workload workload =
         WorkloadRegistry::global().make("bv:6", wrng);
@@ -160,8 +169,6 @@ TEST(AutoBackend, PlanIgnoresTheExactMemo)
     // auto plans from the spec alone: once the exact backend has
     // memoised a key, the ranking and the histogram are the ones a
     // cold process produces.
-    const ScopedCalibration guard;
-    setActiveCalibration(defaultCalibrationTable());
     hammer::noise::DistributionMemo::shared().clear();
     hammer::common::Rng wrng(3);
     const Workload workload =
@@ -194,50 +201,8 @@ TEST(AutoBackend, PlanIgnoresTheExactMemo)
     EXPECT_TRUE(identical(cold, warm));
 }
 
-TEST(Calibration, JsonRoundTripsEveryCoefficient)
-{
-    CalibrationTable table = defaultCalibrationTable();
-    table.dense1qRowNs = 2.5;
-    table.dispatchOverheadRows = 640.0;
-    table.injectionWeight = 1.25;
-    table.shotNs = 42.0;
-    table.version = 7;
-
-    const CalibrationTable parsed =
-        parseCalibration(calibrationJson(table));
-    EXPECT_EQ(parsed.dense1qRowNs, table.dense1qRowNs);
-    EXPECT_EQ(parsed.diagRowNs, table.diagRowNs);
-    EXPECT_EQ(parsed.permRowNs, table.permRowNs);
-    EXPECT_EQ(parsed.twoqRowNs, table.twoqRowNs);
-    EXPECT_EQ(parsed.dispatchOverheadRows,
-              table.dispatchOverheadRows);
-    EXPECT_EQ(parsed.injectionWeight, table.injectionWeight);
-    EXPECT_EQ(parsed.checkpointRowNs, table.checkpointRowNs);
-    EXPECT_EQ(parsed.shotNs, table.shotNs);
-    EXPECT_EQ(parsed.channelFlipNs, table.channelFlipNs);
-    EXPECT_EQ(parsed.densityRowNs, table.densityRowNs);
-    EXPECT_EQ(parsed.planOverheadNs, table.planOverheadNs);
-    EXPECT_EQ(parsed.version, table.version);
-}
-
-TEST(Calibration, RejectsUnknownCoefficientsAndBadValues)
-{
-    EXPECT_THROW(parseCalibration("{\"type\":\"hammer_calibration\","
-                                  "\"version\":1,\"coefficients\":"
-                                  "{\"bogus_ns\":1.0}}"),
-                 std::invalid_argument);
-    EXPECT_THROW(parseCalibration("{\"type\":\"hammer_calibration\","
-                                  "\"version\":1,\"coefficients\":"
-                                  "{\"shot_ns\":-1.0}}"),
-                 std::invalid_argument);
-    EXPECT_THROW(parseCalibration("not json"),
-                 std::invalid_argument);
-}
-
 TEST(Admission, SpecCostEstimateIsPositiveAndMonotoneInShots)
 {
-    const ScopedCalibration guard;
-    setActiveCalibration(defaultCalibrationTable());
     ExperimentSpec spec;
     spec.workload = "bv:8";
     spec.backend = "channel";
@@ -256,8 +221,6 @@ TEST(Admission, SpecCostEstimateIsPositiveAndMonotoneInShots)
 
 TEST(ExplainPlan, ListsRankedCandidates)
 {
-    const ScopedCalibration guard;
-    setActiveCalibration(defaultCalibrationTable());
     ExperimentSpec spec;
     spec.workload = "bv:6";
     spec.backend = "auto";

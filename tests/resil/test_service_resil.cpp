@@ -3,8 +3,8 @@
  * ExecutionService resilience policies: deadline-aware admission and
  * load shedding (including the ShedDecision chaos seam), degraded
  * serving from cached lower-budget results (always explicitly
- * flagged, never silent), per-key-class retry budgets, the
- * calibration-drift alert counter, and shutdown() racing concurrent
+ * flagged, never silent), per-key-class retry budgets, their
+ * service_stats counters, and shutdown() racing concurrent
  * submit/waitFor at 1/2/4 workers.
  */
 
@@ -233,40 +233,6 @@ TEST(ServiceRetryBudget, AmpleBudgetStillRetriesToCompletion)
     EXPECT_EQ(service.stats().retryBudgetExhausted, 0u);
 }
 
-TEST(ServiceDrift, OutOfBandWindowCountsAnAlert)
-{
-    ExecutionServiceOptions options;
-    options.workers = 1;
-    options.driftWindow = 1;
-    // An impossible band: every window's measured/predicted ratio
-    // falls below it, so each completed window raises the alert.
-    options.driftBandLow = 1e9;
-    options.driftBandHigh = 2e9;
-    ExecutionService service{options};
-
-    testing::internal::CaptureStderr();
-    service.wait(service.submit(spec(8)));
-    service.wait(service.submit(spec(9)));
-    const std::string log = testing::internal::GetCapturedStderr();
-    EXPECT_GE(service.stats().calibrationDriftAlerts, 2u);
-    // The alert names the fitter operators actually have.
-    const std::size_t line = log.find("calibration_drift:");
-    ASSERT_NE(line, std::string::npos) << log;
-    EXPECT_NE(log.substr(line, log.find('\n', line) - line)
-                  .find("hammer_calibrate"),
-              std::string::npos)
-        << log;
-}
-
-TEST(ServiceDrift, DisabledWindowNeverAlerts)
-{
-    ExecutionServiceOptions options;
-    options.workers = 1; // driftWindow defaults to 0 = off.
-    ExecutionService service{options};
-    service.wait(service.submit(spec(10)));
-    EXPECT_EQ(service.stats().calibrationDriftAlerts, 0u);
-}
-
 TEST(ServiceStatsJson, CarriesTheResilienceCounters)
 {
     ExecutionServiceOptions options;
@@ -278,8 +244,7 @@ TEST(ServiceStatsJson, CarriesTheResilienceCounters)
         serviceStatsJson(service.stats(), service.workers());
     for (const char *key :
          {"\"deadline_rejections\"", "\"shed_forced\"",
-          "\"degraded_served\"", "\"retry_budget_exhausted\"",
-          "\"calibration_drift_alerts\""})
+          "\"degraded_served\"", "\"retry_budget_exhausted\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
 }
 

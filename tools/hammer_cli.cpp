@@ -94,7 +94,6 @@
 #include "api/api.hpp"
 #include "api/autoplan.hpp"
 #include "common/thread_pool.hpp"
-#include "plan/cost_model.hpp"
 #include "core/io.hpp"
 #include "net/router.hpp"
 #include "net/shard_worker.hpp"
@@ -128,15 +127,11 @@ usage(int exit_code)
         "  --machine <name>  noise preset (default machineA)\n"
         "  --backend <b>     trajectory | channel | exact | auto "
         "(default trajectory);\n"
-        "                    auto ranks candidate plans under the "
-        "active cost calibration and runs the cheapest\n"
+        "                    auto ranks candidate plans with the "
+        "fixed cost model and runs the cheapest\n"
         "  --explain-plan    with --sample: print the ranked "
         "candidate plans (predicted cost, top cost groups)\n"
         "                    instead of executing, and exit\n"
-        "  --calibration <f> load cost-model coefficients from a "
-        "calibration.json (see hammer_calibrate;\n"
-        "                    $HAMMER_CALIBRATION does the same "
-        "without the flag)\n"
         "  --shots <k>       shot budget (default 8192)\n"
         "  --trajectories <t> noise trajectories (default 250)\n"
         "  --threads <N>     worker threads (default: HAMMER_THREADS "
@@ -344,10 +339,6 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
 
     ExecutionServiceOptions options;
     options.workers = threads;
-    // The serving path runs long enough for cost-model drift to
-    // matter: alert when a 64-job window's predicted/measured ratio
-    // leaves the calibration band.
-    options.driftWindow = 64;
     applyRetryBudget(options, retry_budget);
     options.degradedServing = degraded_ok;
     ExecutionService service{options};
@@ -600,7 +591,6 @@ runShard(const std::string &listen, int threads, int retry_budget,
 
     net::ShardWorkerOptions options;
     options.service.workers = threads;
-    options.service.driftWindow = 64;
     applyRetryBudget(options.service, retry_budget);
     options.service.degradedServing = degraded_ok;
     options.emitStats = true;
@@ -738,17 +728,6 @@ main(int argc, char **argv)
             sample_spec = next_value("--sample");
         } else if (arg == "--explain-plan") {
             explain_plan = true;
-        } else if (arg == "--calibration") {
-            const char *path = next_value("--calibration");
-            try {
-                plan::setActiveCalibration(
-                    api::loadCalibrationFile(path));
-            } catch (const std::exception &error) {
-                std::fprintf(stderr,
-                             "hammer_cli: --calibration %s: %s\n",
-                             path, error.what());
-                return 2;
-            }
         } else if (arg == "--serve") {
             serve_mode = true;
             serve_path = next_value("--serve");
