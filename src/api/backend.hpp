@@ -47,13 +47,6 @@ struct BackendSpec
 
     /** Channel-backend tuning (bursts, coherent errors, ...). */
     std::optional<noise::ChannelParams> channelParams;
-
-    /**
-     * `remote` backend only: the registered backend a shard runs the
-     * spec on (any name except "remote").  Part of every canonical
-     * execution key, so it also splits shard affinity.
-     */
-    std::string serviceBackend = "channel";
 };
 
 /**

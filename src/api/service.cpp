@@ -85,33 +85,7 @@ retryKeyClass(const ExperimentSpec &spec)
     return spec.backend + "|" + spec.workload.substr(0, colon);
 }
 
-/** Process-wide RemoteExecutor slot (see service.hpp). */
-std::mutex remoteExecutorMutex;
-RemoteExecutor remoteExecutorHook;
-
-/** Copy the installed executor (empty when none). */
-RemoteExecutor
-remoteExecutorSnapshot()
-{
-    std::lock_guard<std::mutex> lock(remoteExecutorMutex);
-    return remoteExecutorHook;
-}
-
 } // namespace
-
-void
-setRemoteExecutor(RemoteExecutor executor)
-{
-    std::lock_guard<std::mutex> lock(remoteExecutorMutex);
-    remoteExecutorHook = std::move(executor);
-}
-
-bool
-hasRemoteExecutor()
-{
-    std::lock_guard<std::mutex> lock(remoteExecutorMutex);
-    return static_cast<bool>(remoteExecutorHook);
-}
 
 // ---------------------------------------------------------------------------
 // Typed operational errors + integrity checksums
@@ -226,9 +200,6 @@ canonicalExecKey(const ExperimentSpec &spec)
     appendField(key, "traj",
                 std::to_string(spec.backendSpec.trajectories));
     appendField(key, "seed", std::to_string(spec.backendSpec.seed));
-    // The remote backend's delegate changes the histogram, so it
-    // must split the key (harmlessly constant for other backends).
-    appendField(key, "sb", spec.backendSpec.serviceBackend);
     return key;
 }
 
@@ -381,15 +352,6 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     require(spec.workloadInstance.has_value() || !spec.workload.empty(),
             "ExecutionService: spec needs a workload (registry spec "
             "or prebuilt instance)");
-    if (spec.backend == "remote") {
-        require(hasRemoteExecutor(),
-                "ExecutionService: backend 'remote' needs a "
-                "RemoteExecutor installed (net::enableRemoteBackend)");
-        require(canonicalExecKey(spec).has_value(),
-                "ExecutionService: backend 'remote' cannot carry "
-                "prebuilt state (workload instance, noise model or "
-                "channel params) across the wire");
-    }
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -645,12 +607,12 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                 // The one per-job cache copy, outside the mutex.
                 // Checksummed from the genuine value; a Poison fault
                 // corrupts only the stored copy afterwards, so the
-                // next hit's verification must catch it.
-                // A degraded result (remote backend's local
-                // fallback) is never cached: the cache must only
-                // ever serve what the spec actually asked for.
+                // next hit's verification must catch it.  Degraded
+                // substitutes never get here (submit() serves them
+                // directly), so the cache only ever holds what a
+                // spec actually asked for.
                 Checked<Result> entry;
-                if (fullKey && resultCache_ && !result.degraded) {
+                if (fullKey && resultCache_) {
                     auto copy = std::make_shared<Result>(result);
                     entry.checksum = resultChecksum(*copy);
                     if (fault(common::FaultSite::CacheInsert,
@@ -739,22 +701,6 @@ ExecutionService::runJob(const ExperimentSpec &spec,
                 std::chrono::milliseconds(action.millis));
     };
     faultPoint(0);
-
-    if (spec.backend == "remote") {
-        // The transport owns the whole build/execute/mitigate/score
-        // chain on some shard; this worker only ferries the spec out
-        // and the Result back.  Job-level coalescing and the result
-        // LRU still wrap this path (canonical keys include the
-        // backend and its delegate), so repeat remote traffic is
-        // served locally without touching the wire.
-        const RemoteExecutor executor = remoteExecutorSnapshot();
-        require(executor != nullptr,
-                "ExecutionService: RemoteExecutor uninstalled while "
-                "a remote job was queued");
-        Result result = executor(spec);
-        faultPoint(1);
-        return result;
-    }
 
     RunState state;
     Result result = pipeline_.buildWorkload(spec, state);
@@ -1080,14 +1026,7 @@ positiveIntField(const JsonValue &value)
     return static_cast<int>(number);
 }
 
-/**
- * Largest seed a spec line carries: 2^53 - 1, the largest integer a
- * JSON number holds exactly, so every seed survives the wire form
- * net::remoteSpecLine renders.
- */
-constexpr std::uint64_t kMaxSpecSeed = (std::uint64_t{1} << 53) - 1;
-
-/** Seed from a JSON number: an integer in [0, 2^53). */
+/** Seed from a JSON number: an integer in [0, kMaxSpecSeed]. */
 std::uint64_t
 seedField(const JsonValue &value)
 {
@@ -1097,22 +1036,6 @@ seedField(const JsonValue &value)
         number != std::floor(number))
         common::fatal("must be an integer in [0, 2^53)");
     return static_cast<std::uint64_t>(number);
-}
-
-/** Seed from a CSV field: decimal digits, in [0, 2^53). */
-std::uint64_t
-csvSeedField(const std::string &field)
-{
-    errno = 0;
-    char *end = nullptr;
-    // strtoull accepts a sign and leading space; a seed is digits.
-    const unsigned long long value =
-        std::strtoull(field.c_str(), &end, 10);
-    if (field[0] < '0' || field[0] > '9' || *end != '\0' ||
-        errno == ERANGE || value > kMaxSpecSeed)
-        common::fatal("spec line 'seed': must be an integer in "
-                      "[0, 2^53), got '" + field + "'");
-    return value;
 }
 
 /** One key of the JSON spec form (error messages get the key prefixed). */
@@ -1227,7 +1150,8 @@ parseCsvSpecLine(const std::string &line)
         spec.backendSpec.shots =
             parsePositiveInt(fields[2], "spec line 'shots'");
     if (fields.size() > 3 && !fields[3].empty())
-        spec.backendSpec.seed = csvSeedField(fields[3]);
+        spec.backendSpec.seed =
+            parseSeed(fields[3], "spec line 'seed'");
     if (fields.size() > 4 && !fields[4].empty()) {
         // ',' is the field separator, so multi-stage chains use '+'
         // here ("readout+hammer"), matching MitigationChain::name().

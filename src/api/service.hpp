@@ -39,7 +39,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -644,31 +643,6 @@ struct SpecLine
 SpecLine parseSpecLine(const std::string &line);
 
 // ---------------------------------------------------------------------------
-// Remote execution (the `remote` backend's seam)
-// ---------------------------------------------------------------------------
-
-/**
- * Process-wide hook the `remote` backend dispatches through: given a
- * spec (backend == "remote", delegate named by
- * BackendSpec::serviceBackend), produce its Result — typically by
- * serializing the spec as a protocol line, sending it to a
- * net::ShardRouter fleet, and parsing the result line back.
- *
- * Lives here (not in net) so ExecutionService never depends on the
- * transport: net::enableRemoteBackend installs the implementation,
- * the same boundary-layering as the FaultInjector seam.  Thread-safe
- * to install/clear; jobs in flight keep the executor they started
- * with.
- */
-using RemoteExecutor = std::function<Result(const ExperimentSpec &)>;
-
-/** Install (or with nullptr clear) the process-wide RemoteExecutor. */
-void setRemoteExecutor(RemoteExecutor executor);
-
-/** True when a RemoteExecutor is installed. */
-bool hasRemoteExecutor();
-
-// ---------------------------------------------------------------------------
 // Result interchange (what crosses the shard wire)
 // ---------------------------------------------------------------------------
 
@@ -681,7 +655,8 @@ bool hasRemoteExecutor();
  * the parsed Result reproduces the original JSON byte-for-byte
  * (given the same max_outcomes).  Fields writeJson does not emit
  * (aggregate CHS vectors, the circuit itself) are absent — compare
- * remote results with canonicalResultJson, not resultChecksum.
+ * results that crossed the shard wire with canonicalResultJson, not
+ * resultChecksum.
  *
  * @throws std::invalid_argument on malformed or incomplete input.
  */

@@ -1,7 +1,9 @@
 #include "api/workload.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 
 #include "circuits/bv.hpp"
@@ -187,6 +189,21 @@ parsePositiveInt(const std::string &text, const std::string &context)
         fatal(context + ": '" + text +
               "' is not a positive integer");
     return static_cast<int>(value);
+}
+
+std::uint64_t
+parseSeed(const std::string &text, const std::string &context)
+{
+    errno = 0;
+    char *end = nullptr;
+    // strtoull accepts a sign and leading space; a seed is digits.
+    const unsigned long long value =
+        std::strtoull(text.c_str(), &end, 10);
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' ||
+        errno == ERANGE || value > kMaxSpecSeed)
+        fatal(context + ": '" + text +
+              "' is not an integer in [0, 2^53)");
+    return value;
 }
 
 WorkloadRegistry

@@ -16,6 +16,7 @@
 #ifndef HAMMER_API_WORKLOAD_HPP
 #define HAMMER_API_WORKLOAD_HPP
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -179,6 +180,26 @@ std::vector<std::string> splitSpec(const std::string &spec);
  */
 int parsePositiveInt(const std::string &text,
                      const std::string &context);
+
+/**
+ * Largest seed a spec carries: 2^53 - 1, the largest integer a JSON
+ * number holds exactly, so a seed reads the same in the CSV and JSON
+ * spec-line forms, on the command line and across the shard wire.
+ */
+inline constexpr std::uint64_t kMaxSpecSeed =
+    (std::uint64_t{1} << 53) - 1;
+
+/**
+ * Parse an experiment seed: decimal digits of an integer in
+ * [0, kMaxSpecSeed] (no sign, no space).  The one seed syntax of the
+ * CSV spec line and `hammer_cli --seed`.
+ *
+ * @param text Digits to parse.
+ * @param context Name of the field or flag, quoted in the error.
+ * @throws std::invalid_argument when @p text is not such an integer.
+ */
+std::uint64_t parseSeed(const std::string &text,
+                        const std::string &context);
 
 // ---------------------------------------------------------------------------
 // Direct builders (the registry factories call these; benches and

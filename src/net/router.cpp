@@ -11,6 +11,9 @@ namespace hammer::net {
 
 namespace {
 
+/** Grace beyond the heartbeat interval before a silent shard is dead. */
+constexpr std::chrono::milliseconds kHeartbeatGrace{1000};
+
 /**
  * splitmix64 finalizer over the FNV digest: FNV's low bits are weak
  * for small-modulus bucketing, and shard balance is what the bench
@@ -398,11 +401,8 @@ ShardRouter::ensureConnected(std::size_t index)
                 return nullptr;
         }
         try {
-            Socket sock = connectTo(shard.address,
-                                    options_.connectTimeoutMs);
-            if (options_.recvTimeoutMs > 0)
-                sock.setRecvTimeout(options_.recvTimeoutMs);
-            auto conn = std::make_shared<Socket>(std::move(sock));
+            auto conn =
+                std::make_shared<Socket>(connectTo(shard.address));
             writeFrame(*conn, Frame{FrameType::Hello, {}});
             std::uint64_t generation = 0;
             {
@@ -464,8 +464,7 @@ ShardRouter::readerLoop(std::size_t index, std::uint64_t generation,
 {
     try {
         for (;;) {
-            std::optional<Frame> frame =
-                readFrame(*conn, options_.maxFramePayload);
+            std::optional<Frame> frame = readFrame(*conn);
             if (!frame)
                 break;
             switch (frame->type) {
@@ -714,8 +713,7 @@ ShardRouter::heartbeatLoop()
                 conn = shard.conn;
                 silent = std::chrono::steady_clock::now() -
                              shard.lastAck >
-                         interval + std::chrono::milliseconds(
-                                        options_.heartbeatTimeoutMs);
+                         interval + kHeartbeatGrace;
             }
             if (silent) {
                 markDead(index);

@@ -98,8 +98,8 @@ class RemoteJobError final : public RouterError
 /**
  * Every shard's circuit breaker refused the dispatch — a fleet-wide
  * outage as the breakers see it.  Thrown by wait() instead of
- * burning the full reconnect/attempt budget; the remote backend
- * catches exactly this to fall back to degraded local execution.
+ * burning the full reconnect/attempt budget, so a caller can tell a
+ * dead fleet from a failed job.
  */
 class BreakerOpenError final : public RouterError
 {
@@ -135,26 +135,14 @@ struct ShardRouterOptions
     /** Sleep between reconnect attempts (milliseconds). */
     int reconnectDelayMs = 10;
 
-    /** connect() deadline per attempt (milliseconds). */
-    int connectTimeoutMs = 5000;
-
     /**
      * Heartbeat probe interval (milliseconds; 0 disables the
-     * monitor thread).  A shard whose last ack is older than
-     * interval + heartbeatTimeoutMs is declared dead and its pending
-     * jobs re-route.  Chaos replay tests disable heartbeats: probe
-     * timing is wall-clock, not seed-determined.
+     * monitor thread).  A shard whose last ack is older than the
+     * interval plus a fixed 1 s grace is declared dead and its
+     * pending jobs re-route.  Chaos replay tests disable heartbeats:
+     * probe timing is wall-clock, not seed-determined.
      */
     int heartbeatIntervalMs = 0;
-
-    /** Grace beyond the interval before a silent shard is dead. */
-    int heartbeatTimeoutMs = 1000;
-
-    /** Per-connection recv timeout (milliseconds; 0 = none). */
-    int recvTimeoutMs = 0;
-
-    /** Payload bound handed to readFrame. */
-    std::size_t maxFramePayload = kMaxFramePayload;
 
     /**
      * Circuit breakers: consecutive failures (send failures, shard

@@ -103,9 +103,6 @@ ShardWorker::stats() const
 void
 ShardWorker::serveConnection(Socket &conn)
 {
-    if (options_.recvTimeoutMs > 0)
-        conn.setRecvTimeout(options_.recvTimeoutMs);
-
     /** One queued reply: a submitted job's handle, or an immediate
      *  parse/submit failure already mapped to an Error frame. */
     struct Outgoing

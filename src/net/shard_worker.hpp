@@ -51,13 +51,6 @@ struct ShardWorkerOptions
 
     /** Print one serviceStatsJson line on stderr when run() exits. */
     bool emitStats = false;
-
-    /**
-     * recv timeout for the connection socket in milliseconds
-     * (0 = none).  A wedged router eventually surfaces as
-     * WireError(Timeout) and the worker goes back to accept().
-     */
-    int recvTimeoutMs = 0;
 };
 
 /** Counters of one ShardWorker (wire-level; service has its own). */

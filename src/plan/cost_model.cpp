@@ -268,8 +268,8 @@ estimateCost(const PlanFeatures &features, const PlanChoice &choice)
         return trajectoryCost(features);
     if (choice.backend == "exact")
         return exactCost(features);
-    // Unknown backends (remote) cost like the channel plan they
-    // typically delegate to.
+    // Unknown backends cost like the channel plan: their jobs fail
+    // when they run, and admission still needs a finite estimate.
     return channelCost(features);
 }
 

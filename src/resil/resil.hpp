@@ -47,7 +47,7 @@ namespace hammer::resil {
 /**
  * A retry was denied because the traffic class's token bucket ran
  * dry.  Thrown by ExecutionService::wait (service jobs) and
- * ShardRouter::wait (remote jobs); catching it tells the caller the
+ * ShardRouter::wait (routed jobs); catching it tells the caller the
  * *policy* gave up, not that the job itself is poisoned — the spec
  * may succeed verbatim once the fleet recovers.
  */

@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "api/json.hpp"
 #include "api/pipeline.hpp"
 #include "api/service.hpp"
 #include "graph/generators.hpp"
-#include "net/remote_backend.hpp"
 #include "noise/distribution_memo.hpp"
 
 namespace {
@@ -26,6 +26,7 @@ using hammer::api::canonicalSpecKey;
 using hammer::api::ExecutionService;
 using hammer::api::ExecutionServiceOptions;
 using hammer::api::ExperimentSpec;
+using hammer::api::JsonWriter;
 using hammer::api::parseSpecLine;
 using hammer::api::Pipeline;
 using hammer::api::Result;
@@ -269,14 +270,6 @@ TEST(ExecutionService, CanonicalKeysSeparateEveryAxis)
     other = smallBvSpec(1);
     other.mitigation = "none";
     EXPECT_NE(base, *canonicalSpecKey(other));
-    // The remote backend's delegate determines the histogram: two
-    // remote specs differing only there must never share a key.
-    other = smallBvSpec(1);
-    other.backend = "remote";
-    auto remote_traj = other;
-    remote_traj.backendSpec.serviceBackend = "trajectory";
-    EXPECT_NE(*canonicalSpecKey(other),
-              *canonicalSpecKey(remote_traj));
 
     // Threads and labels do not change results, so they must not
     // change the key either.
@@ -328,8 +321,8 @@ TEST(ExecutionService, ValidatesAtSubmitAndSurfacesJobErrorsAtWait)
     auto bad_shots = smallBvSpec(1);
     bad_shots.backendSpec.shots = 0;
     EXPECT_THROW(service.submit(bad_shots), std::invalid_argument);
-    EXPECT_THROW(service.submit(ExperimentSpec{}),
-                 std::invalid_argument);
+    const ExperimentSpec no_workload;
+    EXPECT_THROW(service.submit(no_workload), std::invalid_argument);
 
     // Registry errors surface when the job runs, i.e. at wait().
     auto bad_backend = smallBvSpec(1);
@@ -430,24 +423,21 @@ TEST(SpecLine, ParsesPositionalCsv)
     EXPECT_EQ(chained.spec.backendSpec.machine, "machineB");
 }
 
-TEST(SpecLine, KeepsEverySeedTheRemoteWireFormRenders)
+TEST(SpecLine, KeepsEverySeedInBothForms)
 {
-    // net::remoteSpecLine renders the seed as a full uint64; a shard
-    // parses it back.  Every seed in [0, 2^53) must survive, in both
-    // spec-line forms.
-    ExperimentSpec spec;
-    spec.workload = "ghz:3";
-    spec.backend = "remote";
-    spec.backendSpec.serviceBackend = "channel";
-    spec.backendSpec.shots = 100;
+    // Every seed in [0, 2^53) must survive both spec-line forms; the
+    // shard smoke carries both ends of the range across the wire.
     for (const std::uint64_t seed :
          {std::uint64_t{0}, std::uint64_t{1} << 31,
           (std::uint64_t{1} << 53) - 1}) {
-        spec.backendSpec.seed = seed;
-        const SpecLine parsed =
-            parseSpecLine(hammer::net::remoteSpecLine(spec));
-        EXPECT_EQ(parsed.spec.backendSpec.seed, seed);
-        EXPECT_EQ(parsed.spec.backend, "channel");
+        JsonWriter line;
+        line.beginObject();
+        line.key("workload").value("ghz:3");
+        line.key("shots").value(100);
+        line.key("seed").value(seed);
+        line.endObject();
+        EXPECT_EQ(parseSpecLine(line.str()).spec.backendSpec.seed,
+                  seed);
         EXPECT_EQ(parseSpecLine("ghz:3,channel,100," +
                                 std::to_string(seed))
                       .spec.backendSpec.seed,

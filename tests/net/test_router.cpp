@@ -19,10 +19,8 @@
 #include <vector>
 
 #include "api/json.hpp"
-#include "api/pipeline.hpp"
 #include "api/service.hpp"
 #include "chaos/fault_plan.hpp"
-#include "net/remote_backend.hpp"
 #include "net/router.hpp"
 #include "net/shard_worker.hpp"
 
@@ -33,7 +31,6 @@ using hammer::api::ExecutionService;
 using hammer::api::ExecutionServiceOptions;
 using hammer::api::parseJson;
 using hammer::api::parseSpecLine;
-using hammer::api::Result;
 using hammer::api::SpecLine;
 using hammer::chaos::FaultPlan;
 using hammer::chaos::FaultPlanOptions;
@@ -385,58 +382,6 @@ TEST(ShardRouter, ShutdownShardsDrainsTheFleet)
     // stop() + join() then completes promptly instead of timing the
     // test out.
     fleet.reset();
-}
-
-TEST(RemoteBackend, MatchesTheDelegateBackendBitIdentically)
-{
-    Fleet fleet(2);
-    auto router = std::make_shared<ShardRouter>([&] {
-        ShardRouterOptions options;
-        options.addresses = fleet.addresses();
-        return options;
-    }());
-    hammer::net::enableRemoteBackend(router);
-
-    ExecutionServiceOptions service_options;
-    service_options.workers = 1;
-    ExecutionService service{service_options};
-
-    hammer::api::ExperimentSpec remote;
-    remote.workload = "bv:5";
-    remote.backend = "remote";
-    remote.backendSpec.serviceBackend = "channel";
-    remote.backendSpec.shots = 256;
-    remote.backendSpec.seed = 9;
-
-    hammer::api::ExperimentSpec local = remote;
-    local.backend = "channel";
-
-    const Result via_remote = service.wait(service.submit(remote));
-    const Result via_local = service.wait(service.submit(local));
-    // backend/label identity fields differ ("remote" vs "channel");
-    // the histograms and metrics must not.
-    EXPECT_EQ(via_remote.raw.entries().size(),
-              via_local.raw.entries().size());
-    for (std::size_t i = 0; i < via_local.raw.entries().size();
-         ++i) {
-        EXPECT_EQ(via_remote.raw.entries()[i].outcome,
-                  via_local.raw.entries()[i].outcome);
-        EXPECT_EQ(via_remote.raw.entries()[i].probability,
-                  via_local.raw.entries()[i].probability);
-    }
-    EXPECT_EQ(via_remote.mitigated.entries().size(),
-              via_local.mitigated.entries().size());
-    for (std::size_t i = 0;
-         i < via_local.mitigated.entries().size(); ++i) {
-        EXPECT_EQ(via_remote.mitigated.entries()[i].outcome,
-                  via_local.mitigated.entries()[i].outcome);
-        EXPECT_EQ(via_remote.mitigated.entries()[i].probability,
-                  via_local.mitigated.entries()[i].probability);
-    }
-
-    hammer::net::disableRemoteBackend();
-    // With the hook cleared, remote submits fail at the boundary.
-    EXPECT_THROW(service.submit(remote), std::invalid_argument);
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * ShardRouter resilience policies over a real in-process fleet:
  * bounded affinity LRU, per-shard circuit breakers (fast-fail when
- * every breaker is open), the global retry budget, degraded local
- * fallback in the remote backend, and the kill-and-flap replay
- * campaign — same seed, bit-identical results and policy counters.
+ * every breaker is open), the global retry budget, and the
+ * kill-and-flap replay campaign — same seed, bit-identical results
+ * and policy counters.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "api/pipeline.hpp"
 #include "api/service.hpp"
 #include "chaos/fault_plan.hpp"
-#include "net/remote_backend.hpp"
 #include "net/router.hpp"
 #include "net/shard_worker.hpp"
 #include "resil/resil.hpp"
@@ -30,7 +28,6 @@ using hammer::api::canonicalResultJson;
 using hammer::api::ExecutionService;
 using hammer::api::ExecutionServiceOptions;
 using hammer::api::parseSpecLine;
-using hammer::api::Result;
 using hammer::api::SpecLine;
 using hammer::chaos::FaultPlan;
 using hammer::chaos::FaultPlanOptions;
@@ -241,103 +238,6 @@ TEST(RouterRetryBudget, DryBudgetFailsTypedWithoutRetryStorm)
     EXPECT_EQ(stats.retryBudgetExhausted, 1u);
     EXPECT_EQ(stats.retries, 1u)
         << "exactly one denied retry, no storm";
-}
-
-TEST(RemoteBackend, DegradedLocalFallbackWhenEveryBreakerIsOpen)
-{
-    FaultPlanOptions faults;
-    faults.shardSendKillRate = 1.0; // The fleet is unreachable.
-
-    Fleet fleet(1);
-    auto router = std::make_shared<ShardRouter>([&] {
-        ShardRouterOptions options;
-        options.addresses = fleet.addresses();
-        options.faultInjector =
-            std::make_shared<FaultPlan>(8, faults);
-        options.breakerFailureThreshold = 1;
-        options.breakerBackoffBaseMs = 60000.0;
-        return options;
-    }());
-    hammer::net::RemoteBackendOptions remote_options;
-    remote_options.degradedLocalFallback = true;
-    hammer::net::enableRemoteBackend(router, remote_options);
-
-    ExecutionServiceOptions service_options;
-    service_options.workers = 1;
-    ExecutionService service{service_options};
-
-    hammer::api::ExperimentSpec remote;
-    remote.workload = "bv:5";
-    remote.backend = "remote";
-    remote.backendSpec.serviceBackend = "channel";
-    remote.backendSpec.shots = 256;
-    remote.backendSpec.seed = 9;
-
-    hammer::api::ExperimentSpec local = remote;
-    local.backend = "channel";
-
-    const Result via_remote = service.wait(service.submit(remote));
-    const Result via_local = service.wait(service.submit(local));
-
-    // The fallback is explicit — flagged in the struct and in the
-    // serialized form — and histogram-identical to a local run of
-    // the delegate backend.
-    EXPECT_TRUE(via_remote.degraded);
-    EXPECT_FALSE(via_local.degraded);
-    EXPECT_NE(via_remote.json(-1).find("\"degraded\":true"),
-              std::string::npos);
-    ASSERT_EQ(via_remote.mitigated.entries().size(),
-              via_local.mitigated.entries().size());
-    for (std::size_t i = 0;
-         i < via_local.mitigated.entries().size(); ++i) {
-        EXPECT_EQ(via_remote.mitigated.entries()[i].outcome,
-                  via_local.mitigated.entries()[i].outcome);
-        EXPECT_EQ(via_remote.mitigated.entries()[i].probability,
-                  via_local.mitigated.entries()[i].probability);
-    }
-
-    // Degraded results are never cached: a re-submit of the remote
-    // spec goes back through the transport (and falls back again)
-    // instead of replaying a cached degraded answer.
-    const Result again = service.wait(service.submit(remote));
-    EXPECT_TRUE(again.degraded);
-    EXPECT_EQ(service.stats().resultCache.hits, 0u)
-        << "a degraded result must never be served from the cache";
-
-    hammer::net::disableRemoteBackend();
-}
-
-TEST(RemoteBackend, NoFallbackWithoutOptInStaysLoud)
-{
-    FaultPlanOptions faults;
-    faults.shardSendKillRate = 1.0;
-
-    Fleet fleet(1);
-    auto router = std::make_shared<ShardRouter>([&] {
-        ShardRouterOptions options;
-        options.addresses = fleet.addresses();
-        options.faultInjector =
-            std::make_shared<FaultPlan>(10, faults);
-        options.breakerFailureThreshold = 1;
-        options.breakerBackoffBaseMs = 60000.0;
-        return options;
-    }());
-    hammer::net::enableRemoteBackend(router); // Defaults: no fallback.
-
-    ExecutionServiceOptions service_options;
-    service_options.workers = 1;
-    ExecutionService service{service_options};
-
-    hammer::api::ExperimentSpec remote;
-    remote.workload = "bv:5";
-    remote.backend = "remote";
-    remote.backendSpec.serviceBackend = "channel";
-    remote.backendSpec.shots = 128;
-    remote.backendSpec.seed = 2;
-
-    EXPECT_THROW(service.wait(service.submit(remote)),
-                 BreakerOpenError);
-    hammer::net::disableRemoteBackend();
 }
 
 /**

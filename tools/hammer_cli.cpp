@@ -46,7 +46,8 @@
  *   --threads <N>      worker threads; results are bit-identical for
  *                      every N (default: HAMMER_THREADS env, else all
  *                      hardware threads)
- *   --seed <s>         RNG seed (default 1)
+ *   --seed <s>         RNG seed in [0, 2^53), as in spec lines
+ *                      (default 1)
  *   --time             print sampling wall-clock to stderr
  *
  * Serving (the api::ExecutionService front door):
@@ -136,7 +137,7 @@ usage(int exit_code)
         "  --trajectories <t> noise trajectories (default 250)\n"
         "  --threads <N>     worker threads (default: HAMMER_THREADS "
         "env, else all cores); output is bit-identical for every N\n"
-        "  --seed <s>        RNG seed (default 1)\n"
+        "  --seed <s>        RNG seed in [0, 2^53) (default 1)\n"
         "  --time            sampling wall-clock on stderr\n"
         "serving:\n"
         "  --serve <file|->  run spec lines (JSON object or CSV\n"
@@ -188,16 +189,24 @@ usage(int exit_code)
     std::exit(exit_code);
 }
 
-int
-parsePositiveInt(const char *text, const char *flag)
+/** Parse @p flag's value with @p parse; a bad value exits 2. */
+template <typename Parse>
+auto
+parseFlag(Parse parse, const char *text, const char *flag)
 {
     try {
-        return hammer::api::parsePositiveInt(text, flag);
+        return parse(text, flag);
     } catch (const std::invalid_argument &) {
         std::fprintf(stderr, "hammer_cli: bad value for %s: '%s'\n",
                      flag, text);
         std::exit(2);
     }
+}
+
+int
+parsePositiveInt(const char *text, const char *flag)
+{
+    return parseFlag(hammer::api::parsePositiveInt, text, flag);
 }
 
 /** Keep only the @p top most probable outcomes (top <= 0 = all). */
@@ -765,9 +774,9 @@ main(int argc, char **argv)
             backend_spec.threads = parsePositiveInt(
                 next_value("--threads"), "--threads");
         } else if (arg == "--seed") {
-            backend_spec.seed =
-                static_cast<std::uint64_t>(parsePositiveInt(
-                    next_value("--seed"), "--seed"));
+            backend_spec.seed = parseFlag(hammer::api::parseSeed,
+                                          next_value("--seed"),
+                                          "--seed");
         } else if (arg == "--time") {
             print_time = true;
         } else {
