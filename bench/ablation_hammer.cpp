@@ -14,6 +14,7 @@
 #include "common/table.hpp"
 #include "core/hammer.hpp"
 #include "metrics/metrics.hpp"
+#include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
 #include "support/workloads.hpp"
 
@@ -48,8 +49,8 @@ main()
         const auto model =
             noise::machinePreset(instance.machine).scaled(2.0);
         auto shot_rng = rng.split();
-        noisy.push_back(bench::sampleNoisy(
-            instance.routed, instance.measuredQubits, model,
+        noisy.push_back(noise::ChannelSampler(model).sample(
+            instance.routed, instance.measuredQubits,
             bench::smokeShots(8192), shot_rng));
         keys.push_back(instance.key);
     }

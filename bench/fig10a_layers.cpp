@@ -13,6 +13,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/hammer.hpp"
+#include "noise/channel_sampler.hpp"
 #include "qaoa/cost.hpp"
 #include "sim/simulator.hpp"
 #include "graph/generators.hpp"
@@ -54,8 +55,8 @@ main()
                 qaoa::costRatio(ideal, g, instance.minCost));
 
             auto shot_rng = rng.split();
-            const auto noisy = bench::sampleNoisy(
-                instance.routed, g.numVertices(), model,
+            const auto noisy = noise::ChannelSampler(model).sample(
+                instance.routed, g.numVertices(),
                 bench::smokeShots(8192), shot_rng);
             baseline.push_back(
                 qaoa::costRatio(noisy, g, instance.minCost));

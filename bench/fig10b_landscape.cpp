@@ -13,6 +13,7 @@
 #include "common/table.hpp"
 #include "core/hammer.hpp"
 #include "graph/generators.hpp"
+#include "noise/channel_sampler.hpp"
 #include "qaoa/landscape.hpp"
 #include "support/report.hpp"
 #include "support/workloads.hpp"
@@ -40,9 +41,9 @@ main()
                     circuit,
                     circuits::CouplingMap::line(g.numVertices()));
                 auto shot_rng = rng.split();
-                auto dist = bench::sampleNoisy(
-                    routed, g.numVertices(), model,
-                    bench::smokeShots(4096), shot_rng);
+                auto dist = noise::ChannelSampler(model).sample(
+                    routed, g.numVertices(), bench::smokeShots(4096),
+                    shot_rng);
                 return use_hammer ? core::reconstruct(dist) : dist;
             });
     };

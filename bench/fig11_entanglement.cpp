@@ -54,7 +54,7 @@ runEntropyFamily(const char *title, int depth, int circuits_count,
             sim::runCircuit(mirror.firstHalf)));
 
         auto shot_rng = rng.split();
-        const auto dist = sampler.sampleBatch(
+        const auto dist = sampler.sample(
             circuits::trivialRouting(mirror.full), n,
             bench::smokeShots(3000), shot_rng);
         ehds.push_back(core::expectedHammingDistance(dist, {0}));
@@ -93,7 +93,7 @@ runFidelityFamily(const char *title, int depth, int circuits_count,
         const auto mirror = circuits::randomMirrorCircuit(
             n, depth, density, rng);
         auto shot_rng = rng.split();
-        const auto dist = sampler.sampleBatch(
+        const auto dist = sampler.sample(
             circuits::trivialRouting(mirror.full), n,
             bench::smokeShots(3000), shot_rng);
         fidelities.push_back(dist.probability(0));

@@ -14,6 +14,7 @@
 #include "common/table.hpp"
 #include "core/ehd.hpp"
 #include "graph/generators.hpp"
+#include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
 #include "support/workloads.hpp"
 
@@ -27,9 +28,8 @@ bvEhd(int n, const noise::NoiseModel &model, common::Rng &rng)
     const common::Bits key = (common::Bits{1} << n) - 1;
     const auto instance = bench::makeBvInstance(n, key, "machineA");
     auto shot_rng = rng.split();
-    const auto dist = bench::sampleNoisy(instance.routed, n, model,
-                                         bench::smokeShots(4096),
-                                         shot_rng);
+    const auto dist = noise::ChannelSampler(model).sample(
+        instance.routed, n, bench::smokeShots(4096), shot_rng);
     return core::expectedHammingDistance(dist, {key});
 }
 
@@ -42,9 +42,8 @@ qaoaEhd(int n, int p, const noise::NoiseModel &model, common::Rng &rng)
         const auto instance = bench::makeQaoaInstance(g, p, false, 0,
                                                       0, "3reg");
         auto shot_rng = rng.split();
-        const auto dist = bench::sampleNoisy(
-            instance.routed, n, model, bench::smokeShots(4096),
-            shot_rng);
+        const auto dist = noise::ChannelSampler(model).sample(
+            instance.routed, n, bench::smokeShots(4096), shot_rng);
         ehds.push_back(core::expectedHammingDistance(
             dist, instance.correctOutcomes));
     }
@@ -85,9 +84,9 @@ main()
         const auto grid_instance = bench::makeQaoaInstance(
             graph::grid(rows, cols), 4, true, rows, cols, "grid");
         auto shot_rng = rng.split();
-        const auto grid_dist = bench::sampleNoisy(
-            grid_instance.routed, n, google,
-            bench::smokeShots(4096), shot_rng);
+        const auto grid_dist = noise::ChannelSampler(google).sample(
+            grid_instance.routed, n, bench::smokeShots(4096),
+            shot_rng);
         const double grid_ehd = core::expectedHammingDistance(
             grid_dist, grid_instance.correctOutcomes);
         const double reg_ehd =

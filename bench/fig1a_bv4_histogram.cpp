@@ -12,6 +12,7 @@
 #include "common/table.hpp"
 #include "core/ehd.hpp"
 #include "metrics/metrics.hpp"
+#include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
 #include "support/workloads.hpp"
 
@@ -29,8 +30,8 @@ main()
     // larger error rates per useful gate at this tiny size).
     const auto model =
         noise::machinePreset(instance.machine).scaled(2.5);
-    const auto dist = bench::sampleNoisy(instance.routed, 4, model,
-                                         bench::smokeShots(8192), rng);
+    const auto dist = noise::ChannelSampler(model).sample(
+        instance.routed, 4, bench::smokeShots(8192), rng);
 
     common::Table table({"outcome", "probability", "hamming_d(key)"});
     for (const auto &entry : dist.sortedByProbability()) {

@@ -12,6 +12,7 @@
 #include "common/table.hpp"
 #include "core/ehd.hpp"
 #include "graph/generators.hpp"
+#include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
 #include "support/workloads.hpp"
 
@@ -33,9 +34,8 @@ main()
             const auto g = graph::kRegular(n, 3, rng);
             const auto instance =
                 bench::makeQaoaInstance(g, 2, false, 0, 0, "3reg");
-            const auto dist = bench::sampleNoisy(
-                instance.routed, n, model, bench::smokeShots(4096),
-                rng);
+            const auto dist = noise::ChannelSampler(model).sample(
+                instance.routed, n, bench::smokeShots(4096), rng);
             ehds.push_back(core::expectedHammingDistance(
                 dist, instance.correctOutcomes));
         }

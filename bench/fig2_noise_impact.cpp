@@ -16,6 +16,7 @@
 #include "circuits/qaoa_circuit.hpp"
 #include "common/table.hpp"
 #include "metrics/metrics.hpp"
+#include "noise/channel_sampler.hpp"
 #include "qaoa/cost.hpp"
 #include "sim/simulator.hpp"
 #include "graph/generators.hpp"
@@ -32,8 +33,8 @@ main()
     common::Rng rng(0xF192);
     const auto bv = bench::makeBvInstance(3, 0b111, "machineB");
     const auto model = noise::machinePreset("machineB").scaled(6.0);
-    const auto noisy = bench::sampleNoisy(bv.routed, 3, model,
-                                          bench::smokeShots(8192), rng);
+    const auto noisy = noise::ChannelSampler(model).sample(
+        bv.routed, 3, bench::smokeShots(8192), rng);
 
     common::Table bv_table({"outcome", "ideal", "noisy"});
     for (common::Bits x = 0; x < 8; ++x) {
@@ -54,9 +55,9 @@ main()
         circuits::qaoaCircuit(g, circuits::linearRampParams(2)));
     const auto ideal = core::Distribution::fromProbabilityFn(
         9, [&](std::size_t i) { return ideal_state.probability(i); });
-    const auto noisy_qaoa = bench::sampleNoisy(
-        instance.routed, 9, noise::machinePreset("machineB").scaled(3.0),
-        bench::smokeShots(8192), rng);
+    const auto noisy_qaoa =
+        noise::ChannelSampler(noise::machinePreset("machineB").scaled(3.0))
+            .sample(instance.routed, 9, bench::smokeShots(8192), rng);
 
     const double e_ideal = qaoa::costExpectation(ideal, g);
     const double e_noisy = qaoa::costExpectation(noisy_qaoa, g);

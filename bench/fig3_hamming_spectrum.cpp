@@ -16,6 +16,7 @@
 #include "common/table.hpp"
 #include "core/spectrum.hpp"
 #include "graph/generators.hpp"
+#include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
 #include "support/workloads.hpp"
 
@@ -57,18 +58,18 @@ main()
 
     std::puts("== Fig 3(b): Hamming spectrum of BV-8 (key 11111111) ==");
     const auto bv = bench::makeBvInstance(8, 0b11111111, "machineB");
-    const auto bv_dist = bench::sampleNoisy(
-        bv.routed, 8, noise::machinePreset("machineB").scaled(2.0),
-        bench::smokeShots(16384), rng);
+    const auto bv_dist =
+        noise::ChannelSampler(noise::machinePreset("machineB").scaled(2.0))
+            .sample(bv.routed, 8, bench::smokeShots(16384), rng);
     printSpectrum(bv_dist, {0b11111111});
 
     std::puts("\n== Fig 3(c): Hamming spectrum of QAOA-8 "
               "(multiple correct outcomes) ==");
     const auto g = graph::kRegular(8, 3, rng);
     const auto qaoa = bench::makeQaoaInstance(g, 2, false, 0, 0, "3reg");
-    const auto qaoa_dist = bench::sampleNoisy(
-        qaoa.routed, 8, noise::machinePreset("machineB"),
-        bench::smokeShots(16384), rng);
+    const auto qaoa_dist =
+        noise::ChannelSampler(noise::machinePreset("machineB"))
+            .sample(qaoa.routed, 8, bench::smokeShots(16384), rng);
     std::printf("(instance has %zu optimal cuts)\n",
                 qaoa.correctOutcomes.size());
     report.metric("bv8_pst", bv_dist.probability(0b11111111));

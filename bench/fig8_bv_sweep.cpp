@@ -68,8 +68,8 @@ main()
         const auto model =
             noise::machinePreset(instance.machine).scaled(scale);
         auto shot_rng = rng.split();
-        const auto noisy = bench::sampleNoisy(
-            instance.routed, instance.measuredQubits, model,
+        const auto noisy = noise::ChannelSampler(model).sample(
+            instance.routed, instance.measuredQubits,
             bench::smokeShots(8192), shot_rng);
         const auto fixed = core::reconstruct(noisy);
 

@@ -17,6 +17,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/hammer.hpp"
+#include "noise/channel_sampler.hpp"
 #include "qaoa/cost.hpp"
 #include "graph/generators.hpp"
 #include "support/report.hpp"
@@ -39,8 +40,8 @@ evaluate(const std::vector<bench::QaoaInstance> &workload,
     std::vector<CrPoint> points;
     for (const auto &instance : workload) {
         auto shot_rng = rng.split();
-        const auto noisy = bench::sampleNoisy(
-            instance.routed, instance.graph.numVertices(), model,
+        const auto noisy = noise::ChannelSampler(model).sample(
+            instance.routed, instance.graph.numVertices(),
             bench::smokeShots(8192), shot_rng);
         const auto fixed = core::reconstruct(noisy);
         points.push_back(
@@ -89,8 +90,8 @@ printCumulative(const char *title, const bench::QaoaInstance &instance,
                 const noise::NoiseModel &model, common::Rng &rng)
 {
     std::printf("-- %s --\n", title);
-    const auto noisy = bench::sampleNoisy(
-        instance.routed, instance.graph.numVertices(), model,
+    const auto noisy = noise::ChannelSampler(model).sample(
+        instance.routed, instance.graph.numVertices(),
         bench::smokeShots(16384), rng);
     const auto fixed = core::reconstruct(noisy);
     common::Table table({"quality>=", "cum_prob_baseline",

@@ -159,9 +159,9 @@ main()
         samplers.push_back(std::move(autoOwned));
         const auto run = [&](noise::NoisySampler &sampler) {
             common::Rng rng(grid_seed);
-            return sampler.sampleBatch(workload.routed,
-                                       workload.measuredQubits, shots,
-                                       rng, backendSpec.threads);
+            return sampler.sample(workload.routed,
+                                  workload.measuredQubits, shots, rng,
+                                  backendSpec.threads);
         };
 
         std::vector<core::Distribution> results;

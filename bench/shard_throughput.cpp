@@ -7,18 +7,28 @@
  * Three gates ride in the exit code:
  *
  *   identity   every sharded result byte-identical (canonical form)
- *              to the single-process run
- *   scale@2    modelled speedup >= 1.6x on 2 shards
- *   scale@4    modelled speedup >= 2.5x on 4 shards
+ *              to the single-process run, on each fleet's first round
+ *   scale@2    median modelled speedup >= 1.6x on 2 shards
+ *   scale@4    median modelled speedup >= 2.5x on 4 shards
  *
- * The scaling gates stand on busy_seconds — the wall-clock spent
+ * The scaling gates stand on busy_seconds — the thread CPU time spent
  * inside jobs, reported by every service — not raw wall time: CI
  * containers often pin the whole process tree to one core, where N
  * worker processes time-slice instead of running concurrently.  The
  * modelled speedup baseline_busy / max(per-shard busy, router busy)
  * is the critical-path ratio those cores would realise, and it still
  * collapses to ~1x if affinity routing or shard-side caching breaks.
- * Raw jobs/sec is reported alongside, ungated.
+ *
+ * Busy seconds for identical work drift by up to ~1.5x from one run
+ * to the next, so each fleet size runs kRounds paired rounds on fresh
+ * seeds (no cache an earlier round filled serves a later one): a
+ * baseline run and a fleet run back to back, the baseline first in
+ * even rounds.  The fleet's busy seconds are deltas of the shards'
+ * and the router's cumulative counters, each gate reads the median
+ * round's ratio, and the measured wall clock and paired wall ratio
+ * are reported alongside, ungated.  Canonicalising a ~190 KB result
+ * costs more than serving it, so only the first round pays for the
+ * identity gate.
  *
  * Emits BENCH_shard.json.
  */
@@ -26,15 +36,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
+#include "common/stats.hpp"
 #include "net/router.hpp"
 #include "net/shard_worker.hpp"
 #include "support/report.hpp"
@@ -51,13 +62,17 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return elapsed.count();
 }
 
+/** Paired rounds per fleet size; the gates read the median round. */
+constexpr int kRounds = 9;
+
 /**
- * The repeat-heavy mix: every distinct spec appears three times,
- * interleaved, so shard-side caching is on the critical path exactly
- * as it is for real parameter-sweep traffic.
+ * The repeat-heavy mix of seed block @p block: every distinct spec
+ * appears three times, interleaved, so shard-side caching is on the
+ * critical path exactly as it is for real parameter-sweep traffic.
+ * Distinct blocks share no spec, so each round starts cold.
  */
 std::vector<std::string>
-makeLines()
+makeLines(int block)
 {
     // Three deliberate choices against the usual smoke shrinking:
     // sizes stay at 11-12 qubits so each distinct job costs
@@ -77,8 +92,8 @@ makeLines()
         for (int seed = 1; seed <= seeds; ++seed) {
             distinct.push_back(
                 "bv:" + std::to_string(size) + ",channel," +
-                std::to_string(shots) + "," + std::to_string(seed) +
-                ",hammer");
+                std::to_string(shots) + "," +
+                std::to_string(block * seeds + seed) + ",hammer");
         }
     }
     std::vector<std::string> lines;
@@ -129,6 +144,60 @@ shardBusySeconds(net::ShardRouter &router, std::size_t index)
     return stats.at("busy_seconds").asNumber();
 }
 
+/** One run of a round's lines. */
+struct Run
+{
+    double wall = 0.0;
+    double busy = 0.0; ///< A fleet's: max(per-shard, router) delta.
+    std::vector<std::string> canonical; ///< When asked for.
+};
+
+Run
+runBaseline(const std::vector<std::string> &lines, bool canonical)
+{
+    api::ExecutionServiceOptions options;
+    options.workers = 1;
+    api::ExecutionService service{options};
+    std::vector<api::ExecutionService::JobHandle> handles;
+    std::vector<api::Result> results;
+    const auto start = std::chrono::steady_clock::now();
+    for (const std::string &line : lines) {
+        const api::SpecLine parsed = api::parseSpecLine(line);
+        handles.push_back(service.submit(parsed.spec, parsed.priority));
+    }
+    for (const auto &handle : handles)
+        results.push_back(service.wait(handle));
+    // The clock stops where the fleets' does: every result in hand.
+    Run run{secondsSince(start), service.stats().busySeconds, {}};
+    if (canonical)
+        for (const api::Result &result : results)
+            run.canonical.push_back(
+                api::canonicalResultJson(result.json(-1)));
+    return run;
+}
+
+Run
+runFleet(net::ShardRouter &router, const std::vector<std::string> &lines,
+         bool canonical)
+{
+    std::vector<double> before(router.shardCount());
+    for (std::size_t i = 0; i < before.size(); ++i)
+        before[i] = shardBusySeconds(router, i);
+    const double router_before = router.stats().busySeconds;
+
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<std::string> results = router.runMany(lines);
+    Run run{secondsSince(start),
+            router.stats().busySeconds - router_before, {}};
+    for (std::size_t i = 0; i < before.size(); ++i)
+        run.busy = std::max(run.busy,
+                            shardBusySeconds(router, i) - before[i]);
+    if (canonical)
+        for (const std::string &json : results)
+            run.canonical.push_back(api::canonicalResultJson(json));
+    return run;
+}
+
 } // namespace
 
 int
@@ -155,42 +224,14 @@ main()
     // the baseline service spins up its worker threads.
     const std::vector<ShardProcess> shards = forkShards(sockets);
 
-    const std::vector<std::string> lines = makeLines();
-    std::printf("== Sharded transport scaling (%zu jobs) ==\n",
-                lines.size());
-
-    // Single-process baseline, same line-level protocol.
-    std::vector<std::string> expected;
-    double baseline_busy = 0.0;
-    double baseline_seconds = 0.0;
-    {
-        api::ExecutionServiceOptions options;
-        options.workers = 1;
-        api::ExecutionService service{options};
-        std::vector<api::ExecutionService::JobHandle> handles;
-        std::vector<api::Result> results;
-        const auto start = std::chrono::steady_clock::now();
-        for (const std::string &line : lines) {
-            const api::SpecLine parsed = api::parseSpecLine(line);
-            handles.push_back(
-                service.submit(parsed.spec, parsed.priority));
-        }
-        for (const auto &handle : handles)
-            results.push_back(service.wait(handle));
-        // Stop the clock where the fleets' does: every result in
-        // hand.  The canonical forms are the identity gate's, not
-        // serving work.
-        baseline_seconds = secondsSince(start);
-        baseline_busy = service.stats().busySeconds;
-        for (const api::Result &result : results)
-            expected.push_back(
-                api::canonicalResultJson(result.json(-1)));
-    }
-    std::printf("baseline: %.3f s wall, %.3f s busy\n",
-                baseline_seconds, baseline_busy);
+    const std::size_t jobs = makeLines(0).size();
+    std::printf("== Sharded transport scaling (%zu jobs, %d paired "
+                "rounds per fleet) ==\n",
+                jobs, kRounds);
 
     int failures = 0;
     std::size_t total_mismatches = 0;
+    std::vector<double> baseline_busy, baseline_wall;
     const double floors[] = {1.6, 2.5};
     const std::size_t fleet_sizes[] = {2, 4};
     std::size_t next_shard = 0;
@@ -203,51 +244,62 @@ main()
         next_shard += n;
         net::ShardRouter router{options};
 
-        const auto start = std::chrono::steady_clock::now();
-        const std::vector<std::string> results =
-            router.runMany(lines);
-        const double wall = secondsSince(start);
-
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < lines.size(); ++i)
-            if (api::canonicalResultJson(results[i]) != expected[i]) {
-                if (mismatches == 0)
+        std::vector<double> modelled, wall, wall_ratio;
+        for (int round = 0; round < kRounds; ++round) {
+            const std::vector<std::string> lines =
+                makeLines(phase * kRounds + round);
+            const bool identity = round == 0;
+            Run baseline, fleet;
+            if (round % 2 == 0) {
+                baseline = runBaseline(lines, identity);
+                fleet = runFleet(router, lines, identity);
+            } else {
+                fleet = runFleet(router, lines, identity);
+                baseline = runBaseline(lines, identity);
+            }
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < baseline.canonical.size(); ++i)
+                if (fleet.canonical[i] != baseline.canonical[i] &&
+                    mismatches++ == 0)
                     std::fprintf(stderr,
                                  "first mismatch, job %zu (%s):\n"
                                  "  baseline: %.200s\n"
                                  "  sharded:  %.200s\n",
                                  i, lines[i].c_str(),
-                                 expected[i].c_str(),
-                                 api::canonicalResultJson(results[i])
-                                     .c_str());
-                ++mismatches;
+                                 baseline.canonical[i].c_str(),
+                                 fleet.canonical[i].c_str());
+            if (mismatches > 0) {
+                std::printf("FAIL: %zu of %zu sharded results differ "
+                            "from the baseline at %zu shards\n",
+                            mismatches, lines.size(), n);
+                total_mismatches += mismatches;
+                ++failures;
             }
-        if (mismatches > 0) {
-            std::printf("FAIL: %zu of %zu sharded results differ "
-                        "from the baseline at %zu shards\n",
-                        mismatches, lines.size(), n);
-            total_mismatches += mismatches;
-            ++failures;
+            baseline_busy.push_back(baseline.busy);
+            baseline_wall.push_back(baseline.wall);
+            modelled.push_back(baseline.busy / fleet.busy);
+            wall.push_back(fleet.wall);
+            wall_ratio.push_back(baseline.wall / fleet.wall);
+            std::printf("  %zu shards, round %d: busy %.3f s -> %.3f s "
+                        "(%.2fx), wall %.3f s -> %.3f s (%.2fx)\n",
+                        n, round, baseline.busy, fleet.busy,
+                        modelled.back(), baseline.wall, fleet.wall,
+                        wall_ratio.back());
         }
 
-        double max_busy = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-            max_busy = std::max(max_busy,
-                                shardBusySeconds(router, i));
-        const double critical =
-            std::max(max_busy, router.stats().busySeconds);
-        const double speedup = baseline_busy / critical;
+        const double speedup = common::median(modelled);
+        const double wall_seconds = common::median(wall);
         const double jobs_per_second =
-            static_cast<double>(lines.size()) / wall;
+            static_cast<double>(jobs) / wall_seconds;
         const double floor = floors[phase];
-        std::printf("%zu shards: %.3f s wall (%.1f jobs/s), "
-                    "slowest shard busy %.3f s -> modelled "
-                    "%.2fx (floor %.2fx)\n",
-                    n, wall, jobs_per_second, max_busy, speedup,
-                    floor);
+        std::printf("%zu shards: median modelled %.2fx (floor %.2fx), "
+                    "median wall %.3f s (%.1f jobs/s), paired wall "
+                    "ratio %.2fx\n",
+                    n, speedup, floor, wall_seconds, jobs_per_second,
+                    common::median(wall_ratio));
         if (speedup < floor) {
-            std::printf("FAIL: modelled speedup %.2fx below the "
-                        "%.2fx floor at %zu shards\n",
+            std::printf("FAIL: median modelled speedup %.2fx below "
+                        "the %.2fx floor at %zu shards\n",
                         speedup, floor, n);
             ++failures;
         }
@@ -256,13 +308,18 @@ main()
         report.metric("speedup_model_" + tag + "shard", speedup);
         report.metric("jobs_per_second_" + tag + "shard",
                       jobs_per_second);
-        report.metric("wall_seconds_" + tag + "shard", wall);
+        report.metric("wall_seconds_" + tag + "shard", wall_seconds);
+        report.metric("wall_ratio_" + tag + "shard",
+                      common::median(wall_ratio));
         router.shutdownShards();
     }
 
-    report.metric("jobs", static_cast<double>(lines.size()));
-    report.metric("baseline_busy_seconds", baseline_busy);
-    report.metric("baseline_wall_seconds", baseline_seconds);
+    report.metric("jobs", static_cast<double>(jobs));
+    report.metric("rounds", kRounds);
+    report.metric("baseline_busy_seconds",
+                  common::median(baseline_busy));
+    report.metric("baseline_wall_seconds",
+                  common::median(baseline_wall));
     report.note("identity", total_mismatches == 0 ? "bit-identical"
                                                   : "MISMATCH");
 

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <iostream>
@@ -419,9 +420,10 @@ main()
 
     // -- 4. Checkpointed trajectory replay on a trajectory-heavy
     //       bv/qaoa sweep at paper-scale error rates, vs a replica
-    //       of the circuit-per-trajectory engine.  Serial
-    //       throughout: both the wall-clock and the ops-reduction
-    //       comparison are single-core meaningful.
+    //       of the circuit-per-trajectory engine on the same forked
+    //       per-trajectory streams.  One thread throughout: both the
+    //       wall-clock and the ops-reduction comparison are
+    //       single-core meaningful.
     const noise::NoiseModel model = noise::machinePreset("machineA");
     const int trajectories = smoke ? 120 : 400;
     const int shots = smoke ? 4000 : 20000;
@@ -439,14 +441,15 @@ main()
         Rng run_rng(0xBEEF);
         auto start = std::chrono::steady_clock::now();
         const auto fast = sampler.sample(
-            wl.routed, wl.measuredQubits, shots, run_rng);
+            wl.routed, wl.measuredQubits, shots, run_rng, 1);
         const double t_fast = secondsSince(start);
 
         // Historical engine replica: fresh noisy Circuit, full
         // simulation from |0>, per-shot binary search on a
-        // materialised CDF.
+        // materialised CDF, trajectory t on stream master.fork(t).
         Rng slow_rng(0xBEEF);
         start = std::chrono::steady_clock::now();
+        const Rng master = slow_rng.split();
         core::CountAccumulator counts;
         int assigned = 0;
         const int qubits = wl.routed.circuit.numQubits();
@@ -457,8 +460,9 @@ main()
             if (quota == 0)
                 continue;
             assigned += quota;
+            Rng stream = master.fork(static_cast<std::uint64_t>(t));
             const sim::Circuit instance =
-                sampler.noisyInstance(wl.routed.circuit, slow_rng);
+                sampler.noisyInstance(wl.routed.circuit, stream);
             StateVector state(qubits);
             for (const sim::Gate &g : instance.gates())
                 state.applyGate(g);
@@ -471,7 +475,7 @@ main()
             std::vector<Bits> raw;
             raw.reserve(static_cast<std::size_t>(quota));
             for (int s = 0; s < quota; ++s) {
-                const double r = slow_rng.uniform() * acc;
+                const double r = stream.uniform() * acc;
                 const auto it =
                     std::upper_bound(cdf.begin(), cdf.end(), r);
                 raw.push_back(it == cdf.end()
@@ -480,7 +484,7 @@ main()
             }
             for (Bits physical : raw) {
                 physical = noise::applyReadoutError(
-                    physical, qubits, model, slow_rng);
+                    physical, qubits, model, stream);
                 counts.add(wl.routed.toLogical(physical) & mask);
             }
         }

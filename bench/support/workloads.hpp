@@ -2,11 +2,12 @@
  * @file
  * Bench-harness shims over the hammer::api experiment layer.
  *
- * The workload builders, smoke-mode budget helpers and noisy-sampling
- * entry points the benches historically found here were promoted into
- * the library (src/api) so the CLI, examples and tests share one
- * implementation; this header re-exports them under the established
- * bench names.  New bench code should prefer hammer::api directly.
+ * The workload builders and smoke-mode budget helpers the benches
+ * historically found here were promoted into the library (src/api)
+ * so the CLI, examples and tests share one implementation; this
+ * header re-exports them under the established bench names.  Benches
+ * sample by calling a backend's NoisySampler::sample directly.  New
+ * bench code should prefer hammer::api directly.
  */
 
 #ifndef HAMMER_BENCH_SUPPORT_WORKLOADS_HPP
@@ -90,33 +91,6 @@ makeQaoaRandWorkload(const std::vector<int> &sizes,
     return api::makeQaoaRandSweep(sizes, layer_counts,
                                   instances_per_config, rng);
 }
-
-/**
- * Execute an instance on the fast channel backend and return the
- * measured histogram over the logical output bits.
- *
- * Runs through the api::BackendRegistry-built sampler and the
- * parallel batched engine (noise::NoisySampler::sampleBatch): the
- * histogram is bit-identical for every thread count, so bench output
- * is reproducible no matter the machine.
- *
- * @param threads Worker threads; 0 selects the default (the
- *        HAMMER_THREADS environment variable, else all hardware
- *        threads).
- */
-core::Distribution sampleNoisy(const circuits::RoutedCircuit &routed,
-                               int measured_qubits,
-                               const noise::NoiseModel &model, int shots,
-                               common::Rng &rng, int threads = 0);
-
-/**
- * Same, on the Monte-Carlo trajectory backend — the slow reference
- * path the engine was built to parallelise.
- */
-core::Distribution sampleNoisyTrajectory(
-    const circuits::RoutedCircuit &routed, int measured_qubits,
-    const noise::NoiseModel &model, int shots, int trajectories,
-    common::Rng &rng, int threads = 0);
 
 } // namespace hammer::bench
 

@@ -163,23 +163,14 @@ AutoSampler::build(const plan::PlanChoice &choice) const
 
 core::Distribution
 AutoSampler::sample(const circuits::RoutedCircuit &routed,
-                    int measured_qubits, int shots, common::Rng &rng)
+                    int measured_qubits, int shots, common::Rng &rng,
+                    int threads)
 {
     lastChoice_ = rank(routed).front().choice;
     // The RNG passes straight through, so the histogram is
     // bit-identical to running the selected backend directly.
     return build(lastChoice_)
-        ->sample(routed, measured_qubits, shots, rng);
-}
-
-core::Distribution
-AutoSampler::sampleBatch(const circuits::RoutedCircuit &routed,
-                         int measured_qubits, int shots,
-                         common::Rng &rng, int threads)
-{
-    lastChoice_ = rank(routed).front().choice;
-    return build(lastChoice_)
-        ->sampleBatch(routed, measured_qubits, shots, rng, threads);
+        ->sample(routed, measured_qubits, shots, rng, threads);
 }
 
 std::string

@@ -70,18 +70,14 @@ class AutoSampler final : public noise::NoisySampler
 
     core::Distribution sample(const circuits::RoutedCircuit &routed,
                               int measured_qubits, int shots,
-                              common::Rng &rng) override;
-
-    core::Distribution
-    sampleBatch(const circuits::RoutedCircuit &routed,
-                int measured_qubits, int shots, common::Rng &rng,
-                int threads = 0) override;
+                              common::Rng &rng,
+                              int threads = 0) override;
 
     /** Ranked candidates for @p routed (cheapest first). */
     std::vector<plan::RankedPlan>
     rank(const circuits::RoutedCircuit &routed) const;
 
-    /** The plan the most recent sample()/sampleBatch() executed. */
+    /** The plan the most recent sample() executed. */
     const plan::PlanChoice &lastChoice() const { return lastChoice_; }
 
   private:

@@ -101,7 +101,7 @@ EnsembleMitigator::apply(const Distribution &measured,
     return mitigation::ensembleSample(
         ctx.workload->logical, ctx.workload->coupling,
         measured.numBits(), *ctx.sampler, ctx.shots, *ctx.rng,
-        options_);
+        options_, ctx.threads);
 }
 
 // ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ Pipeline::execute(const ExperimentSpec &spec, RunState &state,
 
     // Noisy execution through the parallel batched engine.
     const auto start = std::chrono::steady_clock::now();
-    result.raw = state.sampler->sampleBatch(
+    result.raw = state.sampler->sample(
         state.workload->routed, state.workload->measuredQubits,
         spec.backendSpec.shots, state.rng, spec.backendSpec.threads);
     result.timings.push_back({"sample", secondsSince(start)});

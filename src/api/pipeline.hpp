@@ -226,7 +226,7 @@ class Pipeline
     /**
      * Stages 2+3: stand up the backend ("backend" timing row) and
      * run the noisy sampling ("sample" row) through
-     * NoisySampler::sampleBatch with the spec's thread count,
+     * NoisySampler::sample with the spec's thread count,
      * filling Result::raw.
      *
      * Callers that already hold the raw histogram for this spec
@@ -267,7 +267,7 @@ class Pipeline
      * duplicate specs within the batch execute once (request
      * coalescing).  When more than one worker runs, per-spec inner
      * sampling threads are forced to 1 — the outer fan-out owns the
-     * cores — which does not change any histogram (sampleBatch's own
+     * cores — which does not change any histogram (sample()'s own
      * guarantee).
      *
      * @param threads Worker threads; 0 selects the default

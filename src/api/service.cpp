@@ -363,7 +363,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
 
     // The fan-out owns the cores when the pool has real workers;
     // forcing inner sampling serial does not change any histogram
-    // (sampleBatch's determinism guarantee).
+    // (NoisySampler::sample's determinism guarantee).
     if (pool_->threadCount() > 1)
         spec.backendSpec.threads = 1;
 

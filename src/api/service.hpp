@@ -513,7 +513,7 @@ class ExecutionService
     struct ExecOutcome
     {
         core::Distribution raw{1};
-        common::Rng rngAfter{0}; ///< RNG state after sampleBatch.
+        common::Rng rngAfter{0}; ///< RNG state after sampling.
         double sampleSeconds = 0.0;
     };
 

@@ -98,7 +98,7 @@ class Rng
      * 0..T-1 for T work items yields the same T generators no matter
      * how many threads execute the items or in which order.  This is
      * the determinism foundation of the parallel sampling engine —
-     * see noise::NoisySampler::sampleBatch().
+     * see noise::NoisySampler::sample().
      */
     Rng fork(std::uint64_t stream_id) const;
 

@@ -4,7 +4,7 @@
  * future-returning job queue.
  *
  * The pool backs the parallel sampling engine
- * (noise::NoisySampler::sampleBatch): work items are claimed
+ * (noise::NoisySampler::sample): work items are claimed
  * dynamically by worker threads, and callers keep per-worker
  * accumulators (indexed by the slot id handed to each task) that are
  * merged after the loop — no shared mutable state, no atomics on the

@@ -184,7 +184,7 @@ class Distribution
  * (no sharing, no atomics), and the per-worker partials are combined
  * afterwards with treeReduce().  Counts are exact 64-bit integers,
  * so the merged result is bit-identical no matter how the shots were
- * partitioned across workers — the property the sampleBatch()
+ * partitioned across workers — the property the sample()
  * determinism tests assert.
  *
  * Storage is flat: add() is an O(1) append into a pending buffer, and

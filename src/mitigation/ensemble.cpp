@@ -39,7 +39,7 @@ ensembleSample(const sim::Circuit &circuit,
                const circuits::CouplingMap &coupling,
                int measured_qubits, noise::NoisySampler &sampler,
                int shots, common::Rng &rng,
-               const EnsembleOptions &options)
+               const EnsembleOptions &options, int threads)
 {
     require(options.mappings >= 1, "ensembleSample: need >= 1 mapping");
     require(shots >= options.mappings,
@@ -62,8 +62,8 @@ ensembleSample(const sim::Circuit &circuit,
 
         const auto routed = circuits::transpile(
             circuit, coupling, layouts[static_cast<std::size_t>(m)]);
-        const Distribution dist =
-            sampler.sample(routed, measured_qubits, quota, rng);
+        const Distribution dist = sampler.sample(
+            routed, measured_qubits, quota, rng, threads);
         const double weight = static_cast<double>(quota) /
                               static_cast<double>(shots);
         for (const core::Entry &e : dist.entries())

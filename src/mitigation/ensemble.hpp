@@ -44,6 +44,11 @@ std::vector<std::vector<int>> diverseLayouts(int num_qubits, int count);
  * resulting histograms (each mapping gets an equal share of the shot
  * budget).
  *
+ * Each mapping runs through NoisySampler::sample in mapping order, so
+ * the combined histogram inherits its contract: bit-identical for
+ * every @p threads value, and @p rng advanced by one draw per
+ * mapping.
+ *
  * @param circuit Logical circuit.
  * @param coupling Device connectivity.
  * @param measured_qubits Logical qubits measured (prefix).
@@ -51,6 +56,8 @@ std::vector<std::vector<int>> diverseLayouts(int num_qubits, int count);
  * @param shots Total shot budget across the ensemble.
  * @param rng Random source.
  * @param options Ensemble settings.
+ * @param threads Worker threads per mapping's sampling; 0 selects
+ *        the default (see NoisySampler::sample).
  * @return Normalised combined distribution.
  */
 core::Distribution
@@ -58,7 +65,7 @@ ensembleSample(const sim::Circuit &circuit,
                const circuits::CouplingMap &coupling,
                int measured_qubits, noise::NoisySampler &sampler,
                int shots, common::Rng &rng,
-               const EnsembleOptions &options = {});
+               const EnsembleOptions &options = {}, int threads = 0);
 
 } // namespace hammer::mitigation
 

@@ -301,30 +301,8 @@ drawShots(const CleanDistribution &clean, const ShotPlan &plan,
 
 Distribution
 ChannelSampler::sample(const circuits::RoutedCircuit &routed,
-                       int measured_qubits, int shots, Rng &rng)
-{
-    const int n = routed.circuit.numQubits();
-    require(measured_qubits >= 1 && measured_qubits <= n,
-            "ChannelSampler: bad measured qubit count");
-    require(shots >= 1, "ChannelSampler: need at least one shot");
-
-    const auto clean = DistributionMemo::shared().clean(routed);
-    const ShotPlan plan = makeShotPlan(
-        measured_qubits, scrambleProbability(routed),
-        correlatedFlips(routed, measured_qubits),
-        independentFlipProbabilities(routed, measured_qubits), model_);
-
-    core::CountAccumulator counts;
-    counts.reserve(static_cast<std::size_t>(shots));
-    drawShots(*clean, plan, params_, measured_qubits, shots, rng,
-              counts);
-    return counts.toDistribution(measured_qubits);
-}
-
-Distribution
-ChannelSampler::sampleBatch(const circuits::RoutedCircuit &routed,
-                            int measured_qubits, int shots, Rng &rng,
-                            int threads)
+                       int measured_qubits, int shots, Rng &rng,
+                       int threads)
 {
     const int n = routed.circuit.numQubits();
     require(measured_qubits >= 1 && measured_qubits <= n,

@@ -87,7 +87,9 @@ struct ChannelParams
      * paper's Fig. 7 and Fig. 8(a) where IST < 1.  The burst outcome
      * has a *thin* neighbourhood of its own (only its satellites at
      * burst * stochastic rates), which is exactly why HAMMER can
-     * demote it.  Off by default.
+     * demote it.  The pattern flips *logical* output bits, so it
+     * lands on the same outcome under every qubit mapping (a
+     * diverse-mapping ensemble cannot dilute it).  Off by default.
      */
     common::Bits burstPattern = 0;
     /** Per-shot probability of the burst pattern firing. */
@@ -111,10 +113,6 @@ class ChannelSampler : public NoisySampler
     explicit ChannelSampler(const NoiseModel &model,
                             const ChannelParams &params = {});
 
-    core::Distribution sample(const circuits::RoutedCircuit &routed,
-                              int measured_qubits, int shots,
-                              common::Rng &rng) override;
-
     /**
      * Parallel shot fan-out: the clean distribution and channel
      * parameters are fetched once, then the shot budget is split into
@@ -123,10 +121,10 @@ class ChannelSampler : public NoisySampler
      * own forked RNG stream.  Results are bit-identical for every
      * thread count.
      */
-    core::Distribution sampleBatch(const circuits::RoutedCircuit &routed,
-                                   int measured_qubits, int shots,
-                                   common::Rng &rng,
-                                   int threads = 0) override;
+    core::Distribution sample(const circuits::RoutedCircuit &routed,
+                              int measured_qubits, int shots,
+                              common::Rng &rng,
+                              int threads = 0) override;
 
     /**
      * Marginal per-logical-qubit gate-induced flip probabilities for

@@ -69,9 +69,15 @@ ExactSampler::exactDistribution(const circuits::RoutedCircuit &routed,
 
 Distribution
 ExactSampler::sample(const circuits::RoutedCircuit &routed,
-                     int measured_qubits, int shots, Rng &rng)
+                     int measured_qubits, int shots, Rng &rng,
+                     int threads)
 {
+    (void)threads;
     require(shots >= 1, "ExactSampler: need at least one shot");
+    // One draw from the caller's generator, like the parallel
+    // backends, so switching a call site between backends never
+    // shifts the caller's RNG sequence.
+    Rng stream = rng.split();
     const std::shared_ptr<const Distribution> exact =
         DistributionMemo::shared().exact(
             routed, measured_qubits, model_,
@@ -85,7 +91,7 @@ ExactSampler::sample(const circuits::RoutedCircuit &routed,
     core::CountAccumulator counts;
     counts.reserve(static_cast<std::size_t>(shots));
     for (int s = 0; s < shots; ++s) {
-        const std::size_t pick = rng.discrete(weights);
+        const std::size_t pick = stream.discrete(weights);
         counts.add(exact->entries()[pick].outcome);
     }
     return counts.toDistribution(measured_qubits);

@@ -34,12 +34,15 @@ class ExactSampler : public NoisySampler
 
     /**
      * Multinomial shots from the memoised exact distribution
-     * (evolved on a miss); bit-identical to sampling a fresh
-     * exactDistribution() with the same RNG state.
+     * (evolved on a miss), drawn serially on one stream split off
+     * @p rng; bit-identical to sampling a fresh exactDistribution()
+     * on that stream.  The draw is cheap next to the evolution, so
+     * @p threads is ignored.
      */
     core::Distribution sample(const circuits::RoutedCircuit &routed,
                               int measured_qubits, int shots,
-                              common::Rng &rng) override;
+                              common::Rng &rng,
+                              int threads = 0) override;
 
     /**
      * The exact measurement distribution (before shot sampling),

@@ -27,7 +27,20 @@ class NoisySampler
 
     /**
      * Execute @p routed for @p shots trials and histogram the
-     * outcomes.
+     * outcomes: the one sampling entry point of every backend.
+     *
+     * Backends with a parallel decomposition fan the shot budget out
+     * across independent work items (noise trajectories or shot
+     * chunks) executed on the shared thread pool, and merge the
+     * per-worker histograms with an atomic-free tree reduction.
+     *
+     * Deterministic-parallelism contract: each work item draws from
+     * its own counter-based RNG stream (common::Rng::fork), so for a
+     * fixed @p rng state the returned distribution is bit-identical
+     * for every thread count, including 1.  @p rng is advanced by
+     * exactly one draw regardless of thread count, so a caller
+     * interleaving sample() with other use of the generator also
+     * stays reproducible.
      *
      * @param routed Routed circuit (physical qubits + final layout).
      * @param measured_qubits Number of logical qubits measured; the
@@ -36,39 +49,16 @@ class NoisySampler
      *        BV ancilla — are traced out).
      * @param shots Number of trials.
      * @param rng Random source.
+     * @param threads Worker threads; 0 selects
+     *        common::ThreadPool::defaultThreadCount() (the
+     *        HAMMER_THREADS environment variable, else all hardware
+     *        threads).
      * @return Normalised distribution over measured_qubits-bit
      *         outcomes.
      */
     virtual core::Distribution sample(
         const circuits::RoutedCircuit &routed, int measured_qubits,
-        int shots, common::Rng &rng) = 0;
-
-    /**
-     * Parallel batched execution: fan the shot budget across
-     * independent work items (noise trajectories or shot chunks,
-     * backend-specific) executed on a thread pool, then merge the
-     * per-worker histograms with an atomic-free tree reduction.
-     *
-     * Deterministic-parallelism contract: each work item draws from
-     * its own counter-based RNG stream (common::Rng::fork), so for a
-     * fixed @p rng state the returned distribution is bit-identical
-     * for every thread count, including 1.  @p rng is advanced by
-     * exactly one draw regardless of thread count, so a caller
-     * interleaving sampleBatch with other use of the generator also
-     * stays reproducible.
-     *
-     * @param threads Worker threads; 0 selects
-     *        common::ThreadPool::defaultThreadCount() (the
-     *        HAMMER_THREADS environment variable, else all hardware
-     *        threads).
-     *
-     * The base implementation runs the serial sample() — backends
-     * without a parallel decomposition stay correct, just not
-     * faster.
-     */
-    virtual core::Distribution sampleBatch(
-        const circuits::RoutedCircuit &routed, int measured_qubits,
-        int shots, common::Rng &rng, int threads = 0);
+        int shots, common::Rng &rng, int threads = 0) = 0;
 };
 
 } // namespace hammer::noise

@@ -137,28 +137,8 @@ shotQuotas(int shots, int trajectories)
 
 Distribution
 TrajectorySampler::sample(const circuits::RoutedCircuit &routed,
-                          int measured_qubits, int shots, Rng &rng)
-{
-    const Bits mask = measuredMask(routed, measured_qubits, shots);
-    const ReplayEngine engine(routed.circuit, model_, options_);
-    ReplayStats stats;
-    stats.gatesReplayed += engine.numGates(); // the one clean pass
-
-    core::CountAccumulator counts;
-    counts.reserve(static_cast<std::size_t>(shots));
-    for (const int quota : shotQuotas(shots, trajectories_)) {
-        if (quota > 0)
-            runTrajectory(engine, routed, model_, mask, quota, rng,
-                          counts, stats);
-    }
-    stats_.merge(stats);
-    return counts.toDistribution(measured_qubits);
-}
-
-Distribution
-TrajectorySampler::sampleBatch(const circuits::RoutedCircuit &routed,
-                               int measured_qubits, int shots,
-                               Rng &rng, int threads)
+                          int measured_qubits, int shots, Rng &rng,
+                          int threads)
 {
     const Bits mask = measuredMask(routed, measured_qubits, shots);
     const std::vector<int> quotas = shotQuotas(shots, trajectories_);

@@ -14,8 +14,9 @@
  * (noise::ReplayEngine): the clean circuit is simulated once per
  * sample() call, zero-error trajectories reuse the final clean state,
  * and noisy trajectories replay only from the checkpoint preceding
- * their first injected error.  Results are bit-identical to the
- * historical simulate-every-trajectory-from-scratch engine.
+ * their first injected error.  Every trajectory is bit-identical to
+ * the historical simulate-every-trajectory-from-scratch engine run on
+ * the same RNG stream.
  */
 
 #ifndef HAMMER_NOISE_TRAJECTORY_SAMPLER_HPP
@@ -44,10 +45,6 @@ class TrajectorySampler : public NoisySampler
                                int trajectories = 250,
                                const ReplayOptions &options = {});
 
-    core::Distribution sample(const circuits::RoutedCircuit &routed,
-                              int measured_qubits, int shots,
-                              common::Rng &rng) override;
-
     /**
      * Parallel trajectory fan-out.
      *
@@ -60,10 +57,10 @@ class TrajectorySampler : public NoisySampler
      * through commutative integer counts, so the histogram is
      * bit-identical for every thread count.
      */
-    core::Distribution sampleBatch(const circuits::RoutedCircuit &routed,
-                                   int measured_qubits, int shots,
-                                   common::Rng &rng,
-                                   int threads = 0) override;
+    core::Distribution sample(const circuits::RoutedCircuit &routed,
+                              int measured_qubits, int shots,
+                              common::Rng &rng,
+                              int threads = 0) override;
 
     /**
      * Build one noisy realisation of @p circuit: a copy with random
@@ -74,7 +71,7 @@ class TrajectorySampler : public NoisySampler
     sim::Circuit noisyInstance(const sim::Circuit &circuit,
                                common::Rng &rng) const;
 
-    /** Replay work accounting accumulated across sample* calls. */
+    /** Replay work accounting accumulated across sample() calls. */
     const ReplayStats &replayStats() const { return stats_; }
 
     /** Zero the accumulated replay statistics. */

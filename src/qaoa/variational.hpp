@@ -54,6 +54,10 @@ struct VariationalResult
  * search two-dimensional at any depth — the common practice for
  * fixed-angle QAOA studies.
  *
+ * Every evaluation samples through NoisySampler::sample at the
+ * default thread count, so the result is the same for every thread
+ * count and @p rng advances by one draw per evaluation.
+ *
  * @param g Problem graph.
  * @param coupling Device connectivity (ansatz is routed onto it).
  * @param sampler Noisy execution backend.

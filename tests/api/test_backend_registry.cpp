@@ -108,7 +108,7 @@ TEST(BackendRegistry, CachedExactReusesTheDensityMatrixEvolution)
 
     // Further budgets resample the memoised distribution.
     sampler->sample(workload.routed, 4, 500, rng);
-    sampler->sampleBatch(workload.routed, 4, 2000, rng, 2);
+    sampler->sample(workload.routed, 4, 2000, rng, 2);
     EXPECT_EQ(memo.stats().entries, 1u);
     EXPECT_EQ(memo.stats().hits, 2u);
 
@@ -127,8 +127,8 @@ TEST(BackendRegistry, CachedExactSampleBatchDeterministicAcrossThreads)
     std::vector<hammer::core::Distribution> results;
     for (int threads : {1, 2, 4}) {
         Rng rng(23);
-        results.push_back(sampler->sampleBatch(workload.routed, 4,
-                                               5000, rng, threads));
+        results.push_back(
+            sampler->sample(workload.routed, 4, 5000, rng, threads));
     }
     for (std::size_t i = 1; i < results.size(); ++i) {
         ASSERT_EQ(results[0].support(), results[i].support());

@@ -11,15 +11,18 @@
 #include <stdexcept>
 
 #include "api/pipeline.hpp"
+#include "api/service.hpp"
 #include "core/io.hpp"
 #include "graph/generators.hpp"
 
 namespace {
 
 using hammer::api::BackendSpec;
+using hammer::api::canonicalResultJson;
 using hammer::api::ExperimentSpec;
 using hammer::api::Pipeline;
 using hammer::api::Result;
+using hammer::api::RunState;
 using hammer::core::Distribution;
 
 bool
@@ -159,6 +162,54 @@ TEST(Pipeline, RunManyIsBitIdenticalForEveryThreadCount)
             identical(serial[i].mitigated, parallel[i].mitigated))
             << "mitigated histogram diverged on spec " << i;
         EXPECT_EQ(serial[i].workloadSpec, parallel[i].workloadSpec);
+    }
+}
+
+TEST(Pipeline, LibrarySamplingMatchesTheServedHistogram)
+{
+    // A library caller that samples the workload a spec builds, on
+    // the spec's backend and RNG, gets the histogram the pipeline
+    // serves: every backend has one sampling path, and its output
+    // does not depend on the thread count (3 served, default here).
+    Pipeline pipeline;
+    for (const char *backend :
+         {"trajectory", "channel", "exact", "auto"}) {
+        ExperimentSpec spec = smallBvSpec(7);
+        spec.backend = backend;
+        spec.backendSpec.trajectories = 40;
+        spec.backendSpec.threads = 3;
+
+        RunState state;
+        pipeline.buildWorkload(spec, state);
+        const auto sampler =
+            pipeline.backends().make(spec.backend, spec.backendSpec);
+        const Distribution library = sampler->sample(
+            state.workload->routed, state.workload->measuredQubits,
+            spec.backendSpec.shots, state.rng);
+        EXPECT_TRUE(identical(library, pipeline.run(spec).raw))
+            << backend;
+    }
+}
+
+TEST(Pipeline, EnsembleRunIsBitIdenticalForEveryThreadCount)
+{
+    // Ensemble mitigation re-executes the workload under each
+    // mapping through the same sampling path, so the whole Result
+    // keeps the thread-count-invariance contract.
+    for (const char *backend : {"channel", "trajectory"}) {
+        ExperimentSpec spec = smallBvSpec(5);
+        spec.backend = backend;
+        spec.backendSpec.shots = 9000;
+        spec.backendSpec.trajectories = 24;
+        spec.mitigation = "ensemble,hammer";
+        spec.backendSpec.threads = 1;
+        const Result one = Pipeline().run(spec);
+        spec.backendSpec.threads = 4;
+        const Result four = Pipeline().run(spec);
+        EXPECT_EQ(one.mitigationName, "ensemble+hammer");
+        EXPECT_EQ(canonicalResultJson(one.json()),
+                  canonicalResultJson(four.json()))
+            << backend;
     }
 }
 

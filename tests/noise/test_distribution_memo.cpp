@@ -187,13 +187,10 @@ TEST(DistributionMemo, ChannelHitEqualsAColdRun)
     for (const auto &family : familyCircuits()) {
         const RoutedCircuit &routed = family.second;
         const int measured = measuredBits(family);
-        for (const int threads : {0, 1, 3}) {
-            // threads 0 runs the serial sample(), else sampleBatch().
+        for (const int threads : {1, 3}) {
             const auto draw = [&](Rng &rng) {
-                return threads == 0
-                    ? sampler.sample(routed, measured, 3000, rng)
-                    : sampler.sampleBatch(routed, measured, 5000, rng,
-                                          threads);
+                return sampler.sample(routed, measured, 5000, rng,
+                                      threads);
             };
             const std::string what =
                 family.first + ", threads " + std::to_string(threads);
@@ -214,8 +211,7 @@ TEST(DistributionMemo, ChannelHitEqualsAColdRun)
 TEST(DistributionMemo, IdealChannelIsTheStateVectorSweep)
 {
     // Under the ideal model the channel draws no noise, so its
-    // histogram is the sweep's: sample() on one stream, sampleBatch()
-    // on 1024-shot chunks of forked streams.
+    // histogram is the sweep's on 1024-shot chunks of forked streams.
     ChannelSampler sampler(NoiseModel{0.0, 0.0, 0.0, 0.0});
     for (const auto &family : familyCircuits()) {
         const RoutedCircuit &routed = family.second;
@@ -223,15 +219,6 @@ TEST(DistributionMemo, IdealChannelIsTheStateVectorSweep)
         const Bits mask = (Bits{1} << measured) - 1;
         const StateVector state = hammer::sim::runCircuit(routed.circuit);
         const double norm = state.normSquared();
-
-        CountAccumulator serial_want;
-        Rng want_rng(4);
-        for (const Bits physical : state.sampleShots(want_rng, 3000, norm))
-            serial_want.add(routed.toLogical(physical) & mask);
-        Rng rng(4);
-        expectIdentical(sampler.sample(routed, measured, 3000, rng),
-                        serial_want.toDistribution(measured),
-                        family.first + " sample");
 
         constexpr int kShots = 5000;
         CountAccumulator batch_want;
@@ -246,9 +233,8 @@ TEST(DistributionMemo, IdealChannelIsTheStateVectorSweep)
         }
         Rng batch_got_rng(6);
         expectIdentical(
-            sampler.sampleBatch(routed, measured, kShots, batch_got_rng, 3),
-            batch_want.toDistribution(measured),
-            family.first + " sampleBatch");
+            sampler.sample(routed, measured, kShots, batch_got_rng, 3),
+            batch_want.toDistribution(measured), family.first);
     }
 }
 
@@ -344,7 +330,7 @@ TEST(DistributionMemo, ChannelAndExactShareOneMemoWithOneBuildPerKey)
     ExactSampler exact(machinePreset("machineA"));
     Rng rng(8);
     for (int repeat = 0; repeat < 3; ++repeat) {
-        channel.sampleBatch(routed, 4, 2000, rng, 2);
+        channel.sample(routed, 4, 2000, rng, 2);
         exact.sample(routed, 4, 500, rng);
         exact.sample(routed, 3, 500, rng); // another width, another key
     }

@@ -8,16 +8,18 @@
  *    from a checkpoint is bit-identical to simulating its noisy
  *    circuit from scratch;
  *  - TrajectorySampler::sample reproduces the historical
- *    build-a-circuit-per-trajectory engine bit-for-bit;
- *  - sample()/sampleBatch() determinism (thread-count, checkpoint-
- *    budget and kernel-tier invariance) holds on the new paths,
- *    including the zero-error fast path.
+ *    build-a-circuit-per-trajectory engine bit-for-bit, trajectory t
+ *    running on forked stream t in both;
+ *  - sample() determinism (thread-count, checkpoint-budget and
+ *    kernel-tier invariance) holds on the new paths, including the
+ *    zero-error fast path.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "circuits/bv.hpp"
@@ -186,6 +188,8 @@ TEST(ReplayEngine, CheckpointLayoutRespectsBudget)
 /**
  * The pre-replay engine, replicated: one noisy Circuit per
  * trajectory, full simulation from |0>, materialised-CDF sampling.
+ * One draw from @p rng seeds the run; trajectory t draws from
+ * master.fork(t), as TrajectorySampler::sample's work items do.
  */
 Distribution
 historicalSample(const TrajectorySampler &sampler,
@@ -195,6 +199,7 @@ historicalSample(const TrajectorySampler &sampler,
 {
     const int n = routed.circuit.numQubits();
     const Bits mask = (Bits{1} << measured_qubits) - 1;
+    const Rng master = rng.split();
     hammer::core::CountAccumulator counts;
     int assigned = 0;
     for (int t = 0; t < trajectories; ++t) {
@@ -203,8 +208,9 @@ historicalSample(const TrajectorySampler &sampler,
             continue;
         assigned += quota;
 
+        Rng stream = master.fork(static_cast<std::uint64_t>(t));
         const Circuit instance =
-            sampler.noisyInstance(routed.circuit, rng);
+            sampler.noisyInstance(routed.circuit, stream);
         StateVector state(n);
         for (const Gate &g : instance.gates())
             state.applyGate(g);
@@ -221,7 +227,7 @@ historicalSample(const TrajectorySampler &sampler,
         std::vector<Bits> raw;
         raw.reserve(static_cast<std::size_t>(quota));
         for (int s = 0; s < quota; ++s) {
-            const double r = rng.uniform() * acc;
+            const double r = stream.uniform() * acc;
             const auto it =
                 std::upper_bound(cdf.begin(), cdf.end(), r);
             raw.push_back(it == cdf.end()
@@ -229,7 +235,7 @@ historicalSample(const TrajectorySampler &sampler,
                 : static_cast<std::size_t>(it - cdf.begin()));
         }
         for (Bits physical : raw) {
-            physical = applyReadoutError(physical, n, model, rng);
+            physical = applyReadoutError(physical, n, model, stream);
             counts.add(routed.toLogical(physical) & mask);
         }
     }
@@ -266,12 +272,11 @@ TEST(ReplayDeterminism, BatchThreadCountInvariance)
         TrajectorySampler sampler(model, 48);
         Rng serial_rng(13);
         const Distribution serial =
-            sampler.sampleBatch(routed, 5, 4000, serial_rng, 1);
+            sampler.sample(routed, 5, 4000, serial_rng, 1);
         for (int threads : {2, 4}) {
             Rng rng(13);
-            expectIdentical(serial, sampler.sampleBatch(routed, 5,
-                                                        4000, rng,
-                                                        threads));
+            expectIdentical(serial, sampler.sample(routed, 5, 4000,
+                                                   rng, threads));
         }
     }
 }
@@ -307,7 +312,7 @@ TEST(ReplayDeterminism, TierInvariance)
     auto run = [&] {
         TrajectorySampler sampler(loud, 40);
         Rng rng(31);
-        return sampler.sampleBatch(routed, 5, 2000, rng, 2);
+        return sampler.sample(routed, 5, 2000, rng, 2);
     };
 
     hammer::sim::setActiveKernels(

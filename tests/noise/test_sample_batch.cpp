@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the parallel batched execution engine: serial and
- * multi-threaded sampleBatch() runs must produce *bit-identical*
- * histograms for a fixed seed, on every backend.
+ * Tests for the parallel batched execution engine: single- and
+ * multi-threaded NoisySampler::sample() runs must produce
+ * *bit-identical* histograms for a fixed seed, on every backend.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "core/ehd.hpp"
 #include "metrics/metrics.hpp"
 #include "noise/channel_sampler.hpp"
+#include "noise/exact_sampler.hpp"
 #include "noise/trajectory_sampler.hpp"
 
 namespace {
@@ -43,11 +44,11 @@ TEST(SampleBatch, TrajectoryThreadCountInvariance)
 
     Rng serial_rng(11);
     const Distribution serial =
-        sampler.sampleBatch(routed, 6, 4000, serial_rng, 1);
+        sampler.sample(routed, 6, 4000, serial_rng, 1);
     for (int threads : {2, 3, 4, 7}) {
         Rng rng(11);
         const Distribution parallel =
-            sampler.sampleBatch(routed, 6, 4000, rng, threads);
+            sampler.sample(routed, 6, 4000, rng, threads);
         expectIdentical(serial, parallel);
     }
 }
@@ -60,11 +61,11 @@ TEST(SampleBatch, ChannelThreadCountInvariance)
 
     Rng serial_rng(13);
     const Distribution serial =
-        sampler.sampleBatch(routed, 8, 20000, serial_rng, 1);
+        sampler.sample(routed, 8, 20000, serial_rng, 1);
     for (int threads : {2, 4, 5}) {
         Rng rng(13);
         const Distribution parallel =
-            sampler.sampleBatch(routed, 8, 20000, rng, threads);
+            sampler.sample(routed, 8, 20000, rng, threads);
         expectIdentical(serial, parallel);
     }
 }
@@ -73,15 +74,24 @@ TEST(SampleBatch, AdvancesCallerRngIndependentlyOfThreadCount)
 {
     // The caller's generator must be in the same state after a batch
     // no matter how many threads ran it, so interleaved experiments
-    // stay reproducible.
+    // stay reproducible: every backend consumes exactly one draw.
     const auto routed = trivialRouting(ghz(5));
-    TrajectorySampler sampler(machinePreset("machineA"), 20);
+    TrajectorySampler trajectory(machinePreset("machineA"), 20);
+    ChannelSampler channel(machinePreset("machineA"));
+    ExactSampler exact(machinePreset("machineA"));
 
-    Rng a(17), b(17);
-    (void)sampler.sampleBatch(routed, 5, 500, a, 1);
-    (void)sampler.sampleBatch(routed, 5, 500, b, 4);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(a(), b());
+    NoisySampler *const samplers[] = {&trajectory, &channel, &exact};
+    for (NoisySampler *sampler : samplers) {
+        Rng a(17), b(17), one_draw(17);
+        (void)sampler->sample(routed, 5, 500, a, 1);
+        (void)sampler->sample(routed, 5, 500, b, 4);
+        (void)one_draw.split();
+        for (int i = 0; i < 16; ++i) {
+            const auto want = one_draw();
+            EXPECT_EQ(a(), want);
+            EXPECT_EQ(b(), want);
+        }
+    }
 }
 
 TEST(SampleBatch, RepeatedBatchesDiffer)
@@ -92,9 +102,9 @@ TEST(SampleBatch, RepeatedBatchesDiffer)
     TrajectorySampler sampler(machinePreset("machineB"), 30);
     Rng rng(19);
     const Distribution first =
-        sampler.sampleBatch(routed, 6, 3000, rng, 2);
+        sampler.sample(routed, 6, 3000, rng, 2);
     const Distribution second =
-        sampler.sampleBatch(routed, 6, 3000, rng, 2);
+        sampler.sample(routed, 6, 3000, rng, 2);
     bool differs = first.support() != second.support();
     for (const auto &e : first.entries()) {
         if (e.probability != second.probability(e.outcome))
@@ -105,15 +115,15 @@ TEST(SampleBatch, RepeatedBatchesDiffer)
 
 TEST(SampleBatch, TrajectoryBatchMatchesSerialPhysics)
 {
-    // The parallel path must reproduce the same noise statistics as
-    // the serial reference implementation (not bit-identical — the
-    // RNG streams differ — but the same physics).
+    // The forked per-trajectory streams must still reproduce the
+    // noise statistics of the physics: a dominant correct answer
+    // and Hamming-clustered errors.
     const Bits key = 0b10101;
     const auto routed = trivialRouting(bernsteinVazirani(5, key));
     TrajectorySampler sampler(machinePreset("machineA"), 100);
     Rng rng(23);
     const Distribution dist =
-        sampler.sampleBatch(routed, 5, 8000, rng, 4);
+        sampler.sample(routed, 5, 8000, rng, 4);
     EXPECT_GT(hammer::metrics::pst(dist, {key}), 0.5);
     EXPECT_TRUE(hammer::metrics::inferredCorrectly(dist, {key}));
     const double ehd =
@@ -127,7 +137,7 @@ TEST(SampleBatch, IdealNoiseStillExact)
     TrajectorySampler sampler(machinePreset("ideal"), 10);
     Rng rng(29);
     const Distribution dist =
-        sampler.sampleBatch(routed, 4, 2000, rng, 4);
+        sampler.sample(routed, 4, 2000, rng, 4);
     EXPECT_EQ(dist.support(), 1u);
     EXPECT_NEAR(dist.probability(0b1011), 1.0, 1e-12);
 }
@@ -141,7 +151,7 @@ TEST(SampleBatch, ShotBudgetIsExactlyHonoured)
     TrajectorySampler sampler(machinePreset("machineC"), 30);
     Rng rng(31);
     const Distribution dist =
-        sampler.sampleBatch(routed, 4, 1000, rng, 3);
+        sampler.sample(routed, 4, 1000, rng, 3);
     double mass = 0.0;
     for (const auto &e : dist.entries()) {
         const double scaled = e.probability * 1000.0;
@@ -151,45 +161,18 @@ TEST(SampleBatch, ShotBudgetIsExactlyHonoured)
     EXPECT_NEAR(mass, 1.0, 1e-12);
 }
 
-TEST(SampleBatch, BaseClassFallbackUsesSerialSample)
-{
-    // A backend without a parallel decomposition inherits a correct
-    // (serial) sampleBatch.
-    class SerialOnly : public NoisySampler
-    {
-      public:
-        Distribution sample(const RoutedCircuit &routed,
-                            int measured_qubits, int shots,
-                            Rng &rng) override
-        {
-            ++calls;
-            TrajectorySampler inner(machinePreset("machineA"), 10);
-            return inner.sample(routed, measured_qubits, shots, rng);
-        }
-        int calls = 0;
-    };
-
-    const auto routed = trivialRouting(ghz(4));
-    SerialOnly backend;
-    Rng rng(37);
-    const Distribution dist =
-        backend.sampleBatch(routed, 4, 500, rng, 8);
-    EXPECT_EQ(backend.calls, 1);
-    EXPECT_NEAR(dist.totalMass(), 1.0, 1e-12);
-}
-
 TEST(SampleBatch, RejectsBadArguments)
 {
     const auto routed = trivialRouting(ghz(4));
     TrajectorySampler sampler(machinePreset("machineA"), 10);
     Rng rng(41);
-    EXPECT_THROW(sampler.sampleBatch(routed, 0, 100, rng, 2),
+    EXPECT_THROW(sampler.sample(routed, 0, 100, rng, 2),
                  std::invalid_argument);
-    EXPECT_THROW(sampler.sampleBatch(routed, 5, 100, rng, 2),
+    EXPECT_THROW(sampler.sample(routed, 5, 100, rng, 2),
                  std::invalid_argument);
-    EXPECT_THROW(sampler.sampleBatch(routed, 4, 0, rng, 2),
+    EXPECT_THROW(sampler.sample(routed, 4, 0, rng, 2),
                  std::invalid_argument);
-    EXPECT_THROW(sampler.sampleBatch(routed, 4, 100, rng, -3),
+    EXPECT_THROW(sampler.sample(routed, 4, 100, rng, -3),
                  std::invalid_argument);
 }
 

@@ -71,7 +71,7 @@ TEST(AutoBackend, BitIdenticalToTheSelectedBackend)
 
         AutoSampler autoSampler(spec);
         hammer::common::Rng arng(spec.seed);
-        const Distribution autoDist = autoSampler.sampleBatch(
+        const Distribution autoDist = autoSampler.sample(
             workload.routed, workload.measuredQubits, spec.shots,
             arng, 1);
         const std::string selected =
@@ -79,7 +79,7 @@ TEST(AutoBackend, BitIdenticalToTheSelectedBackend)
 
         auto direct = BackendRegistry::global().make(selected, spec);
         hammer::common::Rng drng(spec.seed);
-        const Distribution directDist = direct->sampleBatch(
+        const Distribution directDist = direct->sample(
             workload.routed, workload.measuredQubits, spec.shots,
             drng, 1);
         EXPECT_TRUE(identical(autoDist, directDist))
@@ -135,9 +135,9 @@ TEST(AutoBackend, SamePlanOnEveryKernelTier)
         hammer::sim::setActiveKernels(hammer::sim::kernelsForTier(tier));
         AutoSampler sampler(spec);
         hammer::common::Rng rng(spec.seed);
-        dists.push_back(sampler.sampleBatch(workload.routed,
-                                            workload.measuredQubits,
-                                            spec.shots, rng, 1));
+        dists.push_back(sampler.sample(workload.routed,
+                                       workload.measuredQubits,
+                                       spec.shots, rng, 1));
         choices.push_back(sampler.lastChoice().backend);
     }
     hammer::sim::setActiveKernels(nullptr);
@@ -179,7 +179,7 @@ TEST(AutoBackend, PlanIgnoresTheExactMemo)
 
     const auto coldRanking = sampler.rank(workload.routed);
     hammer::common::Rng coldRng(spec.seed);
-    const Distribution cold = sampler.sampleBatch(
+    const Distribution cold = sampler.sample(
         workload.routed, workload.measuredQubits, spec.shots, coldRng,
         1);
     ASSERT_EQ(sampler.lastChoice().backend, "exact");
@@ -187,7 +187,7 @@ TEST(AutoBackend, PlanIgnoresTheExactMemo)
 
     const auto warmRanking = sampler.rank(workload.routed);
     hammer::common::Rng warmRng(spec.seed);
-    const Distribution warm = sampler.sampleBatch(
+    const Distribution warm = sampler.sample(
         workload.routed, workload.measuredQubits, spec.shots, warmRng,
         1);
     EXPECT_EQ(hammer::noise::DistributionMemo::shared().stats().hits, 1u);

@@ -352,10 +352,16 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
     options.degradedServing = degraded_ok;
     ExecutionService service{options};
 
+    // Failures name a job by its 1-based position among the spec
+    // lines, as serveShards() does, so a shed job does not shift the
+    // numbers of the jobs after it.
     int failures = 0;
     std::vector<ExecutionService::JobHandle> handles;
+    std::vector<std::size_t> jobNumbers;
     handles.reserve(requests.size());
-    for (const SpecLine &request : requests) {
+    jobNumbers.reserve(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const SpecLine &request = requests[i];
         // A per-line "deadline_ms" wins; otherwise --deadline is
         // the admission deadline for every job.
         const double deadline = request.deadlineMs > 0.0
@@ -364,11 +370,12 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
         try {
             handles.push_back(service.submit(
                 request.spec, request.priority, deadline));
+            jobNumbers.push_back(i + 1);
         } catch (const DeadlineInfeasibleError &error) {
             // A shed is a per-job outcome, not a fatal one: the
             // stream keeps serving the feasible jobs.
-            std::fprintf(stderr, "hammer_cli: --serve: %s\n",
-                         error.what());
+            std::fprintf(stderr, "hammer_cli: --serve job %zu: %s\n",
+                         i + 1, error.what());
             ++failures;
         } catch (const std::exception &error) {
             std::fprintf(stderr, "hammer_cli: --serve: %s\n",
@@ -387,11 +394,8 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
                 std::cout << canonicalResultJson(result.json(-1))
                           << '\n';
             } catch (const std::exception &error) {
-                std::fprintf(stderr,
-                             "hammer_cli: --serve job %llu: %s\n",
-                             static_cast<unsigned long long>(
-                                 handles[i].id()),
-                             error.what());
+                std::fprintf(stderr, "hammer_cli: --serve job %zu: %s\n",
+                             jobNumbers[i], error.what());
                 ++failures;
             }
         }
@@ -420,11 +424,8 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
                 result.writeJson(std::cout, top > 0 ? top : -1);
                 std::cout.flush();
             } catch (const std::exception &error) {
-                std::fprintf(stderr,
-                             "hammer_cli: --serve job %llu: %s\n",
-                             static_cast<unsigned long long>(
-                                 handles[i].id()),
-                             error.what());
+                std::fprintf(stderr, "hammer_cli: --serve job %zu: %s\n",
+                             jobNumbers[i], error.what());
                 ++failures;
             }
         }
@@ -448,19 +449,15 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
                     } else {
                         std::fprintf(
                             stderr,
-                            "hammer_cli: --serve job %llu: timed "
+                            "hammer_cli: --serve job %zu: timed "
                             "out after %d ms\n",
-                            static_cast<unsigned long long>(
-                                handles[oldest].id()),
-                            deadline_ms);
+                            jobNumbers[oldest], deadline_ms);
                         ++failures;
                     }
                 } catch (const std::exception &error) {
                     std::fprintf(stderr,
-                                 "hammer_cli: --serve job %llu: %s\n",
-                                 static_cast<unsigned long long>(
-                                     handles[oldest].id()),
-                                 error.what());
+                                 "hammer_cli: --serve job %zu: %s\n",
+                                 jobNumbers[oldest], error.what());
                     ++failures;
                 }
                 emitted[oldest] = true;
@@ -534,18 +531,19 @@ serveShards(std::istream &input,
         }
     }
 
+    // Failures name a job by its 1-based position among the spec
+    // lines, as serve() does.
     int failures = 0;
-    for (const std::uint64_t id : ids) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
         try {
-            const std::string json = router.wait(id);
+            const std::string json = router.wait(ids[i]);
             if (canonical)
                 std::cout << api::canonicalResultJson(json) << '\n';
             else
                 std::cout << json; // writeJson lines end with '\n'.
         } catch (const std::exception &error) {
-            std::fprintf(stderr, "hammer_cli: --serve job %llu: %s\n",
-                         static_cast<unsigned long long>(id),
-                         error.what());
+            std::fprintf(stderr, "hammer_cli: --serve job %zu: %s\n",
+                         i + 1, error.what());
             ++failures;
         }
     }
