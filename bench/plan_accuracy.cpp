@@ -141,8 +141,7 @@ main()
         backendSpec.seed = grid_seed;
 
         common::Rng wrng(grid_seed);
-        const api::Workload workload =
-            api::WorkloadRegistry::global().make(cell, wrng);
+        const api::Workload workload = api::makeWorkload(cell, wrng);
         const noise::NoiseModel model =
             api::resolveNoiseModel(backendSpec);
         const plan::PlanFeatures features = plan::extractFeatures(
@@ -151,9 +150,7 @@ main()
         // The contestants: every hand-picked backend, then auto.
         std::vector<std::unique_ptr<noise::NoisySampler>> samplers;
         for (const std::string &backend : handPicked)
-            samplers.push_back(
-                api::BackendRegistry::global().make(backend,
-                                                    backendSpec));
+            samplers.push_back(api::makeBackend(backend, backendSpec));
         auto autoOwned = std::make_unique<api::AutoSampler>(backendSpec);
         const api::AutoSampler &autoSampler = *autoOwned;
         samplers.push_back(std::move(autoOwned));
@@ -231,8 +228,7 @@ main()
             // (exact): rerun that backend directly.
             cellIdentical = identical(
                 autoDist,
-                run(*api::BackendRegistry::global().make(selected,
-                                                         backendSpec)));
+                run(*api::makeBackend(selected, backendSpec)));
         }
         identicalEverywhere = identicalEverywhere && cellIdentical;
         std::printf("%-16s %-10s predicted %8.2f ms, "

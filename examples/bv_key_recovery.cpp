@@ -4,7 +4,7 @@
  * a deeply noisy execution.
  *
  * Shows the full production pipeline as one api::ExperimentSpec: the
- * workload registry builds and routes the oracle circuit onto a
+ * workload table builds and routes the oracle circuit onto a
  * line-connectivity device (SWAPs inserted automatically), the
  * backend spec dials in an unhealthy machine with both stochastic
  * and correlated-burst noise, and the mitigation chain uses HAMMER
@@ -40,7 +40,7 @@ main()
 
     const api::Result result = api::Pipeline().run(spec);
 
-    // The registry routed the circuit for us; the device only talks
+    // The pipeline routed the circuit for us; the device only talks
     // to nearest neighbours, so the router inserted SWAP chains
     // (this is what makes deep BV circuits fragile on hardware).
     const auto &routed = result.workload->routed;

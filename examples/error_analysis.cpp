@@ -5,7 +5,7 @@
  * as a library workflow.
  *
  * Runs mirror benchmarks of increasing depth through api::Pipeline
- * (workload registry spec "mirror:<n>:<depth>", trajectory backend),
+ * (workload spec "mirror:<n>:<depth>", trajectory backend),
  * measures entanglement entropy, fidelity, EHD and the Hamming
  * spectrum, and prints the correlations — the diagnostics a
  * practitioner would use to decide whether HAMMER will help on their
@@ -33,7 +33,7 @@ main()
     const api::Pipeline pipeline;
     common::Rng seed_rng(23);
 
-    // One pipeline run per depth: the registry draws the random
+    // One pipeline run per depth: the workload table draws the random
     // mirror circuit, the trajectory backend executes it, and the
     // scoring stage computes EHD against the known all-zero answer.
     auto run_depth = [&](int depth) {

@@ -10,7 +10,7 @@
  *
  * Every objective evaluation is one api::Pipeline run over a
  * prebuilt workload (api::makeQaoaWorkload with explicit angles) —
- * the entry point for circuits the string registry cannot describe.
+ * the entry point for circuits a workload spec cannot describe.
  */
 
 #include <cstdio>

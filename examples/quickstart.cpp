@@ -2,8 +2,8 @@
  * @file
  * Quickstart: the experiment pipeline in one spec.
  *
- * 1. Name a workload.    ("ghz:10"   — api::WorkloadRegistry)
- * 2. Name a backend.     ("channel"  — api::BackendRegistry)
+ * 1. Name a workload.    ("ghz:10"   — api::makeWorkload)
+ * 2. Name a backend.     ("channel"  — api::makeBackend)
  * 3. Name mitigation.    ("hammer"   — api::MitigationChain)
  * 4. Run.                (api::Pipeline — route, execute, mitigate,
  *                         score, all timed)

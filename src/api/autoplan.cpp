@@ -7,13 +7,8 @@
 
 #include "api/pipeline.hpp"
 #include "api/workload.hpp"
-#include "common/logging.hpp"
-#include "noise/exact_sampler.hpp"
-#include "noise/trajectory_sampler.hpp"
 
 namespace hammer::api {
-
-using common::require;
 
 namespace {
 
@@ -30,7 +25,7 @@ allDigits(const std::string &text)
 }
 
 /**
- * Analytic (qubits, 1q gates, 2q gates) shape of a registry workload
+ * Analytic (qubits, 1q gates, 2q gates) shape of a makeWorkload
  * spec, without building it.  Rough by design: deadline shedding
  * needs a backlog estimate at admission, not exact counts.
  */
@@ -144,23 +139,6 @@ AutoSampler::rank(const circuits::RoutedCircuit &routed) const
         routed.circuit, model_, spec_.shots, spec_.trajectories));
 }
 
-std::unique_ptr<noise::NoisySampler>
-AutoSampler::build(const plan::PlanChoice &choice) const
-{
-    if (choice.backend == "trajectory") {
-        return std::make_unique<noise::TrajectorySampler>(
-            model_, spec_.trajectories);
-    }
-    if (choice.backend == "exact")
-        return std::make_unique<noise::ExactSampler>(model_);
-    require(choice.backend == "channel",
-            "AutoSampler: unexpected plan backend '" +
-                choice.backend + "'");
-    return std::make_unique<noise::ChannelSampler>(
-        model_,
-        spec_.channelParams.value_or(noise::ChannelParams{}));
-}
-
 core::Distribution
 AutoSampler::sample(const circuits::RoutedCircuit &routed,
                     int measured_qubits, int shots, common::Rng &rng,
@@ -169,7 +147,7 @@ AutoSampler::sample(const circuits::RoutedCircuit &routed,
     lastChoice_ = rank(routed).front().choice;
     // The RNG passes straight through, so the histogram is
     // bit-identical to running the selected backend directly.
-    return build(lastChoice_)
+    return makeBackend(lastChoice_.backend, spec_)
         ->sample(routed, measured_qubits, shots, rng, threads);
 }
 
@@ -179,7 +157,7 @@ explainPlan(const ExperimentSpec &spec)
     common::Rng rng(spec.backendSpec.seed);
     const Workload workload = spec.workloadInstance
         ? *spec.workloadInstance
-        : WorkloadRegistry::global().make(spec.workload, rng);
+        : makeWorkload(spec.workload, rng);
     const noise::NoiseModel model =
         resolveNoiseModel(spec.backendSpec);
     const plan::PlanFeatures features = plan::extractFeatures(

@@ -4,9 +4,10 @@
  * face of the plan:: cost model.
  *
  * Three consumers sit on this header:
- *   - the BackendRegistry's `auto` entry (AutoSampler): enumerate the
- *     candidate plans for the concrete routed circuit, execute the
- *     cheapest, stay bit-identical to whichever backend it selects;
+ *   - the `auto` backend (AutoSampler): enumerate the candidate
+ *     plans for the concrete routed circuit, execute the cheapest
+ *     through makeBackend, stay bit-identical to whichever backend
+ *     it selects;
  *   - ExecutionService admission (estimateSpecCost): a cheap,
  *     never-throwing cost estimate from workload *shape* alone,
  *     before anything is built, for deadline shedding and the
@@ -55,8 +56,9 @@ double estimateSpecCost(const ExperimentSpec &spec);
 /**
  * Cost-model-selected backend: ranks the candidate plans for each
  * circuit it is asked to execute and delegates to the cheapest,
- * passing the RNG straight through — the returned histogram is
- * bit-identical to running the selected backend directly.
+ * built by makeBackend from the same spec, passing the RNG straight
+ * through — the returned histogram is bit-identical to running the
+ * selected backend directly.
  *
  * Selection is a pure function of the circuit, the noise model, the
  * shots and the trajectories — never of the kernel tier, the
@@ -81,9 +83,6 @@ class AutoSampler final : public noise::NoisySampler
     const plan::PlanChoice &lastChoice() const { return lastChoice_; }
 
   private:
-    std::unique_ptr<noise::NoisySampler>
-    build(const plan::PlanChoice &choice) const;
-
     BackendSpec spec_;
     noise::NoiseModel model_;
     plan::PlanChoice lastChoice_;

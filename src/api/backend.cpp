@@ -1,5 +1,8 @@
 #include "api/backend.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "api/autoplan.hpp"
 #include "common/logging.hpp"
 #include "noise/exact_sampler.hpp"
@@ -36,82 +39,69 @@ validateBackendSpec(const BackendSpec &spec)
             "BackendSpec: noiseScale must be >= 0");
 }
 
-void
-BackendRegistry::add(const std::string &name, Factory factory)
-{
-    require(!name.empty(), "BackendRegistry: empty backend name");
-    require(factory != nullptr,
-            "BackendRegistry: null factory for backend '" + name +
-                "'");
-    require(factories_.find(name) == factories_.end(),
-            "BackendRegistry: backend '" + name +
-                "' is already registered");
-    factories_.emplace(name, std::move(factory));
-}
+namespace {
 
-bool
-BackendRegistry::contains(const std::string &name) const
-{
-    return factories_.find(name) != factories_.end();
-}
+using SamplerPtr = std::unique_ptr<noise::NoisySampler>;
 
-std::vector<std::string>
-BackendRegistry::names() const
+struct Backend
 {
-    std::vector<std::string> result;
-    result.reserve(factories_.size());
-    for (const auto &[name, factory] : factories_)
-        result.push_back(name);
-    return result;
-}
+    const char *name;
+    SamplerPtr (*build)(const BackendSpec &spec);
+};
+
+/** The built-in backends, sorted by name. */
+const Backend kBackends[] = {
+    {"auto",
+     [](const BackendSpec &spec) -> SamplerPtr {
+         return std::make_unique<AutoSampler>(spec);
+     }},
+    {"channel",
+     [](const BackendSpec &spec) -> SamplerPtr {
+         return std::make_unique<noise::ChannelSampler>(
+             resolveNoiseModel(spec),
+             spec.channelParams.value_or(noise::ChannelParams{}));
+     }},
+    {"exact",
+     [](const BackendSpec &spec) -> SamplerPtr {
+         return std::make_unique<noise::ExactSampler>(
+             resolveNoiseModel(spec));
+     }},
+    {"trajectory",
+     [](const BackendSpec &spec) -> SamplerPtr {
+         return std::make_unique<noise::TrajectorySampler>(
+             resolveNoiseModel(spec), spec.trajectories);
+     }},
+};
+
+} // namespace
 
 std::unique_ptr<noise::NoisySampler>
-BackendRegistry::make(const std::string &name,
-                      const BackendSpec &spec) const
+makeBackend(const std::string &name, const BackendSpec &spec)
 {
-    const auto it = factories_.find(name);
-    if (it == factories_.end()) {
+    const auto backend =
+        std::find_if(std::begin(kBackends), std::end(kBackends),
+                     [&](const Backend &b) { return name == b.name; });
+    if (backend == std::end(kBackends)) {
         std::string known;
-        for (const auto &n : names()) {
+        for (const Backend &b : kBackends) {
             if (!known.empty())
                 known += ", ";
-            known += n;
+            known += b.name;
         }
         fatal("unknown backend '" + name + "' (known backends: " +
               known + ")");
     }
     validateBackendSpec(spec);
-    return it->second(spec);
+    return backend->build(spec);
 }
 
-BackendRegistry &
-BackendRegistry::global()
+std::vector<std::string>
+backendNames()
 {
-    static BackendRegistry registry = defaultBackendRegistry();
-    return registry;
-}
-
-BackendRegistry
-defaultBackendRegistry()
-{
-    BackendRegistry registry;
-    registry.add("trajectory", [](const BackendSpec &spec) {
-        return std::make_unique<noise::TrajectorySampler>(
-            resolveNoiseModel(spec), spec.trajectories);
-    });
-    registry.add("channel", [](const BackendSpec &spec) {
-        return std::make_unique<noise::ChannelSampler>(
-            resolveNoiseModel(spec),
-            spec.channelParams.value_or(noise::ChannelParams{}));
-    });
-    registry.add("exact", [](const BackendSpec &spec) {
-        return std::make_unique<noise::ExactSampler>(
-            resolveNoiseModel(spec));
-    });
-    registry.add("auto", [](const BackendSpec &spec) {
-        return std::make_unique<AutoSampler>(spec);
-    });
-    return registry;
+    std::vector<std::string> names;
+    for (const Backend &backend : kBackends)
+        names.push_back(backend.name);
+    return names;
 }
 
 } // namespace hammer::api

@@ -1,21 +1,18 @@
 /**
  * @file
- * Execution backends and the backend registry — the machine half of
+ * Execution backends and the backend table — the machine half of
  * the experiment pipeline.
  *
  * A BackendSpec carries everything needed to stand up one noisy
  * execution backend (noise preset, shot/trajectory budgets, worker
- * threads, RNG seed); the registry maps backend names ("trajectory",
- * "channel", "exact") to factories over noise::NoisySampler so new
- * backends plug in without touching any caller.
+ * threads, RNG seed); makeBackend maps backend names ("trajectory",
+ * "channel", "exact", "auto") to noise::NoisySampler instances.
  */
 
 #ifndef HAMMER_API_BACKEND_HPP
 #define HAMMER_API_BACKEND_HPP
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,56 +63,26 @@ noise::NoiseModel resolveNoiseModel(const BackendSpec &spec);
 void validateBackendSpec(const BackendSpec &spec);
 
 /**
- * String-keyed backend factories over noise::NoisySampler.
- *
- * Built-ins (see defaultBackendRegistry()):
- *   trajectory    Monte-Carlo Pauli trajectories (reference physics)
- *   channel       analytic end-of-circuit channel (fast sweeps)
- *   exact         density-matrix ground truth (<= ~10 qubits),
- *                 evolved once per (circuit, model) and resampled
+ * Stand up backend @p name from @p spec.  The backends, one fixed
+ * table sorted by name:
  *   auto          cost-model-selected: ranks candidate plans with the
  *                 fixed plan:: cost model and executes the cheapest,
  *                 bit-identical to that backend
+ *   channel       analytic end-of-circuit channel (fast sweeps)
+ *   exact         density-matrix ground truth (<= ~10 qubits),
+ *                 evolved once per (circuit, model) and resampled
+ *   trajectory    Monte-Carlo Pauli trajectories (reference physics)
+ *
+ * Validates the spec first (validateBackendSpec).
+ *
+ * @throws std::invalid_argument for an unknown name (the message
+ *         lists the known ones) or an invalid spec.
  */
-class BackendRegistry
-{
-  public:
-    using Factory = std::function<std::unique_ptr<noise::NoisySampler>(
-        const BackendSpec &spec)>;
+std::unique_ptr<noise::NoisySampler>
+makeBackend(const std::string &name, const BackendSpec &spec);
 
-    /**
-     * Register a backend.
-     *
-     * @throws std::invalid_argument when @p name is already taken.
-     */
-    void add(const std::string &name, Factory factory);
-
-    /** True when @p name has a registered factory. */
-    bool contains(const std::string &name) const;
-
-    /** Registered backend names, sorted. */
-    std::vector<std::string> names() const;
-
-    /**
-     * Instantiate backend @p name from @p spec.
-     *
-     * Validates the spec first (validateBackendSpec).
-     *
-     * @throws std::invalid_argument for an unknown name (the message
-     *         lists the known ones) or an invalid spec.
-     */
-    std::unique_ptr<noise::NoisySampler>
-    make(const std::string &name, const BackendSpec &spec) const;
-
-    /** The process-wide registry, pre-loaded with the built-ins. */
-    static BackendRegistry &global();
-
-  private:
-    std::map<std::string, Factory> factories_;
-};
-
-/** A fresh registry containing only the built-in backends. */
-BackendRegistry defaultBackendRegistry();
+/** The backend names, sorted. */
+std::vector<std::string> backendNames();
 
 } // namespace hammer::api
 

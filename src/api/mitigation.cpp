@@ -1,6 +1,8 @@
 #include "api/mitigation.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "common/logging.hpp"
 
@@ -153,81 +155,8 @@ MitigationChain::apply(const Distribution &measured,
 }
 
 // ---------------------------------------------------------------------------
-// MitigatorRegistry
+// Stage table
 // ---------------------------------------------------------------------------
-
-void
-MitigatorRegistry::add(const std::string &name,
-                       const std::string &usage, Factory factory)
-{
-    require(!name.empty(), "MitigatorRegistry: empty stage name");
-    require(name.find(':') == std::string::npos &&
-                name.find(',') == std::string::npos,
-            "MitigatorRegistry: stage name '" + name +
-                "' must not contain ':' or ','");
-    require(factory != nullptr,
-            "MitigatorRegistry: null factory for stage '" + name +
-                "'");
-    require(factories_.find(name) == factories_.end(),
-            "MitigatorRegistry: stage '" + name +
-                "' is already registered");
-    factories_.emplace(name, Entry{usage, std::move(factory)});
-}
-
-bool
-MitigatorRegistry::contains(const std::string &name) const
-{
-    return factories_.find(name) != factories_.end();
-}
-
-std::vector<std::string>
-MitigatorRegistry::names() const
-{
-    std::vector<std::string> result;
-    result.reserve(factories_.size());
-    for (const auto &[name, entry] : factories_)
-        result.push_back(name);
-    return result;
-}
-
-std::string
-MitigatorRegistry::usage() const
-{
-    std::string joined;
-    for (const auto &[name, entry] : factories_) {
-        if (!joined.empty())
-            joined += '\n';
-        joined += entry.usage;
-    }
-    return joined;
-}
-
-std::shared_ptr<const Mitigator>
-MitigatorRegistry::make(const std::string &spec) const
-{
-    auto parts = splitSpec(spec);
-    const std::string kind = parts[0];
-    const auto it = factories_.find(kind);
-    if (it == factories_.end()) {
-        std::string known;
-        for (const auto &name : names()) {
-            if (!known.empty())
-                known += ", ";
-            known += name;
-        }
-        fatal("unknown mitigation stage '" + kind +
-              "' (known: " + known + ")");
-    }
-    parts.erase(parts.begin());
-    return it->second.factory(parts);
-}
-
-MitigatorRegistry &
-MitigatorRegistry::global()
-{
-    static MitigatorRegistry registry = defaultMitigatorRegistry();
-    return registry;
-}
 
 namespace {
 
@@ -244,46 +173,78 @@ singleIntArg(const std::vector<std::string> &args,
                             "mitigation stage '" + name + "'");
 }
 
+using MitigatorPtr = std::shared_ptr<const Mitigator>;
+
+struct Stage
+{
+    const char *name;
+    const char *usage; ///< One line for --list.
+    /** Builds the stage from its spec arguments (name stripped). */
+    MitigatorPtr (*build)(const std::vector<std::string> &args);
+};
+
+/** The built-in stages, sorted by name. */
+const Stage kStages[] = {
+    {"ensemble", "ensemble[:<mappings>]",
+     [](const std::vector<std::string> &args) -> MitigatorPtr {
+         mitigation::EnsembleOptions options;
+         options.mappings =
+             singleIntArg(args, "ensemble", options.mappings);
+         return std::make_shared<EnsembleMitigator>(options);
+     }},
+    {"hammer", "hammer[:<iterations>]",
+     [](const std::vector<std::string> &args) -> MitigatorPtr {
+         return std::make_shared<HammerMitigator>(
+             core::HammerConfig{}, singleIntArg(args, "hammer", 1));
+     }},
+    {"readout", "readout[:<iterations>]",
+     [](const std::vector<std::string> &args) -> MitigatorPtr {
+         mitigation::ReadoutMitigationOptions options;
+         options.iterations =
+             singleIntArg(args, "readout", options.iterations);
+         return std::make_shared<ReadoutMitigator>(options);
+     }},
+};
+
 } // namespace
 
-MitigatorRegistry
-defaultMitigatorRegistry()
+std::shared_ptr<const Mitigator>
+makeMitigator(const std::string &spec)
 {
-    MitigatorRegistry registry;
-    registry.add("hammer", "hammer[:<iterations>]",
-                 [](const std::vector<std::string> &args) {
-                     return std::make_shared<HammerMitigator>(
-                         core::HammerConfig{},
-                         singleIntArg(args, "hammer", 1));
-                 });
-    registry.add("readout", "readout[:<iterations>]",
-                 [](const std::vector<std::string> &args) {
-                     mitigation::ReadoutMitigationOptions options;
-                     options.iterations = singleIntArg(
-                         args, "readout", options.iterations);
-                     return std::make_shared<ReadoutMitigator>(
-                         options);
-                 });
-    registry.add("ensemble", "ensemble[:<mappings>]",
-                 [](const std::vector<std::string> &args) {
-                     mitigation::EnsembleOptions options;
-                     options.mappings = singleIntArg(
-                         args, "ensemble", options.mappings);
-                     return std::make_shared<EnsembleMitigator>(
-                         options);
-                 });
-    return registry;
+    auto parts = splitSpec(spec);
+    const std::string kind = parts[0];
+    const auto stage =
+        std::find_if(std::begin(kStages), std::end(kStages),
+                     [&](const Stage &s) { return kind == s.name; });
+    if (stage == std::end(kStages)) {
+        std::string known;
+        for (const Stage &s : kStages) {
+            if (!known.empty())
+                known += ", ";
+            known += s.name;
+        }
+        fatal("unknown mitigation stage '" + kind +
+              "' (known: " + known + ")");
+    }
+    parts.erase(parts.begin());
+    return stage->build(parts);
+}
+
+std::string
+mitigatorUsage()
+{
+    std::string joined;
+    for (const Stage &stage : kStages) {
+        if (!joined.empty())
+            joined += '\n';
+        joined += stage.usage;
+    }
+    return joined;
 }
 
 // ---------------------------------------------------------------------------
 // Spec parsing
 // ---------------------------------------------------------------------------
-
-std::shared_ptr<const Mitigator>
-makeMitigator(const std::string &spec)
-{
-    return MitigatorRegistry::global().make(spec);
-}
 
 MitigationChain
 mitigationChainFromSpec(const std::string &spec)

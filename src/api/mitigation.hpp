@@ -15,8 +15,6 @@
 #ifndef HAMMER_API_MITIGATION_HPP
 #define HAMMER_API_MITIGATION_HPP
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -187,79 +185,24 @@ class MitigationChain final : public Mitigator
 };
 
 /**
- * String-keyed mitigator factories — the third registry of the
- * pipeline, symmetric with WorkloadRegistry and BackendRegistry so
- * entry points can enumerate and extend post-processing stages the
- * same way they do workloads and backends.
+ * Build one stage from a spec token `<name>[:<arg>]`, with the name
+ * looked up in one fixed table.  The stages, sorted by name:
  *
- * Built-ins (see defaultMitigatorRegistry()):
- *
+ *   ensemble[:<mappings>]    diverse-mapping ensemble (re-executes)
  *   hammer[:<iterations>]    HAMMER (paper defaults)
  *   readout[:<iterations>]   iterative-Bayesian readout unfolding
- *   ensemble[:<mappings>]    diverse-mapping ensemble (re-executes)
- */
-class MitigatorRegistry
-{
-  public:
-    /**
-     * Factory signature: colon-separated spec arguments with the
-     * stage name stripped ("hammer:3" hands the factory {"3"}).
-     */
-    using Factory = std::function<std::shared_ptr<const Mitigator>(
-        const std::vector<std::string> &args)>;
-
-    /**
-     * Register a stage.
-     *
-     * @param name Key (no colons or commas).
-     * @param usage One-line usage string for --list and errors.
-     * @throws std::invalid_argument when @p name is already
-     *         registered, empty, or contains ':' or ','.
-     */
-    void add(const std::string &name, const std::string &usage,
-             Factory factory);
-
-    /** True when @p name has a registered factory. */
-    bool contains(const std::string &name) const;
-
-    /** Registered stage names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** One usage line per stage, sorted, newline-joined. */
-    std::string usage() const;
-
-    /**
-     * Build the stage described by @p spec (`<name>[:<arg>...]`).
-     *
-     * @throws std::invalid_argument for an unknown name (the message
-     *         lists the known ones) or bad arguments.
-     */
-    std::shared_ptr<const Mitigator>
-    make(const std::string &spec) const;
-
-    /** The process-wide registry, pre-loaded with the built-ins. */
-    static MitigatorRegistry &global();
-
-  private:
-    struct Entry
-    {
-        std::string usage;
-        Factory factory;
-    };
-    std::map<std::string, Entry> factories_;
-};
-
-/** A fresh registry containing only the built-in stages. */
-MitigatorRegistry defaultMitigatorRegistry();
-
-/**
- * Build one stage from a spec token via MitigatorRegistry::global()
- * (see the registry's built-in list).
  *
- * @throws std::invalid_argument for unknown names or bad arguments.
+ * Stages the table does not name run as a prebuilt
+ * ExperimentSpec::mitigator.
+ *
+ * @throws std::invalid_argument for an unknown name (the message
+ *         lists the known ones) or bad arguments.
  */
 std::shared_ptr<const Mitigator>
 makeMitigator(const std::string &spec);
+
+/** One usage line per stage, sorted by name, newline-joined. */
+std::string mitigatorUsage();
 
 /**
  * Build a chain from a comma-separated spec, e.g. "readout,hammer".

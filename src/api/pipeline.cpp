@@ -7,11 +7,8 @@
 #include <string_view>
 
 #include "api/json.hpp"
-#include "api/service.hpp"
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "core/ehd.hpp"
-#include "core/io.hpp"
 #include "metrics/metrics.hpp"
 
 namespace hammer::api {
@@ -76,12 +73,6 @@ Result::stageSeconds(const std::string &stage) const
         if (timing.stage == stage)
             return timing.seconds;
     return 0.0;
-}
-
-void
-Result::writeCsv(std::ostream &out, int precision) const
-{
-    core::writeDistributionCsv(out, mitigated, precision);
 }
 
 void
@@ -158,17 +149,6 @@ Result::json(int max_outcomes) const
 // Pipeline
 // ---------------------------------------------------------------------------
 
-Pipeline::Pipeline()
-    : Pipeline(WorkloadRegistry::global(), BackendRegistry::global())
-{
-}
-
-Pipeline::Pipeline(const WorkloadRegistry &workloads,
-                   const BackendRegistry &backends)
-    : workloads_(&workloads), backends_(&backends)
-{
-}
-
 Result
 Pipeline::run(const ExperimentSpec &spec) const
 {
@@ -204,7 +184,7 @@ Pipeline::buildWorkload(const ExperimentSpec &spec,
     const auto start = std::chrono::steady_clock::now();
     Workload workload = spec.workloadInstance
         ? *spec.workloadInstance
-        : workloads_->make(spec.workload, state.rng);
+        : makeWorkload(spec.workload, state.rng);
     require(workload.measuredQubits >= 1,
             "Pipeline: workload measures no qubits");
     result.timings.push_back({"workload", secondsSince(start)});
@@ -225,7 +205,7 @@ Pipeline::standUpBackend(const ExperimentSpec &spec, RunState &state,
 {
     const auto start = std::chrono::steady_clock::now();
     state.model = resolveNoiseModel(spec.backendSpec);
-    state.sampler = backends_->make(spec.backend, spec.backendSpec);
+    state.sampler = makeBackend(spec.backend, spec.backendSpec);
     result.timings.push_back({"backend", secondsSince(start)});
 }
 
@@ -296,23 +276,6 @@ Pipeline::score(RunState &state, Result &result) const
     result.timings.push_back({"score", secondsSince(start)});
 
     result.workload = std::move(state.workload);
-}
-
-std::vector<Result>
-Pipeline::runMany(const std::vector<ExperimentSpec> &specs,
-                  int threads) const
-{
-    // Thin wrapper over the serving layer: one per-call service with
-    // as many workers as the batch supports.  Submitting everything
-    // first and waiting in spec order preserves the historical
-    // contract (order-stable, bit-identical for any thread count)
-    // while duplicate specs inside the batch coalesce onto one
-    // execution.
-    ExecutionServiceOptions options;
-    options.workers =
-        common::ThreadPool::resolveThreadCount(threads, specs.size());
-    ExecutionService service(*this, options);
-    return service.runMany(specs);
 }
 
 } // namespace hammer::api

@@ -4,13 +4,13 @@
  * circuit -> route -> execute noisily -> post-process -> score — as
  * one composable API.
  *
- * An ExperimentSpec names a workload (registry spec or prebuilt
- * instance), a backend (registry name + BackendSpec) and a mitigation
- * chain; Pipeline::run executes the sequence and returns a Result
- * with the raw and mitigated histograms, per-stage wall-clock,
- * HAMMER observability counters and fidelity metrics.  runMany fans
- * a batch of specs across common::ThreadPool, preserving the
- * engine's bit-identical-for-any-thread-count guarantee.
+ * An ExperimentSpec names a workload (makeWorkload spec or prebuilt
+ * instance), a backend (makeBackend name + BackendSpec) and a
+ * mitigation chain; Pipeline::run executes the sequence and returns a
+ * Result with the raw and mitigated histograms, per-stage wall-clock,
+ * HAMMER observability counters and fidelity metrics.  Batches go
+ * through ExecutionService::runMany, which keeps the engine's
+ * bit-identical-for-any-thread-count guarantee.
  */
 
 #ifndef HAMMER_API_PIPELINE_HPP
@@ -40,17 +40,17 @@ struct ExperimentSpec
     /** Free-form label echoed into the Result ("" = workload spec). */
     std::string label;
 
-    /** Workload registry spec, e.g. "bv:8" (see WorkloadRegistry). */
+    /** Workload spec, e.g. "bv:8" (see makeWorkload). */
     std::string workload;
 
     /**
-     * Prebuilt workload; wins over the registry spec.  The entry
-     * point for circuits the registry cannot describe (explicit QAOA
+     * Prebuilt workload; wins over the workload spec.  The entry
+     * point for circuits makeWorkload cannot describe (explicit QAOA
      * angles, custom graphs, hand-built circuits).
      */
     std::optional<Workload> workloadInstance;
 
-    /** Backend registry name: "trajectory" | "channel" | "exact". */
+    /** Backend name (see makeBackend), e.g. "channel". */
     std::string backend = "channel";
 
     /** Backend configuration (machine, shots, threads, seed, ...). */
@@ -62,7 +62,10 @@ struct ExperimentSpec
      */
     std::string mitigation = "hammer";
 
-    /** Prebuilt mitigator; wins over the chain spec. */
+    /**
+     * Prebuilt mitigator; wins over the chain spec.  The entry point
+     * for stages makeMitigator does not name.
+     */
     std::shared_ptr<const Mitigator> mitigator;
 };
 
@@ -87,9 +90,9 @@ struct StageTiming
 struct Result
 {
     std::string label;          ///< Echo of the spec label.
-    std::string workloadSpec;   ///< Registry spec ("" = prebuilt).
+    std::string workloadSpec;   ///< Workload spec ("" = prebuilt).
     std::string family;         ///< Workload family tag.
-    std::string backendName;    ///< Backend registry name.
+    std::string backendName;    ///< Backend name.
     std::string machine;        ///< Noise preset used.
     std::string mitigationName; ///< Chain name ("none" = identity).
     int measuredQubits = 0;
@@ -132,12 +135,6 @@ struct Result
     double stageSeconds(const std::string &stage) const;
 
     /**
-     * Write the mitigated histogram in the interchange CSV format
-     * (core::writeDistributionCsv), most probable outcome first.
-     */
-    void writeCsv(std::ostream &out, int precision = 8) const;
-
-    /**
      * Write the full result as one JSON object: experiment identity,
      * per-stage timings, HAMMER stats, metrics (null when unscored)
      * and both histograms.
@@ -178,12 +175,12 @@ struct RunState
 };
 
 /**
- * The experiment pipeline over a pair of registries.
+ * The experiment pipeline.
  *
- * Stateless apart from the registry references: run() is const and
- * thread-safe, and every run is deterministic in the spec alone
- * (the RNG is seeded from BackendSpec::seed), which is what makes
- * runMany trivially order- and thread-count-independent.
+ * Stateless: run() is const and thread-safe, and every run is
+ * deterministic in the spec alone (the RNG is seeded from
+ * BackendSpec::seed), which is what makes ExecutionService::runMany
+ * order- and thread-count-independent.
  *
  * run() is a composition of four reusable stages — buildWorkload,
  * execute, mitigate, score — each of which can also be called
@@ -195,20 +192,14 @@ struct RunState
 class Pipeline
 {
   public:
-    /** Pipeline over the global registries. */
-    Pipeline();
-
-    /** Pipeline over explicit registries (tests, custom stacks). */
-    Pipeline(const WorkloadRegistry &workloads,
-             const BackendRegistry &backends);
-
     /**
      * Run one experiment end to end: buildWorkload, execute,
      * mitigate, score.
      *
-     * @throws std::invalid_argument for unknown registry keys or
-     *         invalid budgets (shots/trajectories <= 0, ...); the
-     *         message names the offending field or key.
+     * @throws std::invalid_argument for unknown workload, backend or
+     *         mitigation names or invalid budgets (shots/trajectories
+     *         <= 0, ...); the message names the offending field or
+     *         name.
      */
     Result run(const ExperimentSpec &spec) const;
 
@@ -255,34 +246,6 @@ class Pipeline
      * out of @p state into the Result.
      */
     void score(RunState &state, Result &result) const;
-
-    /**
-     * Run a batch of experiments, fanning the specs across a thread
-     * pool.
-     *
-     * A thin wrapper over ExecutionService (submit all, wait in
-     * order): each spec is an independent job whose result depends
-     * only on the spec itself, so the returned vector is
-     * bit-identical for every @p threads value (including 1), and
-     * duplicate specs within the batch execute once (request
-     * coalescing).  When more than one worker runs, per-spec inner
-     * sampling threads are forced to 1 — the outer fan-out owns the
-     * cores — which does not change any histogram (sample()'s own
-     * guarantee).
-     *
-     * @param threads Worker threads; 0 selects the default
-     *        (HAMMER_THREADS, else all hardware threads), capped at
-     *        the batch size.
-     */
-    std::vector<Result> runMany(const std::vector<ExperimentSpec> &specs,
-                                int threads = 0) const;
-
-    const WorkloadRegistry &workloads() const { return *workloads_; }
-    const BackendRegistry &backends() const { return *backends_; }
-
-  private:
-    const WorkloadRegistry *workloads_;
-    const BackendRegistry *backends_;
 };
 
 } // namespace hammer::api

@@ -75,7 +75,7 @@ appendField(std::string &key, const char *name,
 
 /**
  * Retry-budget key class of a spec: backend + workload family (the
- * registry key up to the first ':').  Coarse on purpose — a budget
+ * workload spec up to the first ':').  Coarse on purpose — a budget
  * should throttle a whole traffic class, not one parameterisation.
  */
 std::string
@@ -248,13 +248,7 @@ ExecutionService::JobHandle::servedFromCache() const
 // ---------------------------------------------------------------------------
 
 ExecutionService::ExecutionService(ExecutionServiceOptions options)
-    : ExecutionService(Pipeline(), options)
-{
-}
-
-ExecutionService::ExecutionService(const Pipeline &pipeline,
-                                   ExecutionServiceOptions options)
-    : pipeline_(pipeline), options_(options)
+    : options_(options)
 {
     if (options_.cacheCapacity > 0) {
         resultCache_ =
@@ -834,7 +828,7 @@ ExecutionService::wait(const JobHandle &handle) const
     // Help drain the queue instead of blocking outright: the pool
     // keeps threadCount-1 dedicated workers, so the waiting caller
     // is the remaining one (submit-all-then-wait batches use every
-    // thread, as the pre-service runMany did).
+    // thread).
     while (handle.job_->future.wait_for(std::chrono::seconds(0)) !=
                std::future_status::ready &&
            pool_->tryRunOneJob()) {

@@ -24,9 +24,9 @@
  * histogram — results are bit-identical to Pipeline::run for any
  * worker count, including 1.
  *
- * Specs that the registries cannot describe canonically (prebuilt
- * workload instances, explicit noise models, opaque mitigator
- * objects) bypass both caches and simply run queued.
+ * Specs that have no canonical string form (prebuilt workload
+ * instances, explicit noise models, opaque mitigator objects)
+ * bypass both caches and simply run queued.
  *
  * The cost model (estimateSpecCost) predicts each admitted job's
  * seconds for deadline shedding and for the predicted/measured cost
@@ -413,12 +413,8 @@ class ExecutionService
         std::shared_ptr<Job> job_;
     };
 
-    /** Service over the global registries. */
+    /** Stand up the worker pool and caches @p options describe. */
     explicit ExecutionService(ExecutionServiceOptions options = {});
-
-    /** Service over an explicit pipeline (tests, custom stacks). */
-    ExecutionService(const Pipeline &pipeline,
-                     ExecutionServiceOptions options = {});
 
     ~ExecutionService();
 
@@ -430,12 +426,12 @@ class ExecutionService
      *
      * Validation happens here, at the boundary: malformed budgets or
      * a missing workload throw std::invalid_argument from submit()
-     * itself.  Deeper errors (unknown registry keys, ...) surface
-     * from wait().  Higher @p priority jobs run first; equal
-     * priorities run FIFO.  A submit that coalesces onto an
-     * identical in-flight job keeps that job's queue position — its
-     * own @p priority is not applied retroactively (deduplication
-     * wins over reprioritisation).
+     * itself.  Deeper errors (unknown workload, backend or stage
+     * names, ...) surface from wait().  Higher @p priority jobs run
+     * first; equal priorities run FIFO.  A submit that coalesces
+     * onto an identical in-flight job keeps that job's queue
+     * position — its own @p priority is not applied retroactively
+     * (deduplication wins over reprioritisation).
      *
      * @p deadlineMs > 0 enables deadline-aware admission: when the
      * job's predicted completion — the queue's accepted-but-
@@ -472,7 +468,7 @@ class ExecutionService
 
     /**
      * Submit every spec, then wait in spec order: the batch entry
-     * Pipeline::runMany wraps.  Bit-identical for any worker count.
+     * point.  Bit-identical for any worker count.
      */
     std::vector<Result> runMany(const std::vector<ExperimentSpec> &specs);
 
@@ -553,7 +549,7 @@ class ExecutionService
     std::shared_ptr<const Result>
     degradedSubstituteLocked(const ExperimentSpec &spec);
 
-    const Pipeline pipeline_;
+    const Pipeline pipeline_{};
     const ExecutionServiceOptions options_;
 
     mutable std::mutex mutex_;

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 
 #include "circuits/bv.hpp"
@@ -23,7 +24,7 @@ using common::Rng;
 namespace {
 
 /**
- * Brute-forcing C_min is a 2^n scan; beyond this width the registry
+ * Brute-forcing C_min is a 2^n scan; beyond this width a qaoa spec
  * leaves the optimum unset instead of stalling.
  */
 constexpr int kMaxOptimumQubits = 20;
@@ -56,6 +57,120 @@ fillQaoaOptimum(Workload &w, const graph::Graph &g)
     w.correctOutcomes = opt.bestCuts;
 }
 
+// ---------------------------------------------------------------------------
+// Family table
+// ---------------------------------------------------------------------------
+
+Workload
+bvFromArgs(const std::vector<std::string> &args, Rng &rng)
+{
+    const std::string spec = "bv spec";
+    if (args.size() < 1 || args.size() > 2)
+        fatal("bv spec takes 1-2 arguments: "
+              "bv:<n>[:<key-bitstring>]");
+    const int n = parsePositiveInt(args[0], spec);
+    checkWidth(n, 23, spec); // + 1 ancilla qubit
+    Bits key = 0;
+    if (args.size() == 2) {
+        if (static_cast<int>(args[1].size()) != n)
+            fatal("bv key '" + args[1] + "' must be exactly " +
+                  std::to_string(n) + " binary digits");
+        for (char c : args[1])
+            if (c != '0' && c != '1')
+                fatal("bv key '" + args[1] +
+                      "' must be binary digits");
+        key = common::fromBitstring(args[1]);
+    } else {
+        // Avoid the empty key (no oracle, trivially noise-free).
+        while (key == 0)
+            key = rng.uniformInt(Bits{1} << n);
+    }
+    return makeBvWorkload(n, key);
+}
+
+Workload
+ghzFromArgs(const std::vector<std::string> &args, Rng &)
+{
+    if (args.size() != 1)
+        fatal("ghz spec takes 1 argument: ghz:<n>");
+    const int n = parsePositiveInt(args[0], "ghz spec");
+    checkWidth(n, 24, "ghz");
+    return makeGhzWorkload(n);
+}
+
+Workload
+mirrorFromArgs(const std::vector<std::string> &args, Rng &rng)
+{
+    if (args.size() < 1 || args.size() > 2)
+        fatal("mirror spec takes 1-2 arguments: "
+              "mirror:<n>[:<depth>]");
+    const int n = parsePositiveInt(args[0], "mirror spec");
+    checkWidth(n, 24, "mirror");
+    const int depth =
+        args.size() == 2 ? parsePositiveInt(args[1], "mirror spec") : 8;
+    return makeMirrorWorkload(n, depth, 0.5, rng);
+}
+
+Workload
+qaoaFromArgs(const std::vector<std::string> &args, Rng &rng)
+{
+    // Accept both qaoa:<family>:<n>:<p> and the historical CLI
+    // shorthand qaoa:<n>:<p> (family defaults to 3reg).
+    std::string family = "3reg";
+    std::vector<std::string> rest = args;
+    if (rest.size() == 3) {
+        family = rest[0];
+        rest.erase(rest.begin());
+    }
+    if (rest.size() != 2)
+        fatal("qaoa spec takes 2-3 arguments: "
+              "qaoa:[<family>:]<n>:<p>");
+    const int n = parsePositiveInt(rest[0], "qaoa spec");
+    checkWidth(n, 24, "qaoa");
+    const int p = parsePositiveInt(rest[1], "qaoa spec");
+    const bool optimum = n <= kMaxOptimumQubits;
+
+    if (family == "3reg") {
+        return makeQaoaWorkload(graph::kRegular(n, 3, rng), p, false,
+                                0, 0, family, optimum);
+    }
+    if (family == "rand") {
+        // Edge density 0.2-0.8 as in the paper's Table 2
+        // methodology.
+        const double density = rng.uniform(0.2, 0.8);
+        return makeQaoaWorkload(graph::erdosRenyi(n, density, rng), p,
+                                false, 0, 0, family, optimum);
+    }
+    if (family == "ring") {
+        return makeQaoaWorkload(graph::ring(n), p, false, 0, 0, family,
+                                optimum);
+    }
+    if (family == "grid") {
+        const auto [rows, cols] = squarishShape(n);
+        return makeQaoaWorkload(graph::grid(rows, cols), p, true, rows,
+                                cols, family, optimum);
+    }
+    fatal("unknown qaoa family '" + family +
+          "' (known: 3reg, rand, ring, grid)");
+}
+
+struct Family
+{
+    const char *name;
+    const char *usage; ///< One line for --list and errors.
+    /** Builds an instance from the spec's arguments (family stripped). */
+    Workload (*build)(const std::vector<std::string> &args, Rng &rng);
+};
+
+/** The built-in families, sorted by name. */
+const Family kFamilies[] = {
+    {"bv", "bv:<n>[:<key-bitstring>]", bvFromArgs},
+    {"ghz", "ghz:<n>", ghzFromArgs},
+    {"mirror", "mirror:<n>[:<depth>]", mirrorFromArgs},
+    {"qaoa", "qaoa:[<family>:]<n>:<p>  (family: 3reg|rand|ring|grid)",
+     qaoaFromArgs},
+};
+
 } // namespace
 
 Workload::Workload(std::string family_, sim::Circuit logical_,
@@ -80,81 +195,39 @@ Workload::isCorrect(Bits outcome) const
                      outcome) != correctOutcomes.end();
 }
 
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-void
-WorkloadRegistry::add(const std::string &family,
-                      const std::string &usage, Factory factory)
-{
-    require(!family.empty() &&
-                family.find(':') == std::string::npos,
-            "WorkloadRegistry: family name must be non-empty and "
-            "colon-free");
-    require(factory != nullptr,
-            "WorkloadRegistry: null factory for family '" + family +
-                "'");
-    require(factories_.find(family) == factories_.end(),
-            "WorkloadRegistry: family '" + family +
-                "' is already registered");
-    factories_.emplace(family, Entry{usage, std::move(factory)});
-}
-
-bool
-WorkloadRegistry::contains(const std::string &family) const
-{
-    return factories_.find(family) != factories_.end();
-}
-
-std::vector<std::string>
-WorkloadRegistry::families() const
-{
-    std::vector<std::string> names;
-    names.reserve(factories_.size());
-    for (const auto &[name, entry] : factories_)
-        names.push_back(name);
-    return names;
-}
-
-std::string
-WorkloadRegistry::usage() const
-{
-    std::string text;
-    for (const auto &[name, entry] : factories_) {
-        if (!text.empty())
-            text += '\n';
-        text += entry.usage;
-    }
-    return text;
-}
-
 Workload
-WorkloadRegistry::make(const std::string &spec, Rng &rng) const
+makeWorkload(const std::string &spec, Rng &rng)
 {
     auto parts = splitSpec(spec);
-    const auto it = factories_.find(parts[0]);
-    if (it == factories_.end()) {
+    const auto family =
+        std::find_if(std::begin(kFamilies), std::end(kFamilies),
+                     [&](const Family &f) { return parts[0] == f.name; });
+    if (family == std::end(kFamilies)) {
         std::string known;
-        for (const auto &name : families()) {
+        for (const Family &f : kFamilies) {
             if (!known.empty())
                 known += ", ";
-            known += name;
+            known += f.name;
         }
         fatal("unknown workload family in spec '" + spec +
               "' (known families: " + known + ")");
     }
     parts.erase(parts.begin());
-    Workload w = it->second.factory(parts, rng);
+    Workload w = family->build(parts, rng);
     w.spec = spec;
     return w;
 }
 
-WorkloadRegistry &
-WorkloadRegistry::global()
+std::string
+workloadUsage()
 {
-    static WorkloadRegistry registry = defaultWorkloadRegistry();
-    return registry;
+    std::string text;
+    for (const Family &family : kFamilies) {
+        if (!text.empty())
+            text += '\n';
+        text += family.usage;
+    }
+    return text;
 }
 
 std::vector<std::string>
@@ -204,110 +277,6 @@ parseSeed(const std::string &text, const std::string &context)
         fatal(context + ": '" + text +
               "' is not an integer in [0, 2^53)");
     return value;
-}
-
-WorkloadRegistry
-defaultWorkloadRegistry()
-{
-    WorkloadRegistry registry;
-
-    registry.add(
-        "bv", "bv:<n>[:<key-bitstring>]",
-        [](const std::vector<std::string> &args, Rng &rng) {
-            const std::string spec = "bv spec";
-            if (args.size() < 1 || args.size() > 2)
-                fatal("bv spec takes 1-2 arguments: "
-                      "bv:<n>[:<key-bitstring>]");
-            const int n = parsePositiveInt(args[0], spec);
-            checkWidth(n, 23, spec); // + 1 ancilla qubit
-            Bits key = 0;
-            if (args.size() == 2) {
-                if (static_cast<int>(args[1].size()) != n)
-                    fatal("bv key '" + args[1] + "' must be exactly " +
-                          std::to_string(n) + " binary digits");
-                for (char c : args[1])
-                    if (c != '0' && c != '1')
-                        fatal("bv key '" + args[1] +
-                              "' must be binary digits");
-                key = common::fromBitstring(args[1]);
-            } else {
-                // Avoid the empty key (no oracle, trivially
-                // noise-free).
-                while (key == 0)
-                    key = rng.uniformInt(Bits{1} << n);
-            }
-            return makeBvWorkload(n, key);
-        });
-
-    registry.add(
-        "ghz", "ghz:<n>",
-        [](const std::vector<std::string> &args, Rng &) {
-            if (args.size() != 1)
-                fatal("ghz spec takes 1 argument: ghz:<n>");
-            const int n = parsePositiveInt(args[0], "ghz spec");
-            checkWidth(n, 24, "ghz");
-            return makeGhzWorkload(n);
-        });
-
-    registry.add(
-        "qaoa", "qaoa:[<family>:]<n>:<p>  (family: 3reg|rand|ring|grid)",
-        [](const std::vector<std::string> &args, Rng &rng) {
-            // Accept both qaoa:<family>:<n>:<p> and the historical
-            // CLI shorthand qaoa:<n>:<p> (family defaults to 3reg).
-            std::string family = "3reg";
-            std::vector<std::string> rest = args;
-            if (rest.size() == 3) {
-                family = rest[0];
-                rest.erase(rest.begin());
-            }
-            if (rest.size() != 2)
-                fatal("qaoa spec takes 2-3 arguments: "
-                      "qaoa:[<family>:]<n>:<p>");
-            const int n = parsePositiveInt(rest[0], "qaoa spec");
-            checkWidth(n, 24, "qaoa");
-            const int p = parsePositiveInt(rest[1], "qaoa spec");
-            const bool optimum = n <= kMaxOptimumQubits;
-
-            if (family == "3reg") {
-                return makeQaoaWorkload(graph::kRegular(n, 3, rng), p,
-                                        false, 0, 0, family, optimum);
-            }
-            if (family == "rand") {
-                // Edge density 0.2-0.8 as in the paper's Table 2
-                // methodology.
-                const double density = rng.uniform(0.2, 0.8);
-                return makeQaoaWorkload(
-                    graph::erdosRenyi(n, density, rng), p, false, 0, 0,
-                    family, optimum);
-            }
-            if (family == "ring") {
-                return makeQaoaWorkload(graph::ring(n), p, false, 0, 0,
-                                        family, optimum);
-            }
-            if (family == "grid") {
-                const auto [rows, cols] = squarishShape(n);
-                return makeQaoaWorkload(graph::grid(rows, cols), p,
-                                        true, rows, cols, family,
-                                        optimum);
-            }
-            fatal("unknown qaoa family '" + family +
-                  "' (known: 3reg, rand, ring, grid)");
-        });
-
-    registry.add(
-        "mirror", "mirror:<n>[:<depth>]",
-        [](const std::vector<std::string> &args, Rng &rng) {
-            if (args.size() < 1 || args.size() > 2)
-                fatal("mirror spec takes 1-2 arguments: "
-                      "mirror:<n>[:<depth>]");
-            const int n = parsePositiveInt(args[0], "mirror spec");
-            checkWidth(n, 24, "mirror");
-            const int depth =
-                args.size() == 2 ? parsePositiveInt(args[1], "mirror spec") : 8;
-            return makeMirrorWorkload(n, depth, 0.5, rng);
-        });
-
-    return registry;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,23 +1,21 @@
 /**
  * @file
- * Workloads and the workload registry — the problem half of the
+ * Workloads and the workload table — the problem half of the
  * experiment pipeline.
  *
  * A Workload bundles everything the execution and scoring stages need
  * to know about one benchmark instance: the logical circuit, the
  * device it was routed onto, the routed result, which qubits are
  * measured, and the success predicate (the set of correct outcomes).
- * The registry maps string specs ("bv:8", "qaoa:3reg:10:2", ...) to
- * factories so entry points select workloads by name instead of
- * hand-wiring circuit construction — and new circuit families plug in
- * without touching any caller.
+ * makeWorkload maps string specs ("bv:8", "qaoa:3reg:10:2", ...) to
+ * builders so entry points select workloads by name instead of
+ * hand-wiring circuit construction.
  */
 
 #ifndef HAMMER_API_WORKLOAD_HPP
 #define HAMMER_API_WORKLOAD_HPP
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -60,7 +58,7 @@ struct Workload
     Workload(std::string family, sim::Circuit logical,
              circuits::CouplingMap coupling, int measured_qubits);
 
-    std::string spec;       ///< Canonical registry spec ("" = hand-built).
+    std::string spec;       ///< makeWorkload spec ("" = hand-built).
     std::string family;     ///< Family tag.
     sim::Circuit logical;   ///< Pre-routing circuit.
     circuits::CouplingMap coupling; ///< Device used for routing.
@@ -92,76 +90,29 @@ struct Workload
 };
 
 /**
- * String-keyed workload factories.
- *
- * A spec is `<family>[:<arg>...]` with colon-separated arguments; the
- * family selects the factory and the argument list is passed through.
- * Built-in families (see defaultWorkloadRegistry()):
+ * Build the workload @p spec names: `<family>[:<arg>...]`, with the
+ * family looked up in one fixed table and the colon-separated
+ * arguments passed to its builder.  The families, sorted by name:
  *
  *   bv:<n>[:<key-bitstring>]   BV with a random (or fixed) key
  *   ghz:<n>                    GHZ state preparation
+ *   mirror:<n>[:<depth>]       random mirror benchmark
  *   qaoa:<family>:<n>:<p>      max-cut QAOA; family = 3reg|rand|ring|grid
  *   qaoa:<n>:<p>               shorthand for qaoa:3reg:<n>:<p>
- *   mirror:<n>[:<depth>]       random mirror benchmark
+ *
+ * Circuits the table cannot describe run as a prebuilt
+ * ExperimentSpec::workloadInstance.  The returned workload's spec
+ * field is set to @p spec; @p rng feeds the families with stochastic
+ * instances (random keys, random graphs).
+ *
+ * @throws std::invalid_argument for an unknown family or malformed
+ *         arguments (the message names the offending spec and the
+ *         accepted ones).
  */
-class WorkloadRegistry
-{
-  public:
-    /**
-     * Factory signature: colon-separated spec arguments (family
-     * stripped) plus a random source for families with stochastic
-     * instances (random keys, random graphs).
-     */
-    using Factory = std::function<Workload(
-        const std::vector<std::string> &args, common::Rng &rng)>;
+Workload makeWorkload(const std::string &spec, common::Rng &rng);
 
-    /**
-     * Register a family.
-     *
-     * @param family Key (no colons).
-     * @param usage One-line usage string shown in error messages,
-     *        e.g. "bv:<n>[:<key-bitstring>]".
-     * @param factory Instance builder.
-     * @throws std::invalid_argument when @p family is already
-     *         registered or contains ':'.
-     */
-    void add(const std::string &family, const std::string &usage,
-             Factory factory);
-
-    /** True when @p family has a registered factory. */
-    bool contains(const std::string &family) const;
-
-    /** Registered family names, sorted. */
-    std::vector<std::string> families() const;
-
-    /** One usage line per family, sorted, newline-joined. */
-    std::string usage() const;
-
-    /**
-     * Build the workload described by @p spec.
-     *
-     * The returned workload's spec field is set to @p spec.
-     *
-     * @throws std::invalid_argument for an unknown family or
-     *         malformed arguments (the message names the offending
-     *         spec and the accepted ones).
-     */
-    Workload make(const std::string &spec, common::Rng &rng) const;
-
-    /** The process-wide registry, pre-loaded with the built-ins. */
-    static WorkloadRegistry &global();
-
-  private:
-    struct Entry
-    {
-        std::string usage;
-        Factory factory;
-    };
-    std::map<std::string, Entry> factories_;
-};
-
-/** A fresh registry containing only the built-in families. */
-WorkloadRegistry defaultWorkloadRegistry();
+/** One usage line per family, sorted by name, newline-joined. */
+std::string workloadUsage();
 
 /** Split a spec on ':' (no unescaping; empty parts preserved). */
 std::vector<std::string> splitSpec(const std::string &spec);
@@ -170,7 +121,7 @@ std::vector<std::string> splitSpec(const std::string &spec);
  * Parse a strictly positive integer from a spec argument.
  *
  * The shared validation primitive of every spec parser (workload
- * registry, mitigation chains, CLI flags).
+ * specs, mitigation chains, CLI flags).
  *
  * @param text Digits to parse.
  * @param context Name of the spec or flag being parsed, quoted in
@@ -202,8 +153,8 @@ std::uint64_t parseSeed(const std::string &text,
                         const std::string &context);
 
 // ---------------------------------------------------------------------------
-// Direct builders (the registry factories call these; benches and
-// examples that need non-registry parameters call them directly).
+// Direct builders (makeWorkload calls these; benches and examples
+// that need parameters a spec cannot carry call them directly).
 // ---------------------------------------------------------------------------
 
 /** One routed BV instance on a line device. */

@@ -6,6 +6,7 @@
 #include <exception>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include <sys/socket.h>
@@ -24,6 +25,33 @@ resolveOptions(ShardWorkerOptions options)
     if (options.service.workers == 0)
         options.service.workers = 2;
     return options;
+}
+
+/**
+ * The wire error kind and message of the job failure being handled;
+ * call from a catch block.  One mapping for a failed submit and a
+ * failed job alike: the router and its callers read these kinds.
+ */
+std::pair<std::string, std::string>
+currentJobError()
+{
+    try {
+        throw;
+    } catch (const api::WorkerLostError &error) {
+        return {"worker_lost", error.what()};
+    } catch (const api::DeadlineInfeasibleError &error) {
+        return {"deadline_infeasible", error.what()};
+    } catch (const resil::RetryBudgetExhaustedError &error) {
+        return {"retry_budget", error.what()};
+    } catch (const api::ServiceError &error) {
+        return {"service", error.what()};
+    } catch (const std::invalid_argument &error) {
+        return {"invalid_argument", error.what()};
+    } catch (const std::exception &error) {
+        return {"internal", error.what()};
+    } catch (...) {
+        return {"internal", "unknown exception"};
+    }
 }
 
 } // namespace
@@ -57,7 +85,6 @@ ShardWorker::run()
             break;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.connections;
             activeConnFd_ = conn.fd();
         }
         try {
@@ -67,8 +94,6 @@ ShardWorker::run()
             // connection, stay up for the next one.  Per-job
             // failures never land here — they travel back as Error
             // frames.
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.protocolErrors;
         }
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -93,18 +118,11 @@ ShardWorker::stop()
         ::shutdown(activeConnFd_, SHUT_RDWR);
 }
 
-ShardWorkerStats
-ShardWorker::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-}
-
 void
 ShardWorker::serveConnection(Socket &conn)
 {
     /** One queued reply: a submitted job's handle, or an immediate
-     *  parse/submit failure already mapped to an Error frame. */
+     *  parse/submit failure already mapped to its error kind. */
     struct Outgoing
     {
         std::uint64_t id = 0;
@@ -144,61 +162,28 @@ ShardWorker::serveConnection(Socket &conn)
                 outgoing.pop_front();
             }
             Frame frame;
-            if (job.isError) {
-                frame.type = FrameType::Error;
-                frame.payload = encodeErrorPayload(
-                    job.id, job.attempt, job.kind, job.message);
-            } else {
+            if (!job.isError) {
                 try {
                     const api::Result result =
                         service_->wait(job.handle);
                     frame.type = FrameType::Result;
                     frame.payload = encodeJobPayload(
                         job.id, job.attempt, result.json(-1));
-                } catch (const api::WorkerLostError &error) {
-                    frame.type = FrameType::Error;
-                    frame.payload = encodeErrorPayload(
-                        job.id, job.attempt, "worker_lost",
-                        error.what());
-                } catch (const api::DeadlineInfeasibleError
-                             &error) {
-                    frame.type = FrameType::Error;
-                    frame.payload = encodeErrorPayload(
-                        job.id, job.attempt, "deadline_infeasible",
-                        error.what());
-                } catch (const resil::RetryBudgetExhaustedError
-                             &error) {
-                    frame.type = FrameType::Error;
-                    frame.payload = encodeErrorPayload(
-                        job.id, job.attempt, "retry_budget",
-                        error.what());
-                } catch (const api::ServiceError &error) {
-                    frame.type = FrameType::Error;
-                    frame.payload = encodeErrorPayload(
-                        job.id, job.attempt, "service",
-                        error.what());
-                } catch (const std::invalid_argument &error) {
-                    frame.type = FrameType::Error;
-                    frame.payload = encodeErrorPayload(
-                        job.id, job.attempt, "invalid_argument",
-                        error.what());
-                } catch (const std::exception &error) {
-                    frame.type = FrameType::Error;
-                    frame.payload = encodeErrorPayload(
-                        job.id, job.attempt, "internal",
-                        error.what());
+                } catch (...) {
+                    job.isError = true;
+                    std::tie(job.kind, job.message) = currentJobError();
                 }
+            }
+            if (job.isError) {
+                frame.type = FrameType::Error;
+                frame.payload = encodeErrorPayload(
+                    job.id, job.attempt, job.kind, job.message);
             }
             if (broken)
                 continue; // Drain handles; nowhere to send.
             try {
                 std::lock_guard<std::mutex> wlock(writeMutex);
                 writeFrame(conn, frame);
-                std::lock_guard<std::mutex> slock(mutex_);
-                if (frame.type == FrameType::Error)
-                    ++stats_.errors;
-                else
-                    ++stats_.results;
             } catch (const WireError &) {
                 // Router gone mid-reply: unblock the reader and keep
                 // draining the queue without sending (the router's
@@ -231,21 +216,9 @@ ShardWorker::serveConnection(Socket &conn)
                     out.handle = service_->submit(
                         std::move(parsed.spec), parsed.priority,
                         parsed.deadlineMs);
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    ++stats_.submits;
-                } catch (const api::DeadlineInfeasibleError
-                             &error) {
+                } catch (...) {
                     out.isError = true;
-                    out.kind = "deadline_infeasible";
-                    out.message = error.what();
-                } catch (const api::ServiceError &error) {
-                    out.isError = true;
-                    out.kind = "service";
-                    out.message = error.what();
-                } catch (const std::invalid_argument &error) {
-                    out.isError = true;
-                    out.kind = "invalid_argument";
-                    out.message = error.what();
+                    std::tie(out.kind, out.message) = currentJobError();
                 }
                 {
                     std::lock_guard<std::mutex> lock(queueMutex);
@@ -255,10 +228,6 @@ ShardWorker::serveConnection(Socket &conn)
                 break;
             }
             case FrameType::Heartbeat: {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    ++stats_.heartbeats;
-                }
                 std::lock_guard<std::mutex> wlock(writeMutex);
                 writeFrame(conn, Frame{FrameType::HeartbeatAck,
                                        frame->payload});

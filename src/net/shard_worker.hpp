@@ -27,7 +27,6 @@
 #define HAMMER_NET_SHARD_WORKER_HPP
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,18 +50,6 @@ struct ShardWorkerOptions
 
     /** Print one serviceStatsJson line on stderr when run() exits. */
     bool emitStats = false;
-};
-
-/** Counters of one ShardWorker (wire-level; service has its own). */
-struct ShardWorkerStats
-{
-    std::uint64_t connections = 0;   ///< Router connections served.
-    std::uint64_t submits = 0;       ///< Submit frames accepted.
-    std::uint64_t results = 0;       ///< Result frames sent.
-    std::uint64_t errors = 0;        ///< Error frames sent.
-    std::uint64_t heartbeats = 0;    ///< Heartbeats acked.
-    std::uint64_t protocolErrors = 0;///< Connections dropped on a
-                                     ///< WireError.
 };
 
 /**
@@ -99,9 +86,6 @@ class ShardWorker
     /** Unblock run() from another thread (idempotent). */
     void stop();
 
-    /** Wire counters snapshot. */
-    ShardWorkerStats stats() const;
-
     /** The shard-local service (stats scraping in tests/bench). */
     api::ExecutionService &service() { return *service_; }
 
@@ -114,8 +98,7 @@ class ShardWorker
 
     std::atomic<bool> stopped_{false};
 
-    mutable std::mutex mutex_;
-    ShardWorkerStats stats_;
+    std::mutex mutex_;
     int activeConnFd_ = -1; ///< stop() shutdowns the live connection.
 };
 

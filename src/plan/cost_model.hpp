@@ -2,7 +2,7 @@
  * @file
  * Analytical cost model for execution-plan selection.
  *
- * The registry offers several interchangeable execution plans
+ * The backend table offers several interchangeable execution plans
  * (trajectory replay, analytic channel, exact density matrix), and
  * callers historically picked one by hand.  This module follows the
  * autoscheduling recipe of Ahrens & Kjolstad (PAPERS.md): a *pure*
@@ -120,7 +120,7 @@ struct PlanCost
 /** One candidate execution plan. */
 struct PlanChoice
 {
-    std::string backend = "channel"; ///< Registry backend name.
+    std::string backend = "channel"; ///< api::makeBackend name.
 };
 
 /**

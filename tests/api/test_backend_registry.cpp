@@ -1,6 +1,6 @@
 /**
  * @file
- * BackendRegistry: factory lookup, spec validation at the API
+ * The backend table: name lookup, spec validation at the API
  * boundary, and noise-model resolution.
  */
 
@@ -14,8 +14,9 @@
 
 namespace {
 
-using hammer::api::BackendRegistry;
+using hammer::api::backendNames;
 using hammer::api::BackendSpec;
+using hammer::api::makeBackend;
 using hammer::api::resolveNoiseModel;
 using hammer::api::validateBackendSpec;
 using hammer::common::Rng;
@@ -23,38 +24,20 @@ using hammer::noise::DistributionMemo;
 
 TEST(BackendRegistry, GlobalKnowsTheBuiltinBackends)
 {
-    const auto &registry = BackendRegistry::global();
-    EXPECT_TRUE(registry.contains("trajectory"));
-    EXPECT_TRUE(registry.contains("channel"));
-    EXPECT_TRUE(registry.contains("exact"));
-    EXPECT_TRUE(registry.contains("auto"));
-    EXPECT_FALSE(registry.contains("remote"));
-    EXPECT_EQ(registry.names().size(), 4u);
-}
-
-TEST(BackendRegistry, DuplicateRegistrationThrows)
-{
-    auto registry = hammer::api::defaultBackendRegistry();
-    try {
-        registry.add("channel", [](const BackendSpec &) {
-            return std::unique_ptr<hammer::noise::NoisySampler>();
-        });
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &error) {
-        EXPECT_NE(std::string(error.what()).find("channel"),
-                  std::string::npos)
-            << "the message must name the duplicate backend";
-    }
+    // Sorted by name: the order `--list backends` prints.
+    EXPECT_EQ(backendNames(),
+              (std::vector<std::string>{"auto", "channel", "exact",
+                                        "trajectory"}));
 }
 
 TEST(BackendRegistry, BuiltBackendsSample)
 {
     Rng rng(1);
     const auto workload = hammer::api::makeGhzWorkload(3);
-    for (const auto &name : BackendRegistry::global().names()) {
+    for (const auto &name : backendNames()) {
         BackendSpec spec;
         spec.trajectories = 5;
-        auto sampler = BackendRegistry::global().make(name, spec);
+        auto sampler = makeBackend(name, spec);
         ASSERT_NE(sampler, nullptr) << name;
         const auto dist = sampler->sample(workload.routed, 3, 200,
                                           rng);
@@ -73,8 +56,7 @@ TEST(BackendRegistry, CachedExactMatchesExactBitForBit)
     BackendSpec spec;
     for (int shots : {64, 256}) {
         memo.clear();
-        const auto exact =
-            BackendRegistry::global().make("exact", spec);
+        const auto exact = makeBackend("exact", spec);
         Rng cold_rng(7), warm_rng(7);
         const auto cold =
             exact->sample(workload.routed, 4, shots, cold_rng);
@@ -100,7 +82,7 @@ TEST(BackendRegistry, CachedExactReusesTheDensityMatrixEvolution)
     const auto workload = hammer::api::makeGhzWorkload(4);
     BackendSpec spec;
     Rng rng(11);
-    const auto sampler = BackendRegistry::global().make("exact", spec);
+    const auto sampler = makeBackend("exact", spec);
 
     sampler->sample(workload.routed, 4, 100, rng);
     EXPECT_EQ(memo.stats().entries, 1u);
@@ -122,7 +104,7 @@ TEST(BackendRegistry, CachedExactSampleBatchDeterministicAcrossThreads)
     DistributionMemo::shared().clear();
     const auto workload = hammer::api::makeGhzWorkload(4);
     BackendSpec spec;
-    const auto sampler = BackendRegistry::global().make("exact", spec);
+    const auto sampler = makeBackend("exact", spec);
 
     std::vector<hammer::core::Distribution> results;
     for (int threads : {1, 2, 4}) {
@@ -141,7 +123,7 @@ TEST(BackendRegistry, CachedExactSampleBatchDeterministicAcrossThreads)
 TEST(BackendRegistry, UnknownBackendThrowsWithTheKnownList)
 {
     try {
-        BackendRegistry::global().make("warpdrive", {});
+        makeBackend("warpdrive", {});
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &error) {
         const std::string message = error.what();
@@ -169,10 +151,9 @@ TEST(BackendRegistry, SpecValidationRejectsBadBudgets)
     spec = {};
     EXPECT_NO_THROW(validateBackendSpec(spec));
 
-    // make() validates before instantiating.
+    // makeBackend validates before instantiating.
     spec.shots = 0;
-    EXPECT_THROW(BackendRegistry::global().make("channel", spec),
-                 std::invalid_argument);
+    EXPECT_THROW(makeBackend("channel", spec), std::invalid_argument);
 }
 
 TEST(BackendRegistry, NoiseModelResolution)

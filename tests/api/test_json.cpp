@@ -248,8 +248,7 @@ TEST(SpecLineParser, MalformedSpecFuzzTable)
     hammer::common::Rng rng(1);
     EXPECT_EQ(parseSpecLine("bv:4294967301").spec.workload,
               "bv:4294967301");
-    EXPECT_THROW(hammer::api::WorkloadRegistry::global().make(
-                     "bv:4294967301", rng),
+    EXPECT_THROW(hammer::api::makeWorkload("bv:4294967301", rng),
                  std::invalid_argument);
 
     // A valid surrogate pair in a label survives end to end.

@@ -131,60 +131,21 @@ TEST(MitigationChain, OrderIsSignificant)
 
 TEST(MitigatorRegistry, GlobalKnowsTheBuiltinStages)
 {
-    const auto &registry =
-        hammer::api::MitigatorRegistry::global();
-    EXPECT_TRUE(registry.contains("hammer"));
-    EXPECT_FALSE(registry.contains("hammer-fast"));
-    EXPECT_TRUE(registry.contains("readout"));
-    EXPECT_TRUE(registry.contains("ensemble"));
-    EXPECT_FALSE(registry.contains("sorcery"));
-    EXPECT_EQ(registry.names().size(), 3u);
-    EXPECT_NE(registry.usage().find("hammer[:<iterations>]"),
-              std::string::npos);
-}
-
-TEST(MitigatorRegistry, DuplicateRegistrationThrows)
-{
-    auto registry = hammer::api::defaultMitigatorRegistry();
-    try {
-        registry.add("hammer", "dup",
-                     [](const std::vector<std::string> &) {
-                         return std::make_shared<HammerMitigator>();
-                     });
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &error) {
-        EXPECT_NE(std::string(error.what()).find("hammer"),
-                  std::string::npos)
-            << "the message must name the duplicate stage";
-    }
-    // Names that would break spec parsing are rejected too.
-    EXPECT_THROW(registry.add("bad:name", "u",
-                              [](const std::vector<std::string> &) {
-                                  return std::make_shared<
-                                      HammerMitigator>();
-                              }),
-                 std::invalid_argument);
-}
-
-TEST(MitigatorRegistry, CustomStagesPlugIn)
-{
-    auto registry = hammer::api::defaultMitigatorRegistry();
-    registry.add("identity", "identity",
-                 [](const std::vector<std::string> &) {
-                     return std::make_shared<MitigationChain>();
-                 });
-    const auto stage = registry.make("identity");
-    ASSERT_NE(stage, nullptr);
-    EXPECT_EQ(stage->name(), "none");
+    // Sorted by name: the text `--list mitigations` prints.
+    EXPECT_EQ(hammer::api::mitigatorUsage(),
+              "ensemble[:<mappings>]\n"
+              "hammer[:<iterations>]\n"
+              "readout[:<iterations>]");
 
     // Unknown stages name the known list.
     try {
-        registry.make("sorcery");
+        hammer::api::makeMitigator("sorcery");
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &error) {
         const std::string message = error.what();
         EXPECT_NE(message.find("sorcery"), std::string::npos);
-        EXPECT_NE(message.find("identity"), std::string::npos);
+        EXPECT_NE(message.find("ensemble, hammer, readout"),
+                  std::string::npos);
     }
 }
 

@@ -1,24 +1,25 @@
 /**
  * @file
- * Pipeline: end-to-end runs, boundary validation, runMany
- * determinism across thread counts, and Result serialization.
+ * Pipeline: end-to-end runs, boundary validation, batch determinism
+ * across worker counts (ExecutionService::runMany), and Result
+ * serialization.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "api/pipeline.hpp"
 #include "api/service.hpp"
-#include "core/io.hpp"
 #include "graph/generators.hpp"
 
 namespace {
 
 using hammer::api::BackendSpec;
 using hammer::api::canonicalResultJson;
+using hammer::api::ExecutionService;
+using hammer::api::ExecutionServiceOptions;
 using hammer::api::ExperimentSpec;
 using hammer::api::Pipeline;
 using hammer::api::Result;
@@ -49,6 +50,16 @@ smallBvSpec(std::uint64_t seed)
     spec.backendSpec.seed = seed;
     spec.mitigation = "hammer";
     return spec;
+}
+
+/** The batch entry point on a service with @p workers workers. */
+std::vector<Result>
+runMany(const std::vector<ExperimentSpec> &specs, int workers)
+{
+    ExecutionServiceOptions options;
+    options.workers = workers;
+    ExecutionService service(options);
+    return service.runMany(specs);
 }
 
 TEST(Pipeline, RunProducesAScoredResult)
@@ -149,9 +160,8 @@ TEST(Pipeline, RunManyIsBitIdenticalForEveryThreadCount)
         specs.push_back(qaoa);
     }
 
-    Pipeline pipeline;
-    const auto serial = pipeline.runMany(specs, 1);
-    const auto parallel = pipeline.runMany(specs, 4);
+    const auto serial = runMany(specs, 1);
+    const auto parallel = runMany(specs, 4);
 
     ASSERT_EQ(serial.size(), specs.size());
     ASSERT_EQ(parallel.size(), specs.size());
@@ -182,7 +192,7 @@ TEST(Pipeline, LibrarySamplingMatchesTheServedHistogram)
         RunState state;
         pipeline.buildWorkload(spec, state);
         const auto sampler =
-            pipeline.backends().make(spec.backend, spec.backendSpec);
+            hammer::api::makeBackend(spec.backend, spec.backendSpec);
         const Distribution library = sampler->sample(
             state.workload->routed, state.workload->measuredQubits,
             spec.backendSpec.shots, state.rng);
@@ -221,24 +231,12 @@ TEST(Pipeline, RunManyPreservesSpecOrder)
     ghz.backendSpec.shots = 500;
     specs.push_back(ghz);
     specs.push_back(smallBvSpec(5));
-    const auto results = Pipeline().runMany(specs, 2);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].family, "ghz");
-    EXPECT_EQ(results[1].family, "bv");
-}
-
-TEST(Result, CsvMatchesTheInterchangeWriter)
-{
-    const Result result = Pipeline().run(smallBvSpec(3));
-    std::ostringstream via_result, via_io;
-    result.writeCsv(via_result);
-    hammer::core::writeDistributionCsv(via_io, result.mitigated);
-    EXPECT_EQ(via_result.str(), via_io.str());
-
-    // CSV round-trips through the reader.
-    const auto reread =
-        hammer::core::readDistributionCsv(via_result.str());
-    EXPECT_EQ(reread.support(), result.mitigated.support());
+    for (int workers : {1, 4}) {
+        const auto results = runMany(specs, workers);
+        ASSERT_EQ(results.size(), 2u);
+        EXPECT_EQ(results[0].family, "ghz");
+        EXPECT_EQ(results[1].family, "bv");
+    }
 }
 
 TEST(Result, JsonCarriesHistogramStatsAndTimings)

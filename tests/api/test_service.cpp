@@ -324,7 +324,7 @@ TEST(ExecutionService, ValidatesAtSubmitAndSurfacesJobErrorsAtWait)
     const ExperimentSpec no_workload;
     EXPECT_THROW(service.submit(no_workload), std::invalid_argument);
 
-    // Registry errors surface when the job runs, i.e. at wait().
+    // Unknown names surface when the job runs, i.e. at wait().
     auto bad_backend = smallBvSpec(1);
     bad_backend.backend = "warpdrive";
     const auto handle = service.submit(bad_backend);
@@ -334,7 +334,9 @@ TEST(ExecutionService, ValidatesAtSubmitAndSurfacesJobErrorsAtWait)
 TEST(ExecutionService, RunManyMatchesPipelineRunMany)
 {
     const auto specs = mixedSpecs();
-    const auto via_pipeline = Pipeline().runMany(specs, 2);
+    std::vector<Result> via_pipeline;
+    for (const auto &spec : specs)
+        via_pipeline.push_back(Pipeline().run(spec));
     ExecutionServiceOptions options;
     options.workers = 2;
     ExecutionService service{options};

@@ -1,7 +1,7 @@
 /**
  * @file
- * WorkloadRegistry: spec parsing, round-trips, and boundary
- * validation (unknown keys must fail loudly at the API edge).
+ * The workload table: spec parsing, round-trips, and boundary
+ * validation (unknown names must fail loudly at the API edge).
  */
 
 #include <gtest/gtest.h>
@@ -12,27 +12,25 @@
 
 namespace {
 
+using hammer::api::makeWorkload;
 using hammer::api::Workload;
-using hammer::api::WorkloadRegistry;
 using hammer::common::Bits;
 using hammer::common::Rng;
 
 TEST(WorkloadRegistry, GlobalKnowsTheBuiltinFamilies)
 {
-    const auto &registry = WorkloadRegistry::global();
-    EXPECT_TRUE(registry.contains("bv"));
-    EXPECT_TRUE(registry.contains("ghz"));
-    EXPECT_TRUE(registry.contains("qaoa"));
-    EXPECT_TRUE(registry.contains("mirror"));
-    EXPECT_FALSE(registry.contains("nope"));
-    EXPECT_EQ(registry.families().size(), 4u);
+    // Sorted by family: the text `--list workloads` prints.
+    EXPECT_EQ(hammer::api::workloadUsage(),
+              "bv:<n>[:<key-bitstring>]\n"
+              "ghz:<n>\n"
+              "mirror:<n>[:<depth>]\n"
+              "qaoa:[<family>:]<n>:<p>  (family: 3reg|rand|ring|grid)");
 }
 
 TEST(WorkloadRegistry, BvFixedKeyRoundTrip)
 {
     Rng rng(1);
-    const Workload w =
-        WorkloadRegistry::global().make("bv:6:101101", rng);
+    const Workload w = makeWorkload("bv:6:101101", rng);
     EXPECT_EQ(w.spec, "bv:6:101101");
     EXPECT_EQ(w.family, "bv");
     EXPECT_EQ(w.measuredQubits, 6);
@@ -48,8 +46,8 @@ TEST(WorkloadRegistry, BvFixedKeyRoundTrip)
 TEST(WorkloadRegistry, BvRandomKeyIsDeterministicInTheRng)
 {
     Rng rng_a(42), rng_b(42);
-    const Workload a = WorkloadRegistry::global().make("bv:8", rng_a);
-    const Workload b = WorkloadRegistry::global().make("bv:8", rng_b);
+    const Workload a = makeWorkload("bv:8", rng_a);
+    const Workload b = makeWorkload("bv:8", rng_b);
     EXPECT_EQ(a.key, b.key);
     EXPECT_NE(a.key, 0u) << "the empty key is excluded";
 }
@@ -57,7 +55,7 @@ TEST(WorkloadRegistry, BvRandomKeyIsDeterministicInTheRng)
 TEST(WorkloadRegistry, GhzHasTwoCorrectOutcomes)
 {
     Rng rng(1);
-    const Workload w = WorkloadRegistry::global().make("ghz:5", rng);
+    const Workload w = makeWorkload("ghz:5", rng);
     ASSERT_EQ(w.correctOutcomes.size(), 2u);
     EXPECT_TRUE(w.isCorrect(0));
     EXPECT_TRUE(w.isCorrect(0b11111));
@@ -67,8 +65,7 @@ TEST(WorkloadRegistry, GhzHasTwoCorrectOutcomes)
 TEST(WorkloadRegistry, QaoaShorthandDefaultsToThreeRegular)
 {
     Rng rng(3);
-    const Workload w =
-        WorkloadRegistry::global().make("qaoa:8:2", rng);
+    const Workload w = makeWorkload("qaoa:8:2", rng);
     EXPECT_EQ(w.family, "qaoa");
     EXPECT_EQ(w.layers, 2);
     EXPECT_EQ(w.graph.numVertices(), 8);
@@ -81,8 +78,7 @@ TEST(WorkloadRegistry, QaoaShorthandDefaultsToThreeRegular)
 TEST(WorkloadRegistry, QaoaGridRoutesSwapFree)
 {
     Rng rng(3);
-    const Workload w =
-        WorkloadRegistry::global().make("qaoa:grid:8:1", rng);
+    const Workload w = makeWorkload("qaoa:grid:8:1", rng);
     EXPECT_EQ(w.metadata.at("qaoa_family"), "grid");
     EXPECT_EQ(w.routed.addedSwaps, 0)
         << "grid instances are hardware-native on a grid device";
@@ -91,8 +87,7 @@ TEST(WorkloadRegistry, QaoaGridRoutesSwapFree)
 TEST(WorkloadRegistry, MirrorRecordsEntanglingHalf)
 {
     Rng rng(9);
-    const Workload w =
-        WorkloadRegistry::global().make("mirror:6:4", rng);
+    const Workload w = makeWorkload("mirror:6:4", rng);
     EXPECT_EQ(w.measuredQubits, 6);
     ASSERT_TRUE(w.entanglingHalf.has_value());
     EXPECT_EQ(w.entanglingHalf->numQubits(), 6);
@@ -105,7 +100,7 @@ TEST(WorkloadRegistry, UnknownFamilyThrowsWithTheKnownList)
 {
     Rng rng(1);
     try {
-        WorkloadRegistry::global().make("warp:4", rng);
+        makeWorkload("warp:4", rng);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &error) {
         const std::string message = error.what();
@@ -118,38 +113,21 @@ TEST(WorkloadRegistry, UnknownFamilyThrowsWithTheKnownList)
 TEST(WorkloadRegistry, MalformedSpecsThrow)
 {
     Rng rng(1);
-    const auto &registry = WorkloadRegistry::global();
-    EXPECT_THROW(registry.make("bv:0", rng), std::invalid_argument);
-    EXPECT_THROW(registry.make("bv:-3", rng), std::invalid_argument);
-    EXPECT_THROW(registry.make("bv:six", rng), std::invalid_argument);
-    EXPECT_THROW(registry.make("bv:64", rng), std::invalid_argument)
+    EXPECT_THROW(makeWorkload("bv:0", rng), std::invalid_argument);
+    EXPECT_THROW(makeWorkload("bv:-3", rng), std::invalid_argument);
+    EXPECT_THROW(makeWorkload("bv:six", rng), std::invalid_argument);
+    EXPECT_THROW(makeWorkload("bv:64", rng), std::invalid_argument)
         << "beyond the simulator width limit";
-    EXPECT_THROW(registry.make("bv:4:10", rng), std::invalid_argument)
+    EXPECT_THROW(makeWorkload("bv:4:10", rng), std::invalid_argument)
         << "fixed key must have exactly n digits";
-    EXPECT_THROW(registry.make("bv:4:10x1", rng),
+    EXPECT_THROW(makeWorkload("bv:4:10x1", rng),
                  std::invalid_argument);
-    EXPECT_THROW(registry.make("ghz", rng), std::invalid_argument);
-    EXPECT_THROW(registry.make("qaoa:8", rng), std::invalid_argument);
-    EXPECT_THROW(registry.make("qaoa:hex:8:2", rng),
+    EXPECT_THROW(makeWorkload("ghz", rng), std::invalid_argument);
+    EXPECT_THROW(makeWorkload("qaoa:8", rng), std::invalid_argument);
+    EXPECT_THROW(makeWorkload("qaoa:hex:8:2", rng),
                  std::invalid_argument);
-    EXPECT_THROW(registry.make("mirror:0", rng),
+    EXPECT_THROW(makeWorkload("mirror:0", rng),
                  std::invalid_argument);
-}
-
-TEST(WorkloadRegistry, CustomFamiliesPlugIn)
-{
-    hammer::api::WorkloadRegistry registry;
-    registry.add("ghz2", "ghz2:<n>",
-                 [](const std::vector<std::string> &args, Rng &) {
-                     return hammer::api::makeGhzWorkload(
-                         std::stoi(args.at(0)));
-                 });
-    Rng rng(1);
-    const Workload w = registry.make("ghz2:4", rng);
-    EXPECT_EQ(w.measuredQubits, 4);
-    EXPECT_THROW(registry.add("ghz2", "dup", nullptr),
-                 std::invalid_argument)
-        << "duplicate registration must fail";
 }
 
 TEST(Workload, ConstructorValidatesMeasuredQubits)

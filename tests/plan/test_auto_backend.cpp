@@ -1,12 +1,13 @@
 /**
  * @file
- * The `auto` backend: registry integration, bit-identity with the
+ * The `auto` backend: backend table entry, bit-identity with the
  * selected backend, plan choices decided by the spec alone (never by
  * the kernel tier or a cache), and the --explain-plan dump.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,13 +21,14 @@
 namespace {
 
 using hammer::api::AutoSampler;
-using hammer::api::BackendRegistry;
+using hammer::api::backendNames;
 using hammer::api::BackendSpec;
 using hammer::api::estimateSpecCost;
 using hammer::api::explainPlan;
 using hammer::api::ExperimentSpec;
+using hammer::api::makeBackend;
+using hammer::api::makeWorkload;
 using hammer::api::Workload;
-using hammer::api::WorkloadRegistry;
 using hammer::core::Distribution;
 
 bool
@@ -56,17 +58,17 @@ smallSpec()
 
 TEST(AutoBackend, RegisteredAlongsideTheHandPickedBackends)
 {
-    const BackendRegistry &registry = BackendRegistry::global();
-    EXPECT_TRUE(registry.contains("auto"));
-    EXPECT_EQ(registry.names().size(), 4u);
+    const auto names = backendNames();
+    EXPECT_NE(std::find(names.begin(), names.end(), "auto"),
+              names.end());
+    EXPECT_EQ(names.size(), 4u);
 }
 
 TEST(AutoBackend, BitIdenticalToTheSelectedBackend)
 {
     for (const char *workloadSpec : {"bv:7", "qaoa:ring:6:1"}) {
         hammer::common::Rng wrng(3);
-        const Workload workload =
-            WorkloadRegistry::global().make(workloadSpec, wrng);
+        const Workload workload = makeWorkload(workloadSpec, wrng);
         const BackendSpec spec = smallSpec();
 
         AutoSampler autoSampler(spec);
@@ -77,7 +79,7 @@ TEST(AutoBackend, BitIdenticalToTheSelectedBackend)
         const std::string selected =
             autoSampler.lastChoice().backend;
 
-        auto direct = BackendRegistry::global().make(selected, spec);
+        auto direct = makeBackend(selected, spec);
         hammer::common::Rng drng(spec.seed);
         const Distribution directDist = direct->sample(
             workload.routed, workload.measuredQubits, spec.shots,
@@ -94,8 +96,7 @@ TEST(AutoBackend, SpecDecidesThePlan)
     // channel vs trajectory, and the spec's shots and trajectories
     // decide it.  Only 100 shots are sampled; the plan prices the
     // spec's budget.
-    const Workload workload =
-        WorkloadRegistry::global().make("bv:12", wrng);
+    const Workload workload = makeWorkload("bv:12", wrng);
 
     // Many shots, few trajectories: channel's per-shot flip draws
     // cost more than two replayed trajectories.
@@ -122,8 +123,7 @@ TEST(AutoBackend, SamePlanOnEveryKernelTier)
     // tier can never flip the plan; qaoa:ring:6:2 at 3150 shots sits
     // within 1% of the channel/exact boundary.
     hammer::common::Rng wrng(5);
-    const Workload workload =
-        WorkloadRegistry::global().make("qaoa:ring:6:2", wrng);
+    const Workload workload = makeWorkload("qaoa:ring:6:2", wrng);
     BackendSpec spec;
     spec.shots = 3150;
     spec.seed = 5;
@@ -151,8 +151,7 @@ TEST(AutoBackend, SamePlanOnEveryKernelTier)
 TEST(AutoBackend, RankingIsDeterministic)
 {
     hammer::common::Rng wrng(3);
-    const Workload workload =
-        WorkloadRegistry::global().make("bv:6", wrng);
+    const Workload workload = makeWorkload("bv:6", wrng);
     const AutoSampler sampler(smallSpec());
     const auto a = sampler.rank(workload.routed);
     const auto b = sampler.rank(workload.routed);
@@ -171,8 +170,7 @@ TEST(AutoBackend, PlanIgnoresTheExactMemo)
     // cold process produces.
     hammer::noise::DistributionMemo::shared().clear();
     hammer::common::Rng wrng(3);
-    const Workload workload =
-        WorkloadRegistry::global().make("ghz:4", wrng);
+    const Workload workload = makeWorkload("ghz:4", wrng);
     BackendSpec spec = smallSpec();
     spec.shots = 900;
     AutoSampler sampler(spec);

@@ -15,8 +15,8 @@
  *
  * With --sample the histogram is produced by the built-in noisy
  * simulator instead of stdin.  Every --sample run goes through
- * api::Pipeline: the workload comes from api::WorkloadRegistry, the
- * backend from api::BackendRegistry, and the post-processing from an
+ * api::Pipeline: the workload comes from api::makeWorkload, the
+ * backend from api::makeBackend, and the post-processing from an
  * api::MitigationChain — the same composable path the benches,
  * examples and tests use.
  *
@@ -35,7 +35,7 @@
  *   --format <f>       csv (default) | json
  *
  * Sampling options:
- *   --sample <spec>    workload registry spec: bv:<n>[:<key>] |
+ *   --sample <spec>    workload spec: bv:<n>[:<key>] |
  *                      ghz:<n> | qaoa:[<family>:]<n>:<p> |
  *                      mirror:<n>[:<depth>]
  *   --machine <name>   noise preset (default machineA)
@@ -73,7 +73,7 @@
  *                      traffic on addr (unix:/path | tcp:host:port)
  *                      until SIGTERM/SIGINT or a Shutdown frame,
  *                      then drain and print service_stats to stderr
- *   --list <what>      enumerate registry contents and exit:
+ *   --list <what>      print the built-in names and exit:
  *                      workloads | backends | mitigations
  *   --help             this text
  */
@@ -258,18 +258,18 @@ printKernels()
     return 0;
 }
 
-/** --list <what>: enumerate one registry. */
+/** --list <what>: print one kind's built-in names or usages. */
 int
-listRegistry(const std::string &what)
+listNames(const std::string &what)
 {
     using namespace hammer::api;
     if (what == "workloads") {
-        std::cout << WorkloadRegistry::global().usage() << '\n';
+        std::cout << workloadUsage() << '\n';
     } else if (what == "backends") {
-        for (const auto &name : BackendRegistry::global().names())
+        for (const auto &name : backendNames())
             std::cout << name << '\n';
     } else if (what == "mitigations") {
-        std::cout << MitigatorRegistry::global().usage() << '\n';
+        std::cout << mitigatorUsage() << '\n';
     } else {
         std::fprintf(stderr,
                      "hammer_cli: --list wants workloads | backends "
@@ -757,7 +757,7 @@ main(int argc, char **argv)
         } else if (arg == "--kernels") {
             return printKernels();
         } else if (arg == "--list") {
-            return listRegistry(next_value("--list"));
+            return listNames(next_value("--list"));
         } else if (arg == "--machine") {
             backend_spec.machine = next_value("--machine");
         } else if (arg == "--backend") {
