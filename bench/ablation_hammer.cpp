@@ -10,13 +10,13 @@
 #include <iostream>
 #include <string>
 
+#include "api/api.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/hammer.hpp"
 #include "metrics/metrics.hpp"
 #include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 namespace {
 
@@ -39,9 +39,9 @@ main()
 
     // Pre-sample the noisy distributions once; every variant
     // post-processes the same inputs.
-    const auto workload = bench::makeBvWorkload(
-        bench::smokeSizes({6, 8, 10, 12, 14}),
-        bench::smokeCount(6, 2),
+    const auto workload = api::makeBvSweep(
+        api::smokeSizes({6, 8, 10, 12, 14}),
+        api::smokeCount(6, 2),
         {"machineA", "machineB", "machineC"}, rng);
     std::vector<core::Distribution> noisy;
     std::vector<common::Bits> keys;
@@ -51,7 +51,7 @@ main()
         auto shot_rng = rng.split();
         noisy.push_back(noise::ChannelSampler(model).sample(
             instance.routed, instance.measuredQubits,
-            bench::smokeShots(8192), shot_rng));
+            api::smokeShots(8192), shot_rng));
         keys.push_back(instance.key);
     }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/hammer.hpp"
@@ -17,7 +18,6 @@
 #include "mitigation/readout_mitigation.hpp"
 #include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -28,8 +28,8 @@ main()
 
     bench::BenchReport report("ablation_readout");
     common::Rng rng(0xAB1B);
-    const auto workload = bench::makeBvWorkload(
-        bench::smokeSizes({6, 8, 10, 12}), bench::smokeCount(8, 2),
+    const auto workload = api::makeBvSweep(
+        api::smokeSizes({6, 8, 10, 12}), api::smokeCount(8, 2),
         {"machineC"}, rng);
 
     std::vector<double> pst_raw, pst_ro, pst_ham, pst_ro_ham;
@@ -41,7 +41,7 @@ main()
         auto shot_rng = rng.split();
         const auto noisy = sampler.sample(
             instance.routed, instance.measuredQubits,
-            bench::smokeShots(8192), shot_rng);
+            api::smokeShots(8192), shot_rng);
 
         const auto ro = mitigation::mitigateReadout(noisy, model);
         const auto ham = core::reconstruct(noisy);
@@ -53,7 +53,7 @@ main()
         auto edm_rng = rng.split();
         const auto edm = mitigation::ensembleSample(
             instance.logical, coupling, instance.measuredQubits, sampler,
-            bench::smokeShots(8192), edm_rng, {3});
+            api::smokeShots(8192), edm_rng, {3});
         const auto edm_ham = core::reconstruct(edm);
 
         pst_raw.push_back(metrics::pst(noisy, {instance.key}));

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "circuits/qaoa_circuit.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -18,7 +19,6 @@
 #include "sim/simulator.hpp"
 #include "graph/generators.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -32,7 +32,7 @@ main()
     // the paper's baseline peaks early.
     const auto model = noise::machinePreset("sycamore").scaled(1.5);
     const std::vector<std::pair<int, int>> shapes =
-        bench::smokeShapes({{2, 3}, {2, 4}, {3, 3}, {2, 5}, {3, 4},
+        api::smokeShapes({{2, 3}, {2, 4}, {3, 3}, {2, 5}, {3, 4},
                             {2, 7}, {4, 4}, {3, 6}, {4, 5}});
 
     common::Table table({"p", "CR_noiseless", "CR_baseline",
@@ -43,7 +43,7 @@ main()
         for (const auto &[rows, cols] : shapes) {
             const auto g = graph::grid(rows, cols);
             const auto instance =
-                bench::makeQaoaInstance(g, p, true, rows, cols, "grid");
+                api::makeQaoaWorkload(g, p, true, rows, cols, "grid");
 
             const auto ideal_state = sim::runCircuit(
                 circuits::qaoaCircuit(g, circuits::linearRampParams(p)));
@@ -57,7 +57,7 @@ main()
             auto shot_rng = rng.split();
             const auto noisy = noise::ChannelSampler(model).sample(
                 instance.routed, g.numVertices(),
-                bench::smokeShots(8192), shot_rng);
+                api::smokeShots(8192), shot_rng);
             baseline.push_back(
                 qaoa::costRatio(noisy, g, instance.minCost));
             hammered.push_back(qaoa::costRatio(

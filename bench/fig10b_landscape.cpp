@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "circuits/qaoa_circuit.hpp"
 #include "common/table.hpp"
 #include "core/hammer.hpp"
@@ -16,7 +17,6 @@
 #include "noise/channel_sampler.hpp"
 #include "qaoa/landscape.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -42,13 +42,13 @@ main()
                     circuits::CouplingMap::line(g.numVertices()));
                 auto shot_rng = rng.split();
                 auto dist = noise::ChannelSampler(model).sample(
-                    routed, g.numVertices(), bench::smokeShots(4096),
+                    routed, g.numVertices(), api::smokeShots(4096),
                     shot_rng);
                 return use_hammer ? core::reconstruct(dist) : dist;
             });
     };
 
-    const int grid_points = bench::smokeCount(7, 3);
+    const int grid_points = api::smokeCount(7, 3);
     const auto baseline = qaoa::sweepLandscape(
         g, producer(false), grid_points, -0.8, 0.8, grid_points, -1.6,
         0.0);

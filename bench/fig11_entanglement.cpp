@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "circuits/mirror.hpp"
 #include "circuits/transpiler.hpp"
 #include "common/stats.hpp"
@@ -23,7 +24,6 @@
 #include "sim/entropy.hpp"
 #include "sim/simulator.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 namespace {
 
@@ -42,9 +42,9 @@ runEntropyFamily(const char *title, int depth, int circuits_count,
 {
     const int n = 10;
     noise::TrajectorySampler sampler(
-        noise::machinePreset("machineB"), bench::smokeCount(60, 10));
+        noise::machinePreset("machineB"), api::smokeCount(60, 10));
 
-    circuits_count = bench::smokeCount(circuits_count, 4);
+    circuits_count = api::smokeCount(circuits_count, 4);
     std::vector<double> entropies, ehds;
     for (int i = 0; i < circuits_count; ++i) {
         const double angle_scale = rng.uniform(0.02, 1.0);
@@ -56,7 +56,7 @@ runEntropyFamily(const char *title, int depth, int circuits_count,
         auto shot_rng = rng.split();
         const auto dist = sampler.sample(
             circuits::trivialRouting(mirror.full), n,
-            bench::smokeShots(3000), shot_rng);
+            api::smokeShots(3000), shot_rng);
         ehds.push_back(core::expectedHammingDistance(dist, {0}));
     }
 
@@ -84,9 +84,9 @@ runFidelityFamily(const char *title, int depth, int circuits_count,
 {
     const int n = 10;
     noise::TrajectorySampler sampler(
-        noise::machinePreset("machineB"), bench::smokeCount(60, 10));
+        noise::machinePreset("machineB"), api::smokeCount(60, 10));
 
-    circuits_count = bench::smokeCount(circuits_count, 4);
+    circuits_count = api::smokeCount(circuits_count, 4);
     std::vector<double> fidelities, ehds;
     for (int i = 0; i < circuits_count; ++i) {
         const double density = rng.uniform(0.05, 0.95);
@@ -95,7 +95,7 @@ runFidelityFamily(const char *title, int depth, int circuits_count,
         auto shot_rng = rng.split();
         const auto dist = sampler.sample(
             circuits::trivialRouting(mirror.full), n,
-            bench::smokeShots(3000), shot_rng);
+            api::smokeShots(3000), shot_rng);
         fidelities.push_back(dist.probability(0));
         ehds.push_back(core::expectedHammingDistance(dist, {0}));
     }

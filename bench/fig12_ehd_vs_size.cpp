@@ -10,13 +10,13 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/ehd.hpp"
 #include "graph/generators.hpp"
 #include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 namespace {
 
@@ -26,10 +26,10 @@ double
 bvEhd(int n, const noise::NoiseModel &model, common::Rng &rng)
 {
     const common::Bits key = (common::Bits{1} << n) - 1;
-    const auto instance = bench::makeBvInstance(n, key, "machineA");
+    const auto instance = api::makeBvWorkload(n, key, "machineA");
     auto shot_rng = rng.split();
     const auto dist = noise::ChannelSampler(model).sample(
-        instance.routed, n, bench::smokeShots(4096), shot_rng);
+        instance.routed, n, api::smokeShots(4096), shot_rng);
     return core::expectedHammingDistance(dist, {key});
 }
 
@@ -39,11 +39,11 @@ qaoaEhd(int n, int p, const noise::NoiseModel &model, common::Rng &rng)
     std::vector<double> ehds;
     for (int i = 0; i < 2; ++i) {
         const auto g = graph::kRegular(n, 3, rng);
-        const auto instance = bench::makeQaoaInstance(g, p, false, 0,
+        const auto instance = api::makeQaoaWorkload(g, p, false, 0,
                                                       0, "3reg");
         auto shot_rng = rng.split();
         const auto dist = noise::ChannelSampler(model).sample(
-            instance.routed, n, bench::smokeShots(4096), shot_rng);
+            instance.routed, n, api::smokeShots(4096), shot_rng);
         ehds.push_back(core::expectedHammingDistance(
             dist, instance.correctOutcomes));
     }
@@ -63,7 +63,7 @@ main()
     const auto ibm = noise::machinePreset("machineA");
     common::Table a({"qubits", "EHD_BV(111..1)", "EHD_QAOA_p2",
                      "EHD_QAOA_p4", "uniform"});
-    for (int n : bench::smokeSizes({6, 8, 10, 12, 14, 16, 18, 20})) {
+    for (int n : api::smokeSizes({6, 8, 10, 12, 14, 16, 18, 20})) {
         a.addRow({common::Table::fmt(static_cast<long long>(n)),
                   common::Table::fmt(bvEhd(n, ibm, rng), 3),
                   common::Table::fmt(qaoaEhd(n, 2, ibm, rng), 3),
@@ -77,15 +77,15 @@ main()
     common::Table b({"qubits", "EHD_3Reg_p3", "EHD_Grid_p4",
                      "uniform"});
     const std::vector<std::pair<int, int>> shapes =
-        bench::smokeShapes({{2, 2}, {2, 3}, {2, 4}, {2, 5}, {3, 4},
+        api::smokeShapes({{2, 2}, {2, 3}, {2, 4}, {2, 5}, {3, 4},
                             {2, 7}, {4, 4}, {3, 6}, {4, 5}});
     for (const auto &[rows, cols] : shapes) {
         const int n = rows * cols;
-        const auto grid_instance = bench::makeQaoaInstance(
+        const auto grid_instance = api::makeQaoaWorkload(
             graph::grid(rows, cols), 4, true, rows, cols, "grid");
         auto shot_rng = rng.split();
         const auto grid_dist = noise::ChannelSampler(google).sample(
-            grid_instance.routed, n, bench::smokeShots(4096),
+            grid_instance.routed, n, api::smokeShots(4096),
             shot_rng);
         const double grid_ehd = core::expectedHammingDistance(
             grid_dist, grid_instance.correctOutcomes);

@@ -9,12 +9,12 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/table.hpp"
 #include "core/ehd.hpp"
 #include "metrics/metrics.hpp"
 #include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -24,14 +24,14 @@ main()
 
     bench::BenchReport report("fig1a_bv4_histogram");
     common::Rng rng(0xF19A);
-    const auto instance = bench::makeBvInstance(4, 0b1111, "machineB");
+    const auto instance = api::makeBvWorkload(4, 0b1111, "machineB");
     // Scale the noise up so the 4-qubit circuit lands near the
     // paper's ~40% PST operating point (their hardware ran much
     // larger error rates per useful gate at this tiny size).
     const auto model =
         noise::machinePreset(instance.machine).scaled(2.5);
     const auto dist = noise::ChannelSampler(model).sample(
-        instance.routed, 4, bench::smokeShots(8192), rng);
+        instance.routed, 4, api::smokeShots(8192), rng);
 
     common::Table table({"outcome", "probability", "hamming_d(key)"});
     for (const auto &entry : dist.sortedByProbability()) {

@@ -8,13 +8,13 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/ehd.hpp"
 #include "graph/generators.hpp"
 #include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -28,14 +28,14 @@ main()
 
     common::Table table({"qubits", "EHD_qaoa_p2", "EHD_uniform"});
     bool structure_everywhere = true;
-    for (int n : bench::smokeSizes({6, 8, 10, 12, 14, 16, 18, 20})) {
+    for (int n : api::smokeSizes({6, 8, 10, 12, 14, 16, 18, 20})) {
         std::vector<double> ehds;
-        for (int i = 0; i < bench::smokeCount(3); ++i) {
+        for (int i = 0; i < api::smokeCount(3); ++i) {
             const auto g = graph::kRegular(n, 3, rng);
             const auto instance =
-                bench::makeQaoaInstance(g, 2, false, 0, 0, "3reg");
+                api::makeQaoaWorkload(g, 2, false, 0, 0, "3reg");
             const auto dist = noise::ChannelSampler(model).sample(
-                instance.routed, n, bench::smokeShots(4096), rng);
+                instance.routed, n, api::smokeShots(4096), rng);
             ehds.push_back(core::expectedHammingDistance(
                 dist, instance.correctOutcomes));
         }

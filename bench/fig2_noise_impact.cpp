@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "circuits/qaoa_circuit.hpp"
 #include "common/table.hpp"
 #include "metrics/metrics.hpp"
@@ -21,7 +22,6 @@
 #include "sim/simulator.hpp"
 #include "graph/generators.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -31,10 +31,10 @@ main()
 
     bench::BenchReport report("fig2_noise_impact");
     common::Rng rng(0xF192);
-    const auto bv = bench::makeBvInstance(3, 0b111, "machineB");
+    const auto bv = api::makeBvWorkload(3, 0b111, "machineB");
     const auto model = noise::machinePreset("machineB").scaled(6.0);
     const auto noisy = noise::ChannelSampler(model).sample(
-        bv.routed, 3, bench::smokeShots(8192), rng);
+        bv.routed, 3, api::smokeShots(8192), rng);
 
     common::Table bv_table({"outcome", "ideal", "noisy"});
     for (common::Bits x = 0; x < 8; ++x) {
@@ -49,7 +49,7 @@ main()
 
     std::puts("== Fig 2(d): QAOA-9 expected cost, ideal vs noisy ==");
     const auto g = graph::kRegular(9, 2, rng); // odd ring flavour
-    const auto instance = bench::makeQaoaInstance(g, 2, false, 0, 0,
+    const auto instance = api::makeQaoaWorkload(g, 2, false, 0, 0,
                                                   "3reg");
     const auto ideal_state = sim::runCircuit(
         circuits::qaoaCircuit(g, circuits::linearRampParams(2)));
@@ -57,7 +57,7 @@ main()
         9, [&](std::size_t i) { return ideal_state.probability(i); });
     const auto noisy_qaoa =
         noise::ChannelSampler(noise::machinePreset("machineB").scaled(3.0))
-            .sample(instance.routed, 9, bench::smokeShots(8192), rng);
+            .sample(instance.routed, 9, api::smokeShots(8192), rng);
 
     const double e_ideal = qaoa::costExpectation(ideal, g);
     const double e_noisy = qaoa::costExpectation(noisy_qaoa, g);

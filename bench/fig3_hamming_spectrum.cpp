@@ -13,12 +13,12 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/table.hpp"
 #include "core/spectrum.hpp"
 #include "graph/generators.hpp"
 #include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 namespace {
 
@@ -57,19 +57,19 @@ main()
     common::Rng rng(0xF193);
 
     std::puts("== Fig 3(b): Hamming spectrum of BV-8 (key 11111111) ==");
-    const auto bv = bench::makeBvInstance(8, 0b11111111, "machineB");
+    const auto bv = api::makeBvWorkload(8, 0b11111111, "machineB");
     const auto bv_dist =
         noise::ChannelSampler(noise::machinePreset("machineB").scaled(2.0))
-            .sample(bv.routed, 8, bench::smokeShots(16384), rng);
+            .sample(bv.routed, 8, api::smokeShots(16384), rng);
     printSpectrum(bv_dist, {0b11111111});
 
     std::puts("\n== Fig 3(c): Hamming spectrum of QAOA-8 "
               "(multiple correct outcomes) ==");
     const auto g = graph::kRegular(8, 3, rng);
-    const auto qaoa = bench::makeQaoaInstance(g, 2, false, 0, 0, "3reg");
+    const auto qaoa = api::makeQaoaWorkload(g, 2, false, 0, 0, "3reg");
     const auto qaoa_dist =
         noise::ChannelSampler(noise::machinePreset("machineB"))
-            .sample(qaoa.routed, 8, bench::smokeShots(16384), rng);
+            .sample(qaoa.routed, 8, api::smokeShots(16384), rng);
     std::printf("(instance has %zu optimal cuts)\n",
                 qaoa.correctOutcomes.size());
     report.metric("bv8_pst", bv_dist.probability(0b11111111));

@@ -23,12 +23,12 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/table.hpp"
 #include "core/hammer.hpp"
 #include "core/spectrum.hpp"
 #include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -41,7 +41,7 @@ main()
     common::Rng rng(0xF197);
     const common::Bits key = 0b1111111111;
     const common::Bits burst_pattern = 0b0011000000;
-    const auto instance = bench::makeBvInstance(10, key, "machineB");
+    const auto instance = api::makeBvWorkload(10, key, "machineB");
 
     // Stochastic noise plus a correlated burst (paper refs [34, 42])
     // that plants the dominant two-bit-flip incorrect outcome of
@@ -52,7 +52,7 @@ main()
     noise::ChannelSampler sampler(
         noise::machinePreset("machineB").scaled(2.0), channel);
     const auto dist = sampler.sample(instance.routed, 10,
-                                     bench::smokeShots(16384), rng);
+                                     api::smokeShots(16384), rng);
 
     // Identify the most frequent incorrect outcome.
     common::Bits top_incorrect = 0;

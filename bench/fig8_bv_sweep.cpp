@@ -12,13 +12,13 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/hammer.hpp"
 #include "metrics/metrics.hpp"
 #include "noise/channel_sampler.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -30,7 +30,7 @@ main()
     bench::BenchReport report("fig8_bv_sweep");
     common::Rng rng(0xF198);
     const common::Bits example_key = 0b1010101010;
-    const auto example = bench::makeBvInstance(10, example_key,
+    const auto example = api::makeBvWorkload(10, example_key,
                                                "machineB");
     // Include a correlated burst so a specific incorrect outcome is
     // prominent, as in the paper's example histogram.
@@ -40,7 +40,7 @@ main()
     noise::ChannelSampler example_sampler(
         noise::machinePreset("machineB").scaled(2.0), example_channel);
     const auto example_noisy = example_sampler.sample(
-        example.routed, 10, bench::smokeShots(16384), rng);
+        example.routed, 10, api::smokeShots(16384), rng);
     const auto example_fixed = core::reconstruct(example_noisy);
     std::printf("PST baseline %.3f -> HAMMER %.3f\n",
                 metrics::pst(example_noisy, {example_key}),
@@ -51,12 +51,12 @@ main()
                 metrics::ist(example_fixed, {example_key}));
 
     std::puts("== Fig 8(b): PST/IST improvement over the BV sweep ==");
-    const std::vector<int> sizes = bench::smokeSizes(
+    const std::vector<int> sizes = api::smokeSizes(
         {5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16});
     const std::vector<std::string> machines{"machineA", "machineB",
                                             "machineC"};
-    const auto workload = bench::makeBvWorkload(
-        sizes, bench::smokeCount(12, 3), machines, rng);
+    const auto workload = api::makeBvSweep(
+        sizes, api::smokeCount(12, 3), machines, rng);
 
     std::vector<double> pst_gains, ist_gains;
     int pst_improved = 0;
@@ -70,7 +70,7 @@ main()
         auto shot_rng = rng.split();
         const auto noisy = noise::ChannelSampler(model).sample(
             instance.routed, instance.measuredQubits,
-            bench::smokeShots(8192), shot_rng);
+            api::smokeShots(8192), shot_rng);
         const auto fixed = core::reconstruct(noisy);
 
         const double pst0 = metrics::pst(noisy, {instance.key});

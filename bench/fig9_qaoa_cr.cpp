@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/hammer.hpp"
@@ -21,7 +22,6 @@
 #include "qaoa/cost.hpp"
 #include "graph/generators.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 namespace {
 
@@ -34,7 +34,7 @@ struct CrPoint
 };
 
 std::vector<CrPoint>
-evaluate(const std::vector<bench::QaoaInstance> &workload,
+evaluate(const std::vector<api::Workload> &workload,
          const noise::NoiseModel &model, common::Rng &rng)
 {
     std::vector<CrPoint> points;
@@ -42,7 +42,7 @@ evaluate(const std::vector<bench::QaoaInstance> &workload,
         auto shot_rng = rng.split();
         const auto noisy = noise::ChannelSampler(model).sample(
             instance.routed, instance.graph.numVertices(),
-            bench::smokeShots(8192), shot_rng);
+            api::smokeShots(8192), shot_rng);
         const auto fixed = core::reconstruct(noisy);
         points.push_back(
             {qaoa::costRatio(noisy, instance.graph, instance.minCost),
@@ -86,13 +86,13 @@ printSCurve(const char *title, const std::vector<CrPoint> &points)
 }
 
 void
-printCumulative(const char *title, const bench::QaoaInstance &instance,
+printCumulative(const char *title, const api::Workload &instance,
                 const noise::NoiseModel &model, common::Rng &rng)
 {
     std::printf("-- %s --\n", title);
     const auto noisy = noise::ChannelSampler(model).sample(
         instance.routed, instance.graph.numVertices(),
-        bench::smokeShots(16384), rng);
+        api::smokeShots(16384), rng);
     const auto fixed = core::reconstruct(noisy);
     common::Table table({"quality>=", "cum_prob_baseline",
                          "cum_prob_hammer"});
@@ -124,9 +124,9 @@ main()
     common::Rng rng(0xF199);
     const auto model = noise::machinePreset("sycamore").scaled(2.0);
 
-    const auto reg_workload = bench::makeQaoa3RegWorkload(
-        bench::smokeSizes({6, 8, 10, 12, 14, 16}), {1, 2, 3},
-        bench::smokeCount(4), rng);
+    const auto reg_workload = api::makeQaoa3RegSweep(
+        api::smokeSizes({6, 8, 10, 12, 14, 16}), {1, 2, 3},
+        api::smokeCount(4), rng);
     printSCurve("Fig 9(a): 3-regular S-curve",
                 evaluate(reg_workload, model, rng));
 
@@ -134,11 +134,11 @@ main()
     const auto example_graph = graph::kRegular(10, 3, example_rng);
     printCumulative(
         "Fig 9(b): QAOA-10 3-regular cumulative probability",
-        bench::makeQaoaInstance(example_graph, 2, false, 0, 0, "3reg"),
+        api::makeQaoaWorkload(example_graph, 2, false, 0, 0, "3reg"),
         model, rng);
 
-    const auto grid_workload = bench::makeQaoaGridWorkload(
-        bench::smokeShapes({{2, 3}, {2, 4}, {3, 3}, {2, 5}, {3, 4},
+    const auto grid_workload = api::makeQaoaGridSweep(
+        api::smokeShapes({{2, 3}, {2, 4}, {3, 3}, {2, 5}, {3, 4},
                             {2, 6}, {2, 7}, {4, 4}, {3, 5}, {2, 8},
                             {3, 6}, {4, 5}}),
         {1, 2, 3, 4, 5});
@@ -147,7 +147,7 @@ main()
 
     printCumulative(
         "Fig 9(d): QAOA-12 grid cumulative probability",
-        bench::makeQaoaInstance(graph::grid(3, 4), 2, true, 3, 4,
+        api::makeQaoaWorkload(graph::grid(3, 4), 2, true, 3, 4,
                                 "grid"),
         model, rng);
 

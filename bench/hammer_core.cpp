@@ -20,6 +20,7 @@
 #include <set>
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/distribution.hpp"
@@ -27,7 +28,6 @@
 #include "core/hammer.hpp"
 #include "core/spectrum.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 namespace {
 
@@ -156,7 +156,7 @@ main()
 
     const int num_bits = 16;
     const Bits key = (Bits{1} << num_bits) - 1;
-    const bool smoke = bench::smokeMode();
+    const bool smoke = api::smokeMode();
     const std::vector<std::size_t> supports =
         smoke ? std::vector<std::size_t>{256, 512}
               : std::vector<std::size_t>{512, 1024, 2048, 4096};

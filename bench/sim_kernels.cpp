@@ -37,7 +37,6 @@
 #include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 // Sanitizer instrumentation slows kernels unevenly (shadow-memory
 // traffic scales with loads/stores, not arithmetic), so wall-clock
@@ -164,7 +163,7 @@ main()
               "replay ==");
     bench::BenchReport report("sim");
     Rng rng(0x51D);
-    const bool smoke = bench::smokeMode();
+    const bool smoke = api::smokeMode();
 
     // -- 1. Per-kernel gate throughput: branchy generic 2x2 vs
     //       specialised kernels, same amplitudes.

@@ -9,10 +9,10 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/api.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "support/report.hpp"
-#include "support/workloads.hpp"
 
 int
 main()
@@ -46,7 +46,7 @@ main()
     Table stats({"family", "count", "mean_depth", "mean_2q",
                  "mean_swaps"});
     auto summarise = [&](const char *name,
-                         const std::vector<bench::QaoaInstance> &ws) {
+                         const std::vector<api::Workload> &ws) {
         std::vector<double> depth, twoq, swaps;
         for (const auto &w : ws) {
             depth.push_back(w.routed.circuit.depth());
@@ -61,23 +61,23 @@ main()
     };
 
     summarise("QAOA grid (grid device)",
-              bench::makeQaoaGridWorkload(
-                  bench::smokeShapes(
+              api::makeQaoaGridSweep(
+                  api::smokeShapes(
                       {{2, 3}, {2, 4}, {3, 3}, {3, 4}, {4, 4}}),
                   {1, 2, 3}));
     summarise("QAOA 3-reg (line device)",
-              bench::makeQaoa3RegWorkload(
-                  bench::smokeSizes({6, 8, 10, 12}), {2, 4},
-                  bench::smokeCount(3), rng));
+              api::makeQaoa3RegSweep(
+                  api::smokeSizes({6, 8, 10, 12}), {2, 4},
+                  api::smokeCount(3), rng));
     summarise("QAOA rand (line device)",
-              bench::makeQaoaRandWorkload(
-                  bench::smokeSizes({6, 8, 10, 12}), {2, 4},
-                  bench::smokeCount(3), rng));
+              api::makeQaoaRandSweep(
+                  api::smokeSizes({6, 8, 10, 12}), {2, 4},
+                  api::smokeCount(3), rng));
 
     std::vector<double> bv_depth, bv_twoq, bv_swaps;
-    const auto bv = bench::makeBvWorkload(
-        bench::smokeSizes({5, 7, 9, 11, 13, 15}),
-        bench::smokeCount(4), {"machineA", "machineB", "machineC"},
+    const auto bv = api::makeBvSweep(
+        api::smokeSizes({5, 7, 9, 11, 13, 15}),
+        api::smokeCount(4), {"machineA", "machineB", "machineC"},
         rng);
     for (const auto &w : bv) {
         bv_depth.push_back(w.routed.circuit.depth());

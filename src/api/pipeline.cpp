@@ -168,7 +168,7 @@ Pipeline::buildWorkload(const ExperimentSpec &spec,
     // a named field instead of flowing into the samplers.
     validateBackendSpec(spec.backendSpec);
     require(spec.workloadInstance.has_value() || !spec.workload.empty(),
-            "Pipeline: spec needs a workload (registry spec or "
+            "Pipeline: spec needs a workload (workload spec or "
             "prebuilt instance)");
 
     Result result;

@@ -344,7 +344,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     // submit() itself rather than from a detached worker.
     validateBackendSpec(spec.backendSpec);
     require(spec.workloadInstance.has_value() || !spec.workload.empty(),
-            "ExecutionService: spec needs a workload (registry spec "
+            "ExecutionService: spec needs a workload (workload spec "
             "or prebuilt instance)");
 
     {
@@ -375,8 +375,9 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
 
     // The job's future comes from an explicit promise (not the
     // pool's) so the in-flight entry can be registered before the
-    // pool sees the job: on a single-thread pool submit() runs the
-    // job inline, and the epilogue must find its own entry to erase.
+    // pool sees the job: a worker may finish the job before
+    // pool_->submit() returns, and the epilogue must find its own
+    // entry to erase.
     auto promise = std::make_shared<std::promise<Result>>();
 
     std::shared_ptr<const Result> cached;
@@ -456,8 +457,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
         // (cache hits and coalesced attaches cost no queue slot).
         // Rejected submits are not counted as submitted, preserving
         // completed + coalesced == submitted at idle.
-        if (!cached && !degraded && options_.maxQueueDepth > 0 &&
-            pool_->threadCount() > 1) {
+        if (!cached && !degraded && options_.maxQueueDepth > 0) {
             const std::size_t depth = pool_->queuedJobs();
             if (depth >= options_.maxQueueDepth) {
                 // An overloaded service may serve a stale-but-
@@ -485,8 +485,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
             // Queue high-water mark, counting this job's slot.
             const std::uint64_t depth =
                 static_cast<std::uint64_t>(pool_->queuedJobs()) + 1;
-            if (pool_->threadCount() > 1 &&
-                depth > stats_.queuePeakDepth)
+            if (depth > stats_.queuePeakDepth)
                 stats_.queuePeakDepth = depth;
             // Admission accounting: this job's predicted cost is
             // backlog until its worker settles it, and its key
@@ -828,7 +827,7 @@ ExecutionService::wait(const JobHandle &handle) const
     // Help drain the queue instead of blocking outright: the pool
     // keeps threadCount-1 dedicated workers, so the waiting caller
     // is the remaining one (submit-all-then-wait batches use every
-    // thread).
+    // thread, and a 1-worker service runs its jobs here).
     while (handle.job_->future.wait_for(std::chrono::seconds(0)) !=
                std::future_status::ready &&
            pool_->tryRunOneJob()) {

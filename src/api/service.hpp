@@ -157,10 +157,12 @@ std::uint64_t distributionChecksum(const core::Distribution &dist);
 struct ExecutionServiceOptions
 {
     /**
-     * Worker threads draining the job queue; 0 selects
-     * common::ThreadPool::defaultThreadCount().  With one worker,
-     * jobs run inline on the submitting thread (and keep their
-     * spec's inner sampling threads); with more, per-job inner
+     * Threads draining the job queue; 0 selects
+     * common::ThreadPool::defaultThreadCount().  N workers are N-1
+     * dedicated threads plus whichever caller is inside wait(),
+     * waitFor(), helpDrain() or shutdown(), so a 1-worker service
+     * queues like any other and runs its jobs on those callers (with
+     * their spec's inner sampling threads); with more, per-job inner
      * sampling is forced to 1 — the fan-out owns the cores.
      */
     int workers = 0;
@@ -174,9 +176,7 @@ struct ExecutionServiceOptions
 
     /**
      * Reject submits with QueueSaturatedError once this many jobs
-     * are queued (0 = unbounded).  Backpressure only engages on
-     * pools with dedicated workers; a 1-worker service runs each job
-     * inline in submit(), so its queue never grows.
+     * are queued (0 = unbounded), at every worker count.
      */
     std::size_t maxQueueDepth = 0;
 
@@ -201,10 +201,9 @@ struct ExecutionServiceOptions
      * Chaos seam: consulted at every service fault site (worker
      * start/mid-job, cache inserts, coalescing registrations).
      * Production leaves this null; tests install a
-     * chaos::FaultPlan.  Note the service deliberately does NOT
-     * forward this to its ThreadPool's PoolJob site — pool-level
-     * kills break promises, while the service owns worker death
-     * end-to-end (retry, then WorkerLostError).
+     * chaos::FaultPlan.  The thread pool has no fault site: the
+     * service owns worker death end to end (retry, then
+     * WorkerLostError).
      */
     std::shared_ptr<common::FaultInjector> faultInjector;
 
@@ -318,8 +317,8 @@ struct ServiceStats
 
     /**
      * High-water mark of the pool's job queue depth, observed at
-     * submit time (counts the submitting job).  0 on a 1-worker
-     * service — jobs run inline, the queue never grows.
+     * submit time (counts the submitting job), at every worker
+     * count.
      */
     std::uint64_t queuePeakDepth = 0;
 

@@ -27,15 +27,6 @@ FaultPlan::peek(FaultSite site, std::uint64_t key) const
     // Fixed draw order per site keeps the mapping stable when rates
     // change: the kill draw happens whether or not stalls are on.
     switch (site) {
-    case FaultSite::PoolJob: {
-        const bool kill = rng.bernoulli(options_.poolKillRate);
-        const bool stall = rng.bernoulli(options_.poolStallRate);
-        if (kill)
-            return {FaultAction::Kind::Kill, 0};
-        if (stall)
-            return {FaultAction::Kind::Stall, options_.stallMillis};
-        break;
-    }
     case FaultSite::ServiceJob: {
         const bool kill = rng.bernoulli(options_.workerKillRate);
         const bool stall = rng.bernoulli(options_.workerStallRate);

@@ -3,7 +3,7 @@
  * hammer::chaos — deterministic fault-injection harness.
  *
  * A FaultPlan is the concrete common::FaultInjector the chaos CI
- * suite layers over ExecutionService and ThreadPool: every decision
+ * suite layers over ExecutionService and ShardRouter: every decision
  * is a pure function of (seed, site, key), derived through
  * common::Rng::fork, so a whole chaos run — which jobs lose their
  * worker, which cache entries are poisoned, which coalescing
@@ -36,11 +36,6 @@ namespace hammer::chaos {
 /** Per-fault-class injection rates and magnitudes of one FaultPlan. */
 struct FaultPlanOptions
 {
-    /** P(kill) per ThreadPool job (FaultSite::PoolJob). */
-    double poolKillRate = 0.0;
-    /** P(stall) per ThreadPool job. */
-    double poolStallRate = 0.0;
-
     /** P(worker death) per service job attempt fault point. */
     double workerKillRate = 0.0;
     /** P(stall) per service job attempt fault point. */

@@ -2,20 +2,21 @@
  * @file
  * Fault-injection seam shared by the concurrency layers.
  *
- * A FaultInjector is consulted at well-defined fault sites — a pool
- * worker about to run a queued job, the serving layer inserting into
- * or reading from a cache, a coalescing registration — and answers
- * with one FaultAction.  Production code runs with no injector
- * installed (every site resolves to None at the cost of one pointer
- * test); the chaos harness (hammer::chaos::FaultPlan) installs a
- * deterministic, RNG-seeded implementation so every injected failure
- * sequence is replayable from a single uint64 seed.
+ * A FaultInjector is consulted at well-defined fault sites — a
+ * service worker starting a job, the serving layer inserting into a
+ * cache, a coalescing registration, the router sending to a shard —
+ * and answers with one FaultAction.  Production code runs with no
+ * injector installed (every site resolves to None at the cost of one
+ * pointer test); the chaos harness (hammer::chaos::FaultPlan)
+ * installs a deterministic, RNG-seeded implementation so every
+ * injected failure sequence is replayable from a single uint64 seed.
  *
- * The interface lives in common (not chaos) so common::ThreadPool and
- * api::ExecutionService can accept an injector without depending on
+ * The interface lives in common (not chaos) so api::ExecutionService
+ * and net::ShardRouter can accept an injector without depending on
  * the harness that implements it — the same boundary-layering idea as
  * ASPIS-style compile-time duplication: the protected code only knows
- * the seam, never the fault model.
+ * the seam, never the fault model.  common::ThreadPool has no fault
+ * site: the service owns worker death end to end.
  */
 
 #ifndef HAMMER_COMMON_FAULT_INJECTION_HPP
@@ -25,23 +26,20 @@
 
 namespace hammer::common {
 
-/** Where in the stack a fault decision is being made. */
+/**
+ * Where in the stack a fault decision is being made.  The values are
+ * explicit because chaos::FaultPlan hashes them: a renumbering would
+ * change the campaign every seed replays.
+ */
 enum class FaultSite
 {
-    /**
-     * A ThreadPool worker about to run one queued submit() job
-     * (key = job sequence number).  Kill discards the job — its
-     * future throws broken_promise; Stall delays it.
-     */
-    PoolJob,
-
     /**
      * An ExecutionService worker starting (or mid-way through) one
      * service job attempt (key = jobId * 16 + attempt * 2 + phase).
      * Kill simulates the worker dying — the service retries the
      * attempt idempotently; Stall delays it.
      */
-    ServiceJob,
+    ServiceJob = 1,
 
     /**
      * A result/execution outcome being inserted into a service cache
@@ -49,7 +47,7 @@ enum class FaultSite
      * payload after its checksum was computed, so verification on the
      * next hit must detect it.
      */
-    CacheInsert,
+    CacheInsert = 2,
 
     /**
      * An in-flight coalescing registration (key = FNV hash of the
@@ -57,7 +55,7 @@ enum class FaultSite
      * execute redundantly, results unchanged); Delay stalls the
      * submission path after registering.
      */
-    CoalesceRegister,
+    CoalesceRegister = 3,
 
     /**
      * net::ShardRouter about to send one job frame to a shard
@@ -66,7 +64,7 @@ enum class FaultSite
      * re-routes every job pending on it, and retries this job on the
      * next attempt; Stall delays the send.
      */
-    ShardSend,
+    ShardSend = 4,
 
     /**
      * net::ShardRouter receiving one job's result frame
@@ -75,7 +73,7 @@ enum class FaultSite
      * the job re-dispatched idempotently (same spec, next attempt);
      * Stall delays delivery.
      */
-    ShardRecv,
+    ShardRecv = 5,
 
     /**
      * A half-open circuit breaker about to admit its single probe
@@ -83,7 +81,7 @@ enum class FaultSite
      * — the breaker stays open for another backoff episode, as if
      * the probe had been sent and failed; Stall delays it.
      */
-    BreakerProbe,
+    BreakerProbe = 6,
 
     /**
      * ExecutionService admission deciding whether to shed one
@@ -92,7 +90,7 @@ enum class FaultSite
      * exactly as if the predicted completion had missed its
      * deadline.
      */
-    ShedDecision,
+    ShedDecision = 7,
 };
 
 /** What the injector decided for one site visit. */
@@ -101,8 +99,8 @@ struct FaultAction
     enum class Kind
     {
         None,   ///< Proceed normally (the production answer).
-        Kill,   ///< PoolJob/ServiceJob: the worker "dies" here.
-        Stall,  ///< PoolJob/ServiceJob: sleep millis, then proceed.
+        Kill,   ///< ServiceJob: the worker "dies" here.
+        Stall,  ///< ServiceJob: sleep millis, then proceed.
         Poison, ///< CacheInsert: corrupt the stored payload.
         Drop,   ///< CoalesceRegister: skip the registration.
         Delay,  ///< CoalesceRegister: sleep millis after registering.

@@ -1,13 +1,58 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <ctime>
+#include <exception>
 
 #include "common/logging.hpp"
 
 namespace hammer::common {
+
+struct ThreadPool::Round
+{
+    using Task = std::function<void(std::size_t, int)>;
+
+    Round(const Task &body, std::size_t items)
+        : task(&body), count(items)
+    {
+    }
+
+    /**
+     * Claim and run items as @p slot until none are left or a task
+     * threw.  A helper that starts after the items ran out returns
+     * without dereferencing task, which dies with its parallelFor call.
+     */
+    void work(int slot)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        while (!error && next < count) {
+            const std::size_t item = next++;
+            ++busy;
+            lock.unlock();
+            std::exception_ptr thrown;
+            try {
+                (*task)(item, slot);
+            } catch (...) {
+                thrown = std::current_exception();
+            }
+            lock.lock();
+            --busy;
+            if (thrown && !error)
+                error = thrown;
+        }
+        if (busy == 0)
+            idle.notify_all();
+    }
+
+    const Task *task;
+    const std::size_t count;
+    std::mutex mutex;
+    std::condition_variable idle; // busy reached 0
+    std::size_t next = 0;
+    int busy = 0; // slots inside a task call
+    std::exception_ptr error;
+};
 
 ThreadPool::ThreadPool(int threads)
 {
@@ -16,10 +61,10 @@ ThreadPool::ThreadPool(int threads)
     require(threads >= 1, "ThreadPool: need at least one thread");
     threadCount_ = threads;
     workers_.reserve(static_cast<std::size_t>(threads - 1));
-    // The caller participates in every round as slot 0; only
+    // The caller of a round or a drain is the Nth thread; only
     // threads-1 dedicated workers are needed.
-    for (int slot = 1; slot < threads; ++slot)
-        workers_.emplace_back([this, slot] { workerLoop(slot); });
+    for (int i = 1; i < threads; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -53,93 +98,28 @@ ThreadPool::defaultThreadCount()
     return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
-void
-ThreadPool::workerLoop(int slot)
+std::function<void()>
+ThreadPool::popLocked()
 {
-    std::uint64_t seen_round = 0;
+    std::function<void()> job = jobs_.top().run;
+    jobs_.pop();
+    return job;
+}
+
+void
+ThreadPool::workerLoop()
+{
     for (;;) {
         std::function<void()> job;
-        std::uint64_t job_seq = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [&] {
-                return stop_ || (task_ && round_ != seen_round) ||
-                       !jobs_.empty();
-            });
+            wake_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
             if (stop_)
                 return;
-            if (task_ && round_ != seen_round) {
-                // Rounds are latency-sensitive barriers with a caller
-                // blocked on them: they pre-empt the job queue.
-                seen_round = round_;
-            } else {
-                job = jobs_.top().run;
-                job_seq = jobs_.top().seq;
-                jobs_.pop();
-            }
+            job = popLocked();
         }
-        if (job) {
-            if (passesFaultGate(job_seq))
-                job();
-            // A killed job is simply dropped: destroying its
-            // packaged_task makes the future throw broken_promise.
-        } else {
-            runRound(slot);
-        }
+        job();
     }
-}
-
-void
-ThreadPool::setFaultInjector(std::shared_ptr<FaultInjector> injector)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    faultInjector_ = std::move(injector);
-}
-
-bool
-ThreadPool::passesFaultGate(std::uint64_t seq)
-{
-    std::shared_ptr<FaultInjector> injector;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        injector = faultInjector_;
-    }
-    if (!injector)
-        return true;
-    const FaultAction action = injector->at(FaultSite::PoolJob, seq);
-    switch (action.kind) {
-    case FaultAction::Kind::Kill:
-        return false;
-    case FaultAction::Kind::Stall:
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(action.millis));
-        return true;
-    default:
-        return true;
-    }
-}
-
-void
-ThreadPool::enqueueJob(std::function<void()> run, int priority)
-{
-    if (threadCount_ == 1) {
-        // No dedicated workers: run inline, as parallelFor does.
-        // The fault gate still applies — a single-worker pool can
-        // kill or stall its jobs like any other.
-        std::uint64_t seq;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            seq = jobSeq_++;
-        }
-        if (passesFaultGate(seq))
-            run();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        jobs_.push(QueuedJob{priority, jobSeq_++, std::move(run)});
-    }
-    wake_.notify_one();
 }
 
 std::size_t
@@ -153,49 +133,14 @@ bool
 ThreadPool::tryRunOneJob()
 {
     std::function<void()> job;
-    std::uint64_t job_seq = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (jobs_.empty())
             return false;
-        job = jobs_.top().run;
-        job_seq = jobs_.top().seq;
-        jobs_.pop();
+        job = popLocked();
     }
-    if (passesFaultGate(job_seq))
-        job();
+    job();
     return true;
-}
-
-void
-ThreadPool::runRound(int slot)
-{
-    for (;;) {
-        std::size_t item;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (abandonRound_ || next_ >= count_)
-                return;
-            item = next_++;
-            ++inFlight_;
-        }
-        try {
-            (*task_)(item, slot);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-            abandonRound_ = true;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inFlight_;
-            if (inFlight_ == 0 &&
-                (abandonRound_ || next_ >= count_)) {
-                done_.notify_all();
-            }
-        }
-    }
 }
 
 int
@@ -221,12 +166,7 @@ void
 ThreadPool::run(int workers, std::size_t count,
                 const std::function<void(std::size_t, int)> &task)
 {
-    if (workers == shared().threadCount()) {
-        shared().parallelFor(count, task);
-        return;
-    }
-    ThreadPool pool(workers);
-    pool.parallelFor(count, task);
+    shared().runRound(workers, count, task);
 }
 
 void
@@ -237,20 +177,11 @@ ThreadPool::runChunked(
 {
     require(chunk >= 1, "ThreadPool::runChunked: chunk must be >= 1");
     const std::size_t chunks = chunkCount(items, chunk);
-    if (chunks == 0)
-        return;
-    const auto runOne = [&](std::size_t c, int slot) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(items, begin + chunk);
-        task(c, begin, end, slot);
-    };
-    const int workers = resolveThreadCount(threads, chunks);
-    if (workers <= 1) {
-        for (std::size_t c = 0; c < chunks; ++c)
-            runOne(c, 0);
-        return;
-    }
-    run(workers, chunks, runOne);
+    run(resolveThreadCount(threads, chunks), chunks,
+        [&](std::size_t c, int slot) {
+            const std::size_t begin = c * chunk;
+            task(c, begin, std::min(items, begin + chunk), slot);
+        });
 }
 
 void
@@ -258,47 +189,7 @@ ThreadPool::parallelFor(
     std::size_t count,
     const std::function<void(std::size_t, int)> &task)
 {
-    if (count == 0)
-        return;
-    if (threadCount_ == 1 || count == 1) {
-        // Inline fast path: no handoff, exceptions propagate
-        // directly.
-        for (std::size_t item = 0; item < count; ++item)
-            task(item, 0);
-        return;
-    }
-
-    // One round at a time: the job slots below are single-occupancy,
-    // so concurrent callers (e.g. two samplers sharing the global
-    // pool) take turns.
-    std::lock_guard<std::mutex> round_lock(roundMutex_);
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        task_ = &task;
-        count_ = count;
-        next_ = 0;
-        inFlight_ = 0;
-        abandonRound_ = false;
-        firstError_ = nullptr;
-        ++round_;
-    }
-    wake_.notify_all();
-
-    runRound(/*slot=*/0);
-
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [&] {
-            return inFlight_ == 0 &&
-                   (abandonRound_ || next_ >= count_);
-        });
-        task_ = nullptr;
-        error = firstError_;
-    }
-    if (error)
-        std::rethrow_exception(error);
+    runRound(threadCount_, count, task);
 }
 
 void
@@ -307,6 +198,40 @@ ThreadPool::parallelFor(std::size_t count,
 {
     parallelFor(count,
                 [&task](std::size_t item, int) { task(item); });
+}
+
+void
+ThreadPool::runRound(int slots, std::size_t count,
+                     const std::function<void(std::size_t, int)> &task)
+{
+    if (count == 0)
+        return;
+    const auto round = std::make_shared<Round>(task, count);
+    // One helper per extra slot, capped at the dedicated workers
+    // (threadCount_ - 1) and at the items past the caller's first.
+    const int extra = std::max(std::min(slots, threadCount_) - 1, 0);
+    const int helpers = static_cast<int>(
+        std::min(static_cast<std::size_t>(extra), count - 1));
+    if (helpers > 0) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            for (int slot = 1; slot <= helpers; ++slot) {
+                jobs_.push(QueuedJob{true, 0, jobSeq_++, [round, slot] {
+                                         round->work(slot);
+                                     }});
+            }
+        }
+        wake_.notify_all();
+    }
+
+    round->work(/*slot=*/0);
+
+    // No item is left to claim; wait out the helpers still inside a
+    // task.  Helpers that never started need no waiting.
+    std::unique_lock<std::mutex> lock(round->mutex);
+    round->idle.wait(lock, [&] { return round->busy == 0; });
+    if (round->error)
+        std::rethrow_exception(round->error);
 }
 
 double

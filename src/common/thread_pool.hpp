@@ -1,24 +1,26 @@
 /**
  * @file
- * Reusable fixed-size thread pool with a dynamic parallel-for and a
- * future-returning job queue.
+ * Reusable fixed-size thread pool with one priority job queue, which
+ * carries both future-returning jobs and the helpers of dynamic
+ * parallel-for rounds.
  *
  * The pool backs the parallel sampling engine
- * (noise::NoisySampler::sample): work items are claimed
- * dynamically by worker threads, and callers keep per-worker
- * accumulators (indexed by the slot id handed to each task) that are
- * merged after the loop — no shared mutable state, no atomics on the
- * hot path.  Determinism is the caller's contract: a task's output
- * must depend only on its item index (see common::Rng::fork), never
- * on which worker ran it.
+ * (noise::NoisySampler::sample), the HAMMER pair scan and the readout
+ * unfolding: work items are claimed dynamically, and callers keep
+ * per-slot accumulators (indexed by the slot id handed to each task)
+ * that are merged after the loop — no shared mutable state, no
+ * atomics on the hot path.  Determinism is the caller's contract: a
+ * task's output must depend only on its item index (see
+ * common::Rng::fork), never on which slot ran it.
  *
- * Alongside the barrier-style parallelFor rounds, submit() enqueues
- * independent jobs on a priority queue and hands back a std::future —
+ * submit() enqueues an independent job and hands back a std::future —
  * the asynchronous entry the serving layer (api::ExecutionService) is
  * built on.  Jobs drain highest priority first and in submission
- * order within a priority level; nothing else reorders the queue.
- * Queued jobs run on the same workers between rounds, so one pool
- * owns the cores no matter which style a caller uses.
+ * order within a priority level.  A parallelFor round enqueues one
+ * helper job per extra slot ahead of every submitted job, and its
+ * caller works through the items as slot 0, so a round never waits
+ * for a helper that has not started: with every worker busy, the
+ * caller runs all the items itself.
  */
 
 #ifndef HAMMER_COMMON_THREAD_POOL_HPP
@@ -27,7 +29,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -38,24 +39,20 @@
 #include <utility>
 #include <vector>
 
-#include "common/fault_injection.hpp"
-
 namespace hammer::common {
 
 /**
  * Fixed-size pool of persistent worker threads.
  *
- * Workers are spawned once in the constructor and live until
- * destruction, so a pool can be reused across many parallelFor
- * rounds without paying thread start-up per call.
+ * A pool of N spawns N-1 dedicated workers once, in the constructor;
+ * the Nth thread is whichever caller runs a round or drains the queue
+ * (tryRunOneJob), so a pool can be reused across many rounds without
+ * paying thread start-up per call.
  */
 class ThreadPool
 {
   public:
-    /**
-     * @param threads Worker count; 0 selects defaultThreadCount().
-     *        A pool of 1 runs every task inline on the caller.
-     */
+    /** @param threads Thread count; 0 selects defaultThreadCount(). */
     explicit ThreadPool(int threads = 0);
     ~ThreadPool();
 
@@ -69,10 +66,13 @@ class ThreadPool
      * Run task(item, slot) for every item in [0, count), blocking
      * until all items finish.
      *
-     * Items are claimed dynamically (the calling thread participates),
-     * so uneven item costs balance automatically.  @p slot identifies
-     * the executing thread, 0 <= slot < threadCount(); tasks use it to
-     * index per-thread accumulators without synchronisation.
+     * The caller claims items as slot 0 while up to threadCount()-1
+     * queued helper jobs claim them as slots 1, 2, ..., so uneven
+     * item costs balance automatically and 0 <= slot < threadCount();
+     * tasks use the slot to index per-thread accumulators without
+     * synchronisation.  Safe to call from several threads at once and
+     * from inside a job: a helper that starts after the items ran out
+     * returns without touching @p task.
      *
      * The first exception thrown by a task is rethrown on the caller
      * after the round drains; remaining items are skipped.
@@ -87,12 +87,11 @@ class ThreadPool
     /**
      * Enqueue one independent job and return a future for its result.
      *
-     * Jobs are drained by the pool's workers whenever no parallelFor
-     * round is pending, highest @p priority first and FIFO within a
-     * priority level.  Exceptions thrown by @p fn are captured into
-     * the future.  On a single-thread pool the job runs inline on the
-     * caller before submit() returns (there are no dedicated workers
-     * to hand it to), mirroring parallelFor's inline fast path.
+     * Jobs are drained by the dedicated workers and by tryRunOneJob()
+     * callers, highest @p priority first and FIFO within a priority
+     * level; a pool of 1 has no dedicated workers, so its jobs run
+     * only when a caller drains them.  Exceptions thrown by @p fn are
+     * captured into the future.
      *
      * Jobs still queued when the pool is destroyed are discarded —
      * their futures throw std::future_error (broken_promise) from
@@ -107,37 +106,26 @@ class ThreadPool
         auto task = std::make_shared<std::packaged_task<R()>>(
             std::forward<F>(fn));
         std::future<R> future = task->get_future();
-        enqueueJob([task] { (*task)(); }, priority);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            jobs_.push(QueuedJob{false, priority, jobSeq_++,
+                                 [task] { (*task)(); }});
+        }
+        wake_.notify_one();
         return future;
     }
 
-    /** Jobs submitted but not yet started (queue depth). */
+    /** Queued jobs not yet started (round helpers included). */
     std::size_t queuedJobs() const;
-
-    /**
-     * Install (or clear, with nullptr) a fault injector consulted at
-     * FaultSite::PoolJob before every queued job runs, keyed by the
-     * job's submission sequence number.
-     *
-     * Kill discards the job without running it — its future throws
-     * std::future_error (broken_promise), the same defined error a
-     * pool destruction delivers, so callers observe a dead worker as
-     * a clean typed failure, never a hang.  Stall sleeps the worker
-     * for the action's millis before running the job.  parallelFor
-     * rounds are never faulted: the chaos surface is the asynchronous
-     * job queue the serving layer runs on.
-     */
-    void setFaultInjector(std::shared_ptr<FaultInjector> injector);
 
     /**
      * Pop and run the highest-priority queued job on the calling
      * thread; false when the queue is empty.
      *
-     * The caller-participation half of the job queue: a pool of N
-     * has N-1 dedicated workers, and a caller that blocks on a
-     * future calls this in a loop first (see
-     * api::ExecutionService::wait) so submit-then-wait batches use
-     * all N threads, exactly as parallelFor does.
+     * The caller-participation half of the job queue: a caller that
+     * blocks on a future calls this in a loop first (see
+     * api::ExecutionService::wait), so submit-then-wait batches use
+     * all N threads of a pool of N.
      */
     bool tryRunOneJob();
 
@@ -151,26 +139,18 @@ class ThreadPool
     /**
      * Resolve a caller-facing thread request against a work-item
      * count: 0 becomes defaultThreadCount(), and the result is
-     * capped at @p items so no pool ever spawns workers with
-     * nothing to do.
+     * capped at @p items so no round has slots with nothing to do.
      */
     static int resolveThreadCount(int threads, std::size_t items);
 
-    /**
-     * Process-wide pool of defaultThreadCount() threads, created on
-     * first use.  Callers whose resolved thread count matches it
-     * should prefer it over a fresh pool to avoid re-spawning OS
-     * threads on every batch — see run().
-     */
+    /** Process-wide pool of defaultThreadCount() threads (lazy). */
     static ThreadPool &shared();
 
     /**
-     * Run task(item, slot) for item in [0, count) on exactly
-     * @p workers threads (slot < workers), reusing the shared pool
-     * when @p workers matches its size and a temporary pool
-     * otherwise.  @p workers should come from resolveThreadCount().
-     * Safe to call from multiple threads concurrently (rounds on the
-     * shared pool are serialised); not reentrant from inside a task.
+     * Run task(item, slot) for item in [0, count) as one round on
+     * shared() with at most @p workers slots (slot < workers; fewer
+     * when the shared pool is smaller, so no call spawns threads).
+     * @p workers should come from resolveThreadCount().
      */
     static void run(int workers, std::size_t count,
                     const std::function<void(std::size_t, int)> &task);
@@ -183,15 +163,13 @@ class ThreadPool
 
     /**
      * Run task(chunk_index, begin, end, slot) for every fixed-size
-     * chunk [begin, end) of [0, items), where end - begin <= chunk.
+     * chunk [begin, end) of [0, items), where end - begin <= chunk,
+     * through run() with resolveThreadCount(threads, chunks) slots.
      *
      * The chunk schedule depends only on (items, chunk) — never on
      * the thread count — so callers that keep chunk-indexed partial
      * results and reduce them in a fixed order get bit-identical
-     * output for every @p threads value, including 1.  With one
-     * resolved worker the chunks run inline on the caller (no pool
-     * round at all), which also makes the single-thread path safe to
-     * use from inside another pool task.
+     * output for every @p threads value, including 1.
      */
     static void runChunked(
         int threads, std::size_t items, std::size_t chunk,
@@ -199,50 +177,44 @@ class ThreadPool
                                  int)> &task);
 
   private:
-    /** One queued submit() job; ordering key for the priority queue. */
+    /** One parallelFor call's items, shared with its helper jobs. */
+    struct Round;
+
+    /** One queued job; ordering key for the priority queue. */
     struct QueuedJob
     {
+        bool helper = false; // Round helpers run ahead of every job.
         int priority = 0;
-        std::uint64_t seq = 0; // Submission sequence: FIFO rank, fault key.
+        std::uint64_t seq = 0; // Submission sequence: FIFO rank.
         std::function<void()> run;
 
         bool operator<(const QueuedJob &other) const
         {
+            if (helper != other.helper)
+                return other.helper;
             if (priority != other.priority)
                 return priority < other.priority;
             return seq > other.seq;
         }
     };
 
-    void enqueueJob(std::function<void()> run, int priority);
-    void workerLoop(int slot);
-    void runRound(int slot);
+    /** parallelFor with at most @p slots slots (caller included). */
+    void runRound(int slots, std::size_t count,
+                  const std::function<void(std::size_t, int)> &task);
 
-    /**
-     * Apply the installed injector's PoolJob decision for job @p seq:
-     * sleeps through a Stall; returns false for a Kill (the caller
-     * must discard @p job without running it).
-     */
-    bool passesFaultGate(std::uint64_t seq);
+    /** Remove and return the top job.  Caller holds mutex_. */
+    std::function<void()> popLocked();
+
+    void workerLoop();
 
     int threadCount_;
     std::vector<std::thread> workers_;
 
-    std::mutex roundMutex_; // serialises concurrent parallelFor calls
     mutable std::mutex mutex_;
     std::condition_variable wake_;
-    std::condition_variable done_;
-    const std::function<void(std::size_t, int)> *task_ = nullptr;
-    std::size_t count_ = 0;
-    std::size_t next_ = 0;
-    std::size_t inFlight_ = 0;
-    std::uint64_t round_ = 0;
     bool stop_ = false;
-    bool abandonRound_ = false;
-    std::exception_ptr firstError_;
     std::priority_queue<QueuedJob> jobs_;
     std::uint64_t jobSeq_ = 0;
-    std::shared_ptr<FaultInjector> faultInjector_;
 };
 
 /**

@@ -18,10 +18,9 @@ namespace {
 ShardWorkerOptions
 resolveOptions(ShardWorkerOptions options)
 {
-    // Never run the service single-threaded on the reader thread: a
-    // 1-worker pool executes jobs inline in submit(), which would
-    // block Heartbeat acks for the length of every job and make the
-    // router declare this shard dead under load.
+    // Keep one dedicated job thread: a 1-worker service would run
+    // every job on the writer thread inside wait(), serialising
+    // execution with the replies it produces.
     if (options.service.workers == 0)
         options.service.workers = 2;
     return options;

@@ -42,9 +42,10 @@ struct ShardWorkerOptions
 {
     /**
      * ExecutionService options for the shard-local service.  A
-     * workers value of 0 resolves to at least 2 so job execution
-     * never runs inline in submit() on the reader thread — inline
-     * execution would block Heartbeat acks for the length of a job.
+     * workers value of 0 resolves to 2: one dedicated thread runs
+     * jobs while the writer streams finished replies.  With 1, every
+     * job would run on the writer thread inside wait(), and no job
+     * would execute while a reply is being written.
      */
     api::ExecutionServiceOptions service;
 

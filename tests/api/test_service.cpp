@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -252,6 +253,39 @@ TEST(ExecutionService, NonCanonicalSpecsBypassTheCaches)
     EXPECT_FALSE(canonicalSpecKey(custom_mitigator).has_value());
 }
 
+TEST(ExecutionService, PrebuiltMitigatorMatchesItsChainSpec)
+{
+    // A prebuilt MitigationChain runs the same stages as its chain
+    // spec, through Pipeline::run and the service alike.  It has no
+    // canonical spec key, so identical submits skip the result cache
+    // and share one execution instead.
+    auto by_name = smallBvSpec(5);
+    by_name.mitigation = "readout,hammer";
+    auto prebuilt = smallBvSpec(5);
+    prebuilt.mitigator = std::make_shared<hammer::api::MitigationChain>(
+        std::vector<std::shared_ptr<const hammer::api::Mitigator>>{
+            std::make_shared<hammer::api::ReadoutMitigator>(),
+            std::make_shared<hammer::api::HammerMitigator>()});
+    ASSERT_FALSE(canonicalSpecKey(prebuilt).has_value());
+
+    const Result expected = Pipeline().run(by_name);
+    EXPECT_EQ(expected.mitigationName, "readout+hammer");
+    expectSameResult(expected, Pipeline().run(prebuilt), "Pipeline::run");
+
+    ExecutionService service;
+    const auto first = service.submit(prebuilt);
+    const auto second = service.submit(prebuilt);
+    expectSameResult(expected, service.wait(first), "first submit");
+    expectSameResult(expected, service.wait(second), "second submit");
+    EXPECT_FALSE(second.servedFromCache());
+
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.resultCache.hits, 0u);
+    EXPECT_EQ(stats.coalesced, 0u);
+    EXPECT_EQ(stats.executeRuns, 1u);
+    EXPECT_EQ(stats.executeShared, 1u);
+}
+
 TEST(ExecutionService, CanonicalKeysSeparateEveryAxis)
 {
     const auto base = *canonicalSpecKey(smallBvSpec(1));
@@ -322,29 +356,21 @@ TEST(ExecutionService, ValidatesAtSubmitAndSurfacesJobErrorsAtWait)
     bad_shots.backendSpec.shots = 0;
     EXPECT_THROW(service.submit(bad_shots), std::invalid_argument);
     const ExperimentSpec no_workload;
-    EXPECT_THROW(service.submit(no_workload), std::invalid_argument);
+    try {
+        service.submit(no_workload);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("(workload spec or prebuilt instance)"),
+                  std::string::npos)
+            << error.what();
+    }
 
     // Unknown names surface when the job runs, i.e. at wait().
     auto bad_backend = smallBvSpec(1);
     bad_backend.backend = "warpdrive";
     const auto handle = service.submit(bad_backend);
     EXPECT_THROW(service.wait(handle), std::invalid_argument);
-}
-
-TEST(ExecutionService, RunManyMatchesPipelineRunMany)
-{
-    const auto specs = mixedSpecs();
-    std::vector<Result> via_pipeline;
-    for (const auto &spec : specs)
-        via_pipeline.push_back(Pipeline().run(spec));
-    ExecutionServiceOptions options;
-    options.workers = 2;
-    ExecutionService service{options};
-    const auto via_service = service.runMany(specs);
-    ASSERT_EQ(via_pipeline.size(), via_service.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        expectSameResult(via_pipeline[i], via_service[i],
-                         "spec " + std::to_string(i));
 }
 
 TEST(ExecutionService, ExposesTheExactCacheUniformly)

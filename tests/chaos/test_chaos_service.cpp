@@ -242,10 +242,6 @@ TEST_P(ChaosService, DroppedCoalescingStaysCorrect)
 
 TEST_P(ChaosService, SaturatedQueueRejectsWithTypedBackpressure)
 {
-    if (workers() < 2)
-        GTEST_SKIP() << "a 1-worker service runs jobs inline in "
-                        "submit(); its queue never grows";
-
     FaultPlanOptions faults;
     faults.workerStallRate = 1.0; // park every worker mid-job
     faults.stallMillis = 50;
@@ -290,8 +286,8 @@ TEST_P(ChaosService, SaturatedQueueRejectsWithTypedBackpressure)
 TEST_P(ChaosService, StalledJobTimesOutThenCompletes)
 {
     if (workers() < 2)
-        GTEST_SKIP() << "with one worker the job completes inside "
-                        "submit(); waitFor can never time out";
+        GTEST_SKIP() << "with one worker waitFor runs the stalled job "
+                        "itself, so it can never time out";
 
     FaultPlanOptions faults;
     faults.workerStallRate = 1.0;

@@ -2,21 +2,16 @@
  * @file
  * chaos::FaultPlan: decisions are pure functions of (seed, site,
  * key), rates land where they are pointed, stats count what was
- * injected, hostileSpecLines floods are reproducible, and the
- * ThreadPool PoolJob seam degrades into the pool's defined
- * broken_promise error.
+ * injected, and hostileSpecLines floods are reproducible.
  */
 
 #include <gtest/gtest.h>
 
-#include <future>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "common/thread_pool.hpp"
 
 namespace {
 
@@ -25,14 +20,11 @@ using hammer::chaos::FaultPlanOptions;
 using hammer::chaos::hostileSpecLines;
 using hammer::common::FaultAction;
 using hammer::common::FaultSite;
-using hammer::common::ThreadPool;
 
 FaultPlanOptions
 allSitesOptions()
 {
     FaultPlanOptions options;
-    options.poolKillRate = 0.2;
-    options.poolStallRate = 0.2;
     options.workerKillRate = 0.2;
     options.workerStallRate = 0.2;
     options.cachePoisonRate = 0.2;
@@ -46,8 +38,8 @@ TEST(FaultPlan, DecisionsArePureFunctionsOfSeedSiteKey)
     const FaultPlan a(42, allSitesOptions());
     const FaultPlan b(42, allSitesOptions());
     const std::vector<FaultSite> sites = {
-        FaultSite::PoolJob, FaultSite::ServiceJob,
-        FaultSite::CacheInsert, FaultSite::CoalesceRegister};
+        FaultSite::ServiceJob, FaultSite::CacheInsert,
+        FaultSite::CoalesceRegister};
     for (const FaultSite site : sites) {
         for (std::uint64_t key = 0; key < 500; ++key) {
             const FaultAction first = a.peek(site, key);
@@ -149,36 +141,6 @@ TEST(FaultPlan, HostileFloodIsDeterministicAndDiverse)
 
     const std::set<std::string> unique(flood.begin(), flood.end());
     EXPECT_GT(unique.size(), 80u) << "flood should not be repetitive";
-}
-
-TEST(FaultPlan, PoolKillBreaksPromiseAndStallStillRuns)
-{
-    FaultPlanOptions kills;
-    kills.poolKillRate = 1.0;
-    {
-        ThreadPool pool(2);
-        pool.setFaultInjector(
-            std::make_shared<FaultPlan>(1, kills));
-        auto future = pool.submit([] { return 123; });
-        // The defined typed error: a killed job's future reports
-        // broken_promise, exactly like a job discarded at pool
-        // destruction.
-        EXPECT_THROW(future.get(), std::future_error);
-    }
-
-    FaultPlanOptions stalls;
-    stalls.poolStallRate = 1.0;
-    stalls.stallMillis = 1;
-    for (const int threads : {1, 2}) {
-        ThreadPool pool(threads);
-        pool.setFaultInjector(
-            std::make_shared<FaultPlan>(1, stalls));
-        auto future = pool.submit([] { return 7; });
-        EXPECT_EQ(future.get(), 7);
-        // Clearing the injector restores production behaviour.
-        pool.setFaultInjector(nullptr);
-        EXPECT_EQ(pool.submit([] { return 8; }).get(), 8);
-    }
 }
 
 } // namespace

@@ -2,13 +2,15 @@
  * @file
  * Unit tests for the fixed-size thread pool: completeness of the
  * parallel-for, slot-id contracts, exception propagation, reuse
- * across rounds, and the future-returning priority job queue.
+ * across rounds, and the one priority job queue that carries both
+ * submitted jobs and round helpers.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <numeric>
@@ -137,8 +139,8 @@ TEST(ThreadPool, ResolveThreadCountCapsAtItemCount)
 
 TEST(ThreadPool, StaticRunCoversAllItems)
 {
-    // Both branches: worker count matching the shared pool (reuse)
-    // and a mismatching one (temporary pool).
+    // A worker count matching the shared pool, and one above it
+    // (capped at the shared pool's slots, no threads spawned).
     for (int workers :
          {ThreadPool::shared().threadCount(),
           ThreadPool::shared().threadCount() + 1}) {
@@ -173,15 +175,20 @@ TEST(ThreadPool, SubmitCapturesExceptionsIntoTheFuture)
 
 TEST(ThreadPool, SubmitRunsInlineOnASingleThreadPool)
 {
-    // No dedicated workers: the job must complete before submit
-    // returns, on the calling thread.
+    // No dedicated workers: the job stays queued until the caller
+    // drains it with tryRunOneJob, and then runs on the caller.
     ThreadPool pool(1);
     const auto caller = std::this_thread::get_id();
     std::thread::id ran_on;
     auto done = pool.submit([&] { ran_on = std::this_thread::get_id(); });
     EXPECT_EQ(done.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    EXPECT_EQ(pool.queuedJobs(), 1u);
+    EXPECT_TRUE(pool.tryRunOneJob());
+    EXPECT_EQ(done.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     EXPECT_EQ(ran_on, caller);
+    EXPECT_FALSE(pool.tryRunOneJob());
 }
 
 TEST(ThreadPool, SubmitDrainsHighestPriorityFirstThenFifo)
@@ -290,7 +297,8 @@ TEST(ThreadPool, DestructorDiscardsUnstartedJobsWithBrokenPromise)
 
 TEST(ThreadPool, SubmitAndParallelForShareTheWorkers)
 {
-    // Rounds pre-empt the queue but both drain to completion.
+    // Round helpers run ahead of queued jobs; both drain to
+    // completion.
     ThreadPool pool(3);
     std::atomic<int> job_hits{0}, round_hits{0};
     std::vector<std::future<void>> jobs;
@@ -304,6 +312,38 @@ TEST(ThreadPool, SubmitAndParallelForShareTheWorkers)
         job.get();
     EXPECT_EQ(job_hits.load(), 8);
     EXPECT_EQ(round_hits.load(), 32);
+}
+
+TEST(ThreadPool, LateHelperNeverTouchesAFinishedRound)
+{
+    // With the only dedicated worker blocked, the caller runs every
+    // item as slot 0 and returns while its helper is still queued.
+    // The helper runs after the round's task is gone and must find
+    // no item left.
+    ThreadPool pool(2);
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    auto blocker = pool.submit([open] { open.wait(); });
+    while (pool.queuedJobs() > 0)
+        std::this_thread::yield();
+
+    std::atomic<int> calls{0};
+    {
+        const std::function<void(std::size_t, int)> task =
+            [&calls](std::size_t, int slot) {
+                EXPECT_EQ(slot, 0);
+                calls.fetch_add(1);
+            };
+        pool.parallelFor(10, task);
+    }
+    EXPECT_EQ(calls.load(), 10);
+    EXPECT_EQ(pool.queuedJobs(), 1u) << "the unstarted helper";
+
+    gate.set_value();
+    blocker.get();
+    while (pool.queuedJobs() > 0)
+        std::this_thread::yield();
+    EXPECT_EQ(calls.load(), 10);
 }
 
 TEST(ThreadPool, ConcurrentCallersOnSharedPoolSerialise)

@@ -54,10 +54,7 @@ TEST(ServiceAdmission, TracksPredictedAndMeasuredCost)
             << workers << " workers";
         EXPECT_GT(stats.measuredCostSeconds, 0.0)
             << workers << " workers";
-        if (workers == 1) {
-            EXPECT_EQ(stats.queuePeakDepth, 0u)
-                << "inline execution never queues";
-        }
+        EXPECT_GE(stats.queuePeakDepth, 1u) << workers << " workers";
     }
 }
 
