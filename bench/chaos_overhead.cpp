@@ -4,13 +4,13 @@
  * when nothing is being injected, and what the service still delivers
  * when faults are live.
  *
- * Three phases over the serving sweep:
+ * Two phases over the serving sweep:
  *
  *   checksum   direct cost of api::resultChecksum per Result against
  *              the cost of computing that Result — the <3% gate CI
- *              enforces (the bench exits non-zero above it)
- *   verify     repeated cache-hit traffic with verification on vs
- *              off (the end-to-end view of the same cost)
+ *              enforces (the bench exits non-zero above it); the
+ *              service verifies every cache hit, so this is the cost
+ *              of verification too
  *   faulted    the sweep under a live FaultPlan (worker kills +
  *              cache poison), proving throughput survives injection
  *
@@ -114,27 +114,7 @@ main()
                 compute_seconds, checksum_seconds, overhead_pct,
                 kMaxChecksumOverheadPct);
 
-    // Phase 2: end-to-end verification cost on pure cache-hit
-    // traffic (every hit re-digests the cached Result).
-    const int repeat_rounds = 3;
-    double verified_seconds = 0.0;
-    double unverified_seconds = 0.0;
-    for (const bool verify : {true, false}) {
-        api::ExecutionServiceOptions options;
-        options.verifyCache = verify;
-        api::ExecutionService service(options);
-        service.runMany(sweep); // warm the LRU
-        start = std::chrono::steady_clock::now();
-        for (int round = 0; round < repeat_rounds; ++round)
-            service.runMany(sweep);
-        const double seconds = secondsSince(start);
-        (verify ? verified_seconds : unverified_seconds) = seconds;
-    }
-    std::printf("cache-hit traffic: verify-on %.4f s, verify-off "
-                "%.4f s over %d rounds\n",
-                verified_seconds, unverified_seconds, repeat_rounds);
-
-    // Phase 3: the sweep under live faults — kills retry, poisons
+    // Phase 2: the sweep under live faults — kills retry, poisons
     // recompute, and the service still finishes everything.
     chaos::FaultPlanOptions faults;
     faults.workerKillRate = 0.1;
@@ -161,8 +141,6 @@ main()
     report.metric("compute_seconds", compute_seconds);
     report.metric("checksum_seconds_per_sweep", checksum_seconds);
     report.metric("checksum_overhead_pct", overhead_pct);
-    report.metric("verify_on_seconds", verified_seconds);
-    report.metric("verify_off_seconds", unverified_seconds);
     report.metric("faulted_seconds", faulted_seconds);
     report.metric("faulted_jobs_per_second", faulted_jobs_per_second);
     report.metric("worker_deaths",

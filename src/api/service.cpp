@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "api/autoplan.hpp"
@@ -30,36 +31,60 @@ struct InjectedWorkerDeath
 {
 };
 
-/**
- * Checksum of a cached execution outcome.  Covers the payload a
- * poison fault can corrupt (the raw histogram) plus the replayed
- * sample cost; the RNG state has no public representation to hash,
- * and the fault model only ever perturbs the histogram.  Template so
- * the file-local function can take the service's private ExecOutcome.
- */
-template <typename Outcome>
+/** FNV-1a digest of one histogram (width + sorted entries). */
 std::uint64_t
-execOutcomeChecksum(const Outcome &outcome)
+distributionChecksum(const core::Distribution &dist)
 {
     common::Fnv1a hasher;
-    hasher.add(distributionChecksum(outcome.raw));
-    hasher.add(outcome.sampleSeconds);
+    hasher.add(dist.numBits());
+    hasher.add(static_cast<std::uint64_t>(dist.support()));
+    for (const core::Entry &entry : dist.entries()) {
+        hasher.add(static_cast<std::uint64_t>(entry.outcome));
+        hasher.add(entry.probability);
+    }
     return hasher.digest();
 }
 
 /**
- * Deterministically corrupt one histogram in place: the smallest
- * perturbation verification must still catch (one probability nudged
- * by an exactly-representable delta).
+ * Checksum of a cached value: resultChecksum for a Result.  An
+ * execution outcome's covers the payload a poison fault can corrupt
+ * (the raw histogram) plus the replayed sample cost; the RNG state
+ * has no public representation to hash, and the fault model only
+ * ever perturbs the histogram.  Template so the file-local function
+ * can take the service's private ExecOutcome.
  */
-void
-corruptDistribution(core::Distribution &dist)
+template <typename T>
+std::uint64_t
+slotChecksum(const T &value)
 {
-    if (dist.support() > 0) {
-        const core::Entry &first = dist.entries().front();
-        dist.set(first.outcome, first.probability + 0.125);
+    if constexpr (std::is_same_v<T, Result>) {
+        return resultChecksum(value);
     } else {
-        dist.set(0, 0.125);
+        common::Fnv1a hasher;
+        hasher.add(distributionChecksum(value.raw));
+        hasher.add(value.sampleSeconds);
+        return hasher.digest();
+    }
+}
+
+/**
+ * Deterministically corrupt the histogram a cached value serves (a
+ * Result's mitigated one, an execution outcome's raw one): the
+ * smallest perturbation verification must still catch (one
+ * probability nudged by an exactly-representable delta).
+ */
+template <typename T>
+void
+corrupt(T &value)
+{
+    core::Distribution *dist = &value.raw;
+    if constexpr (std::is_same_v<T, Result>)
+        dist = &value.mitigated;
+    if (dist->support() > 0) {
+        const core::Entry &first = dist->entries().front();
+        dist->set(first.outcome, first.probability + 0.125);
+    } else {
+        dist->set(0, 0.125);
     }
 }
 
@@ -123,19 +148,6 @@ DeadlineInfeasibleError::DeadlineInfeasibleError(double predicted_ms,
                    jsonNumber(deadline_ms) + " ms)"),
       predictedMs_(predicted_ms), deadlineMs_(deadline_ms)
 {
-}
-
-std::uint64_t
-distributionChecksum(const core::Distribution &dist)
-{
-    common::Fnv1a hasher;
-    hasher.add(dist.numBits());
-    hasher.add(static_cast<std::uint64_t>(dist.support()));
-    for (const core::Entry &entry : dist.entries()) {
-        hasher.add(static_cast<std::uint64_t>(entry.outcome));
-        hasher.add(entry.probability);
-    }
-    return hasher.digest();
 }
 
 std::uint64_t
@@ -226,7 +238,7 @@ struct ExecutionService::JobHandle::Job
     std::uint64_t id = 0;
     std::string label;      ///< Spec label ("" = workload spec).
     bool fromCache = false; ///< Satisfied from the result LRU.
-    std::shared_future<Result> future;
+    std::shared_future<std::shared_ptr<const Result>> future;
 };
 
 std::uint64_t
@@ -248,17 +260,10 @@ ExecutionService::JobHandle::servedFromCache() const
 // ---------------------------------------------------------------------------
 
 ExecutionService::ExecutionService(ExecutionServiceOptions options)
-    : options_(options)
+    : options_(options), results_(options_.cacheCapacity),
+      execs_(options_.cacheCapacity),
+      pool_(std::make_unique<common::ThreadPool>(options_.workers))
 {
-    if (options_.cacheCapacity > 0) {
-        resultCache_ =
-            std::make_unique<common::LruCache<Checked<Result>>>(
-                options_.cacheCapacity);
-        execCache_ =
-            std::make_unique<common::LruCache<Checked<ExecOutcome>>>(
-                options_.cacheCapacity);
-    }
-    pool_ = std::make_unique<common::ThreadPool>(options_.workers);
 }
 
 common::FaultAction
@@ -268,6 +273,35 @@ ExecutionService::fault(common::FaultSite site,
     if (!options_.faultInjector)
         return common::FaultAction::none();
     return options_.faultInjector->at(site, key);
+}
+
+template <typename T>
+std::shared_ptr<const T>
+ExecutionService::hitLocked(Tier<T> &tier, const std::string &key)
+{
+    const auto *slot = tier.cache.get(key);
+    if (!slot)
+        return nullptr;
+    if (slotChecksum(*slot->value) == slot->checksum)
+        return slot->value;
+    ++stats_.cachePoisonDetected;
+    tier.cache.erase(key);
+    return nullptr;
+}
+
+template <typename T>
+typename ExecutionService::Tier<T>::Slot
+ExecutionService::slotFor(const std::string &key,
+                          std::shared_ptr<const T> value) const
+{
+    const std::uint64_t checksum = slotChecksum(*value);
+    if (fault(common::FaultSite::CacheInsert, common::fnv1a64(key))
+            .kind == common::FaultAction::Kind::Poison) {
+        auto corrupted = std::make_shared<T>(*value);
+        corrupt(*corrupted);
+        value = std::move(corrupted);
+    }
+    return {std::move(value), checksum};
 }
 
 resil::RetryBudget &
@@ -285,8 +319,6 @@ ExecutionService::budgetForLocked(const std::string &keyClass)
 std::shared_ptr<const Result>
 ExecutionService::degradedSubstituteLocked(const ExperimentSpec &spec)
 {
-    if (!resultCache_)
-        return nullptr;
     ExperimentSpec reduced = spec;
     reduced.backendSpec.trajectories = 0;
     const auto reducedKey = canonicalSpecKey(reduced);
@@ -299,8 +331,8 @@ ExecutionService::degradedSubstituteLocked(const ExperimentSpec &spec)
     // Best substitute: the highest cached trajectory budget still
     // strictly below the request's (equal budgets would have been a
     // plain cache hit already).  Index entries can outlive their LRU
-    // slot, so every candidate re-verifies against the cache and
-    // stale ones are pruned as they are found.
+    // slot, so stale ones are pruned as they are found, and the
+    // chosen candidate is verified like any other hit.
     std::vector<int> &budgets = indexed->second;
     std::shared_ptr<const Result> best;
     int bestBudget = 0;
@@ -308,18 +340,17 @@ ExecutionService::degradedSubstituteLocked(const ExperimentSpec &spec)
         const int budget = budgets[i];
         reduced.backendSpec.trajectories = budget;
         const auto fullKey = canonicalSpecKey(reduced);
-        auto *hit = fullKey ? resultCache_->get(*fullKey) : nullptr;
-        if (!hit) {
+        if (!fullKey || !results_.cache.get(*fullKey)) {
             budgets[i] = budgets.back();
             budgets.pop_back();
             continue;
         }
         if (budget < spec.backendSpec.trajectories &&
-            budget > bestBudget &&
-            (!options_.verifyCache ||
-             resultChecksum(*hit->value) == hit->checksum)) {
-            best = hit->value;
-            bestBudget = budget;
+            budget > bestBudget) {
+            if (auto hit = hitLocked(results_, *fullKey)) {
+                best = std::move(hit);
+                bestBudget = budget;
+            }
         }
         ++i;
     }
@@ -377,8 +408,11 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     // pool's) so the in-flight entry can be registered before the
     // pool sees the job: a worker may finish the job before
     // pool_->submit() returns, and the epilogue must find its own
-    // entry to erase.
-    auto promise = std::make_shared<std::promise<Result>>();
+    // entry to erase.  A cache hit or a degraded substitute fulfils
+    // it at once.
+    auto promise =
+        std::make_shared<std::promise<std::shared_ptr<const Result>>>();
+    job->future = promise->get_future().share();
 
     std::shared_ptr<const Result> cached;
     std::shared_ptr<const Result> degraded;
@@ -386,19 +420,8 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     {
         std::lock_guard<std::mutex> lock(mutex_);
 
-        if (fullKey && resultCache_) {
-            if (auto *hit = resultCache_->get(*fullKey)) {
-                // Verify before serving: a poisoned entry is evicted
-                // and the submit falls through to a recompute — a
-                // corrupt histogram is never handed out.
-                if (!options_.verifyCache ||
-                    resultChecksum(*hit->value) == hit->checksum) {
-                    cached = hit->value;
-                } else {
-                    ++stats_.cachePoisonDetected;
-                    resultCache_->erase(*fullKey);
-                }
-            }
+        if (fullKey) {
+            cached = hitLocked(results_, *fullKey);
             if (cached)
                 ++stats_.resultCache.hits;
             else
@@ -406,8 +429,8 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
         }
 
         if (!cached && fullKey) {
-            const auto it = inflightJobs_.find(*fullKey);
-            if (it != inflightJobs_.end()) {
+            const auto it = results_.inflight.find(*fullKey);
+            if (it != results_.inflight.end()) {
                 // Identical job already queued or running: attach to
                 // its future; wait() patches the label per handle.
                 job->id = ++nextJobId_;
@@ -418,14 +441,21 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
             }
         }
 
-        // Deadline-aware admission + load shedding: a job whose
-        // predicted completion — the accepted backlog's predicted
-        // cost spread across the workers, plus its own — already
-        // misses its deadline is shed here, before it burns any
-        // compute.  The ShedDecision seam is consulted first (its
-        // own sequence, one consult per admission, so same-seed
-        // campaigns replay identical decisions); Kill forces the
-        // shed regardless of the deadline.
+        // Admission, for jobs that would actually enqueue (cache hits
+        // and coalesced attaches cost nothing and are never shed or
+        // rejected).  Deadline-aware shedding: a job whose predicted
+        // completion — the accepted backlog's predicted cost spread
+        // across the workers, plus its own — already misses its
+        // deadline is shed here, before it burns any compute.  The
+        // ShedDecision seam is consulted first (its own sequence, one
+        // consult per admission, so same-seed campaigns replay
+        // identical decisions); Kill forces the shed regardless of
+        // the deadline.  Backpressure: a full queue rejects.  Either
+        // way an overloaded service may serve a stale-but-honest
+        // substitute instead.  Rejected submits are not counted as
+        // submitted, preserving completed + coalesced == submitted at
+        // idle.
+        std::size_t depth = 0;
         if (!cached) {
             const bool forced =
                 fault(common::FaultSite::ShedDecision,
@@ -439,66 +469,47 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
             const bool infeasible =
                 deadlineMs > 0.0 &&
                 predictedCompletionMs > deadlineMs;
-            if (forced || infeasible) {
-                if (options_.degradedServing)
-                    degraded = degradedSubstituteLocked(spec);
-                if (!degraded) {
-                    ++stats_.deadlineRejections;
-                    if (forced)
-                        ++stats_.shedForced;
-                    throw DeadlineInfeasibleError(
-                        predictedCompletionMs,
-                        infeasible ? deadlineMs : 0.0);
-                }
+            depth = pool_->queuedJobs();
+            const bool saturated = options_.maxQueueDepth > 0 &&
+                                   depth >= options_.maxQueueDepth;
+            if ((forced || infeasible || saturated) &&
+                options_.degradedServing)
+                degraded = degradedSubstituteLocked(spec);
+            if ((forced || infeasible) && !degraded) {
+                ++stats_.deadlineRejections;
+                if (forced)
+                    ++stats_.shedForced;
+                throw DeadlineInfeasibleError(
+                    predictedCompletionMs,
+                    infeasible ? deadlineMs : 0.0);
             }
-        }
-
-        // Backpressure, only for jobs that would actually enqueue
-        // (cache hits and coalesced attaches cost no queue slot).
-        // Rejected submits are not counted as submitted, preserving
-        // completed + coalesced == submitted at idle.
-        if (!cached && !degraded && options_.maxQueueDepth > 0) {
-            const std::size_t depth = pool_->queuedJobs();
-            if (depth >= options_.maxQueueDepth) {
-                // An overloaded service may serve a stale-but-
-                // honest substitute instead of rejecting outright.
-                if (options_.degradedServing)
-                    degraded = degradedSubstituteLocked(spec);
-                if (!degraded) {
-                    ++stats_.queueRejections;
-                    throw QueueSaturatedError(
-                        depth, options_.maxQueueDepth);
-                }
+            if (saturated && !degraded) {
+                ++stats_.queueRejections;
+                throw QueueSaturatedError(depth,
+                                          options_.maxQueueDepth);
             }
         }
 
         job->id = ++nextJobId_;
         ++stats_.submitted;
-        if (cached) {
+        if (cached || degraded) {
             ++stats_.completed;
-            job->fromCache = true;
-        } else if (degraded) {
-            ++stats_.completed;
-            ++stats_.degradedServed;
+            if (degraded)
+                ++stats_.degradedServed;
             job->fromCache = true;
         } else {
             // Queue high-water mark, counting this job's slot.
-            const std::uint64_t depth =
-                static_cast<std::uint64_t>(pool_->queuedJobs()) + 1;
-            if (depth > stats_.queuePeakDepth)
-                stats_.queuePeakDepth = depth;
+            stats_.queuePeakDepth = std::max<std::uint64_t>(
+                stats_.queuePeakDepth, depth + 1);
             // Admission accounting: this job's predicted cost is
             // backlog until its worker settles it, and its key
             // class earns one retry-budget deposit.
             pendingPredictedCost_ += predicted;
             if (options_.retryBudget)
                 budgetForLocked(retryKeyClass(spec)).deposit();
-        }
 
-        // This submit owns the execution: register it before any
-        // concurrent identical submit can look the key up.
-        if (!cached && !degraded) {
-            job->future = promise->get_future().share();
+            // This submit owns the execution: register it before any
+            // concurrent identical submit can look the key up.
             if (fullKey) {
                 const common::FaultAction action =
                     fault(common::FaultSite::CoalesceRegister,
@@ -509,7 +520,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                     // redundantly, results unchanged.
                     ++stats_.coalesceDropped;
                 } else {
-                    inflightJobs_.emplace(*fullKey, job->future);
+                    results_.inflight.emplace(*fullKey, job->future);
                     if (action.kind ==
                         common::FaultAction::Kind::Delay)
                         registerDelayMillis = action.millis;
@@ -522,24 +533,17 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
         std::this_thread::sleep_for(
             std::chrono::milliseconds(registerDelayMillis));
 
-    if (cached) {
-        // The one per-hit Result copy, outside the service mutex.
-        std::promise<Result> ready;
-        ready.set_value(*cached);
-        job->future = ready.get_future().share();
-        return JobHandle(job);
-    }
-
     if (degraded) {
         // Degraded-result contract: the substitute is a copy of the
         // cached lower-budget result, explicitly flagged.  It is
         // never silently substituted and never re-cached under the
-        // requested key.
-        Result substitute = *degraded;
-        substitute.degraded = true;
-        std::promise<Result> ready;
-        ready.set_value(std::move(substitute));
-        job->future = ready.get_future().share();
+        // requested key; it is served like a hit.
+        auto substitute = std::make_shared<Result>(*degraded);
+        substitute->degraded = true;
+        cached = std::move(substitute);
+    }
+    if (cached) {
+        promise->set_value(std::move(cached));
         return JobHandle(job);
     }
 
@@ -554,23 +558,23 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
             // processes (bench_shard_throughput's speedup model)
             // would measure core contention, not work.
             const double busyStart = common::threadCpuSeconds();
-            const auto busyElapsed = [busyStart] {
-                return common::threadCpuSeconds() - busyStart;
-            };
+            std::shared_ptr<const Result> result;
+            std::optional<Tier<Result>::Slot> slot;
+            std::optional<std::string> reducedKey;
+            std::exception_ptr error;
             try {
                 // Retry loop: an injected worker death re-runs the
                 // job (idempotent — a published exec outcome under
                 // the same canonical key is reused, so a retried
                 // Result is bit-identical) until the attempt budget
                 // is spent, which surfaces as WorkerLostError.
-                Result result;
                 for (int attempt = 0;; ++attempt) {
                     try {
-                        result = runJob(
+                        result = std::make_shared<const Result>(runJob(
                             spec, execKey,
                             jobId * 16 +
                                 static_cast<std::uint64_t>(attempt) *
-                                    2);
+                                    2));
                         break;
                     } catch (const InjectedWorkerDeath &) {
                         std::lock_guard<std::mutex> lock(mutex_);
@@ -597,77 +601,56 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                         ++stats_.retries;
                     }
                 }
-                // The one per-job cache copy, outside the mutex.
-                // Checksummed from the genuine value; a Poison fault
-                // corrupts only the stored copy afterwards, so the
-                // next hit's verification must catch it.  Degraded
+                // The cache slot, built outside the mutex, plus the
+                // degraded-serving index key of the spec with its
+                // trajectory budget zeroed: the family key
+                // lower-budget substitutes are found by.  Degraded
                 // substitutes never get here (submit() serves them
                 // directly), so the cache only ever holds what a
                 // spec actually asked for.
-                Checked<Result> entry;
-                if (fullKey && resultCache_) {
-                    auto copy = std::make_shared<Result>(result);
-                    entry.checksum = resultChecksum(*copy);
-                    if (fault(common::FaultSite::CacheInsert,
-                              common::fnv1a64(*fullKey))
-                            .kind ==
-                        common::FaultAction::Kind::Poison)
-                        corruptDistribution(copy->mitigated);
-                    entry.value = std::move(copy);
-                }
-                // Degraded-serving index entry for the cached copy:
-                // the spec with its trajectory budget zeroed is the
-                // family key lower-budget substitutes are found by.
-                std::optional<std::string> reducedKey;
-                if (entry.value && options_.degradedServing &&
-                    spec.backendSpec.trajectories > 0) {
-                    ExperimentSpec reduced = spec;
-                    reduced.backendSpec.trajectories = 0;
-                    reducedKey = canonicalSpecKey(reduced);
-                }
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (fullKey) {
-                        if (entry.value)
-                            resultCache_->put(*fullKey,
-                                              std::move(entry));
-                        inflightJobs_.erase(*fullKey);
+                if (fullKey) {
+                    slot = slotFor(*fullKey, result);
+                    if (options_.degradedServing &&
+                        spec.backendSpec.trajectories > 0) {
+                        ExperimentSpec reduced = spec;
+                        reduced.backendSpec.trajectories = 0;
+                        reducedKey = canonicalSpecKey(reduced);
                     }
-                    if (reducedKey) {
-                        auto &budgets =
-                            degradedIndex_[*reducedKey];
-                        const int budget =
-                            spec.backendSpec.trajectories;
-                        if (std::find(budgets.begin(),
-                                      budgets.end(),
-                                      budget) == budgets.end())
-                            budgets.push_back(budget);
-                    }
-                    const double busy = busyElapsed();
-                    ++stats_.completed;
-                    stats_.busySeconds += busy;
+                }
+            } catch (...) {
+                error = std::current_exception();
+            }
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (fullKey) {
+                    if (slot)
+                        results_.cache.put(*fullKey, std::move(*slot));
+                    results_.inflight.erase(*fullKey);
+                }
+                if (reducedKey) {
+                    auto &budgets = degradedIndex_[*reducedKey];
+                    const int budget = spec.backendSpec.trajectories;
+                    if (std::find(budgets.begin(), budgets.end(),
+                                  budget) == budgets.end())
+                        budgets.push_back(budget);
+                }
+                const double busy =
+                    common::threadCpuSeconds() - busyStart;
+                ++stats_.completed;
+                stats_.busySeconds += busy;
+                if (!error) {
                     // Cost telemetry: executed jobs accumulate
                     // prediction and measurement side by side.
                     stats_.predictedCostSeconds += predicted;
                     stats_.measuredCostSeconds += busy;
-                    pendingPredictedCost_ =
-                        std::max(0.0,
-                                 pendingPredictedCost_ - predicted);
                 }
-                promise->set_value(std::move(result));
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (fullKey)
-                        inflightJobs_.erase(*fullKey);
-                    ++stats_.completed;
-                    stats_.busySeconds += busyElapsed();
-                    pendingPredictedCost_ =
-                        std::max(0.0,
-                                 pendingPredictedCost_ - predicted);
-                }
-                promise->set_exception(std::current_exception());
+                pendingPredictedCost_ =
+                    std::max(0.0, pendingPredictedCost_ - predicted);
             }
+            if (error)
+                promise->set_exception(error);
+            else
+                promise->set_value(std::move(result));
         },
         priority);
 
@@ -702,37 +685,22 @@ ExecutionService::runJob(const ExperimentSpec &spec,
     std::shared_future<std::shared_ptr<const ExecOutcome>> pending;
     std::shared_ptr<std::promise<std::shared_ptr<const ExecOutcome>>>
         computing;
-    bool dropExecRegistration = false;
     int execDelayMillis = 0;
 
     if (execKey) {
         const common::FaultAction action =
             fault(common::FaultSite::CoalesceRegister,
                   common::fnv1a64(*execKey));
-        dropExecRegistration =
-            action.kind == common::FaultAction::Kind::Drop;
         if (action.kind == common::FaultAction::Kind::Delay)
             execDelayMillis = action.millis;
 
         std::lock_guard<std::mutex> lock(mutex_);
-        if (execCache_) {
-            if (auto *hit = execCache_->get(*execKey)) {
-                // Same verify-before-serve rule as the result cache.
-                if (!options_.verifyCache ||
-                    execOutcomeChecksum(*hit->value) ==
-                        hit->checksum) {
-                    outcome = hit->value;
-                } else {
-                    ++stats_.cachePoisonDetected;
-                    execCache_->erase(*execKey);
-                }
-            }
-        }
+        outcome = hitLocked(execs_, *execKey);
         if (!outcome) {
-            const auto it = inflightExec_.find(*execKey);
-            if (it != inflightExec_.end()) {
+            const auto it = execs_.inflight.find(*execKey);
+            if (it != execs_.inflight.end()) {
                 pending = it->second;
-            } else if (dropExecRegistration) {
+            } else if (action.kind == common::FaultAction::Kind::Drop) {
                 // Registration lost: this job computes redundantly
                 // and publishes nothing — peers re-execute, results
                 // unchanged.
@@ -740,7 +708,7 @@ ExecutionService::runJob(const ExperimentSpec &spec,
             } else {
                 computing = std::make_shared<std::promise<
                     std::shared_ptr<const ExecOutcome>>>();
-                inflightExec_.emplace(
+                execs_.inflight.emplace(
                     *execKey, computing->get_future().share());
             }
         }
@@ -776,7 +744,7 @@ ExecutionService::runJob(const ExperimentSpec &spec,
         } catch (...) {
             if (computing) {
                 std::lock_guard<std::mutex> lock(mutex_);
-                inflightExec_.erase(*execKey);
+                execs_.inflight.erase(*execKey);
                 computing->set_exception(std::current_exception());
             }
             throw;
@@ -785,26 +753,12 @@ ExecutionService::runJob(const ExperimentSpec &spec,
             auto produced = std::make_shared<const ExecOutcome>(
                 ExecOutcome{result.raw, state.rng,
                             result.stageSeconds("sample")});
-            // The genuine outcome always goes to waiting peers; a
-            // Poison fault corrupts only a separate copy bound for
-            // the cache, keeping the genuine checksum, so the next
-            // hit's verification trips.
-            Checked<ExecOutcome> entry{
-                produced, execOutcomeChecksum(*produced)};
-            if (fault(common::FaultSite::CacheInsert,
-                      common::fnv1a64(*execKey))
-                    .kind == common::FaultAction::Kind::Poison) {
-                auto corrupted =
-                    std::make_shared<ExecOutcome>(*produced);
-                corruptDistribution(corrupted->raw);
-                entry.value = std::move(corrupted);
-            }
+            auto slot = slotFor(*execKey, produced);
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++stats_.executeRuns;
-                if (execCache_)
-                    execCache_->put(*execKey, std::move(entry));
-                inflightExec_.erase(*execKey);
+                execs_.cache.put(*execKey, std::move(slot));
+                execs_.inflight.erase(*execKey);
             }
             computing->set_value(std::move(produced));
         } else {
@@ -832,7 +786,8 @@ ExecutionService::wait(const JobHandle &handle) const
                std::future_status::ready &&
            pool_->tryRunOneJob()) {
     }
-    Result result = handle.job_->future.get();
+    // The one per-handle copy of a possibly shared Result.
+    Result result = *handle.job_->future.get();
     // Labels are per-handle: coalesced and cached jobs share a
     // Result computed under some other handle's label, so re-derive
     // this handle's (the same rule Pipeline::buildWorkload applies).
@@ -869,7 +824,7 @@ ExecutionService::waitFor(const JobHandle &handle,
             break;
         }
     }
-    Result result = handle.job_->future.get(); // rethrows job errors
+    Result result = *handle.job_->future.get(); // rethrows job errors
     result.label = handle.job_->label.empty() ? result.workloadSpec
                                               : handle.job_->label;
     return result;
@@ -939,8 +894,7 @@ ExecutionService::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ServiceStats snapshot = stats_;
-    snapshot.resultCache.entries =
-        resultCache_ ? resultCache_->size() : 0;
+    snapshot.resultCache.entries = results_.cache.size();
     snapshot.distributionMemo = noise::DistributionMemo::shared().stats();
     return snapshot;
 }

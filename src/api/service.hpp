@@ -6,16 +6,16 @@
  * pipeline: submit(ExperimentSpec) enqueues one experiment as an
  * independent job on common::ThreadPool's future-returning queue
  * (highest priority first, submission order within a priority),
- * wait()/poll() observe it, and two caches keep repeated traffic
- * cheap —
+ * wait()/poll() observe it, and two cache tiers of one shape keep
+ * repeated traffic cheap —
  *
- *   - request coalescing: jobs whose canonical execution key
+ *   - execution outcomes: jobs whose canonical execution key
  *     (workload, backend, noise, shots, seed) matches an in-flight or
  *     recently completed job reuse that job's raw histogram instead
  *     of re-running the expensive sample stage;
- *   - a bounded LRU result cache keyed by the canonical spec hash
- *     (execution key + mitigation), so identical requests are served
- *     without touching the pipeline at all.
+ *   - Results: identical requests (execution key + mitigation) attach
+ *     to the in-flight job or are served from the bounded LRU without
+ *     touching the pipeline at all.
  *
  * Determinism is preserved end to end: every job's Result depends
  * only on its spec (Pipeline::run's own guarantee), a replayed
@@ -150,9 +150,6 @@ class DeadlineInfeasibleError final : public ServiceError
  */
 std::uint64_t resultChecksum(const Result &result);
 
-/** FNV-1a digest of one histogram (width + sorted entries). */
-std::uint64_t distributionChecksum(const core::Distribution &dist);
-
 /** Tuning knobs of one ExecutionService. */
 struct ExecutionServiceOptions
 {
@@ -169,8 +166,8 @@ struct ExecutionServiceOptions
 
     /**
      * Capacity of the result LRU and the execution-outcome LRU
-     * (entries each); 0 disables both, leaving only in-flight
-     * coalescing.
+     * (entries each); must be >= 1, or the constructor throws
+     * std::invalid_argument.
      */
     std::size_t cacheCapacity = 256;
 
@@ -179,14 +176,6 @@ struct ExecutionServiceOptions
      * are queued (0 = unbounded), at every worker count.
      */
     std::size_t maxQueueDepth = 0;
-
-    /**
-     * Verify the FNV checksum of every cache hit (result and
-     * execution-outcome caches) and recompute on mismatch instead of
-     * serving a corrupt histogram.  Off only for benchmarking the
-     * verification overhead (bench_chaos_overhead).
-     */
-    bool verifyCache = true;
 
     /**
      * Re-run attempts granted to a job whose worker dies mid-job
@@ -513,17 +502,28 @@ class ExecutionService
     };
 
     /**
-     * One cache slot: the payload plus the FNV checksum computed
-     * from the *genuine* value at insert time.  Verification on a
-     * hit recomputes the payload's checksum and compares — the
-     * ASPIS-style compare-at-the-boundary that turns silent cache
-     * corruption into a detected, recomputed miss.
+     * One cache tier: a bounded LRU of slots plus the in-flight
+     * futures identical requests coalesce on.  A slot holds a shared
+     * value and the FNV checksum of the *genuine* value, computed at
+     * insert (slotFor); every hit recomputes and compares (hitLocked)
+     * — the ASPIS-style compare-at-the-boundary that turns silent
+     * cache corruption into a detected, recomputed miss.
      */
     template <typename T>
-    struct Checked
+    struct Tier
     {
-        std::shared_ptr<const T> value;
-        std::uint64_t checksum = 0;
+        struct Slot
+        {
+            std::shared_ptr<const T> value;
+            std::uint64_t checksum = 0;
+        };
+
+        explicit Tier(std::size_t capacity) : cache(capacity) {}
+
+        common::LruCache<Slot> cache;
+        std::unordered_map<std::string,
+                           std::shared_future<std::shared_ptr<const T>>>
+            inflight;
     };
 
     Result runJob(const ExperimentSpec &spec,
@@ -533,6 +533,25 @@ class ExecutionService
     /** Injector decision for one site visit (None when no injector). */
     common::FaultAction fault(common::FaultSite site,
                               std::uint64_t key) const;
+
+    /**
+     * @p key's verified value in @p tier, or nullptr.  A slot whose
+     * checksum no longer matches is evicted and counted in
+     * cachePoisonDetected, so the caller recomputes instead of
+     * serving a corrupt histogram.  Caller holds mutex_.
+     */
+    template <typename T>
+    std::shared_ptr<const T> hitLocked(Tier<T> &tier,
+                                       const std::string &key);
+
+    /**
+     * The cache slot for @p value under @p key, checksummed from the
+     * genuine value.  Under a CacheInsert Poison only the slot gets a
+     * corrupted copy: waiters and peers always receive @p value.
+     */
+    template <typename T>
+    typename Tier<T>::Slot slotFor(const std::string &key,
+                                   std::shared_ptr<const T> value) const;
 
     /**
      * The retry-budget bucket of @p keyClass, created on first use
@@ -556,18 +575,11 @@ class ExecutionService
     bool shutdown_ = false;
     // Mutable: const observers (waitFor) count timeout stats.
     mutable ServiceStats stats_;
-    // shared_ptr values: cached Results can be large (workload +
-    // two histograms), so hits hand out a reference and the one
-    // copy per job happens outside the service mutex.
-    std::unique_ptr<common::LruCache<Checked<Result>>> resultCache_;
-    std::unique_ptr<common::LruCache<Checked<ExecOutcome>>>
-        execCache_;
-    std::unordered_map<std::string, std::shared_future<Result>>
-        inflightJobs_;
-    std::unordered_map<
-        std::string,
-        std::shared_future<std::shared_ptr<const ExecOutcome>>>
-        inflightExec_;
+    // Shared values: a Result can be large (workload + two
+    // histograms), so a hit hands out the cached pointer, and the
+    // one copy per handle (wait/waitFor) runs outside the mutex.
+    Tier<Result> results_;
+    Tier<ExecOutcome> execs_;
 
     /** Per-key-class retry buckets (lazy; empty when budgets off). */
     std::unordered_map<std::string, resil::RetryBudget>

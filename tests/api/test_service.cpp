@@ -224,6 +224,13 @@ TEST(ExecutionService, BoundedLruEvicts)
     EXPECT_EQ(service.stats().executeRuns, 4u);
 }
 
+TEST(ExecutionService, ZeroCacheCapacityIsRejected)
+{
+    ExecutionServiceOptions options;
+    options.cacheCapacity = 0;
+    EXPECT_THROW(ExecutionService{options}, std::invalid_argument);
+}
+
 TEST(ExecutionService, NonCanonicalSpecsBypassTheCaches)
 {
     // A prebuilt workload instance cannot be canonically keyed:

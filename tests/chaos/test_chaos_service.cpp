@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,6 +32,7 @@ using hammer::api::parseSpecLine;
 using hammer::api::Pipeline;
 using hammer::api::QueueSaturatedError;
 using hammer::api::Result;
+using hammer::api::resultChecksum;
 using hammer::api::WorkerLostError;
 using hammer::chaos::FaultPlan;
 using hammer::chaos::FaultPlanOptions;
@@ -183,27 +185,47 @@ TEST_P(ChaosService, CachePoisonIsDetectedAndRecomputed)
         << "a poisoned hit must not count as served";
 }
 
-TEST_P(ChaosService, DisabledVerificationServesThePoison)
+TEST_P(ChaosService, PoisonedInsertNeverReachesPeersOrWaiters)
 {
-    // Negative control: with verifyCache off the corruption IS
-    // served, proving the poison fault (and so the detection above)
-    // is not vacuous.
+    // Every cache insert is poisoned, but only the cache's own copy
+    // may be: a spec, its repeat (which coalesces) and its readout
+    // variant (which shares the exec outcome), all submitted before
+    // any wait, get the values a fault-free service computes; only
+    // a later hit meets the poison, and rejects it.
     FaultPlanOptions faults;
     faults.cachePoisonRate = 1.0;
-    ExecutionServiceOptions options =
-        optionsWith(std::make_shared<FaultPlan>(21, faults));
-    options.verifyCache = false;
-    ExecutionService service(options);
+    ExecutionService service(
+        optionsWith(std::make_shared<FaultPlan>(41, faults)));
+    ExecutionService faultFree(optionsWith(nullptr));
 
-    const ExperimentSpec spec = smallBvSpec(4);
-    const auto genuine = service.waitFor(service.submit(spec),
-                                         kDeadline);
-    ASSERT_TRUE(genuine.has_value());
-    const auto poisoned = service.waitFor(service.submit(spec),
-                                          kDeadline);
-    ASSERT_TRUE(poisoned.has_value());
-    EXPECT_FALSE(identical(genuine->mitigated, poisoned->mitigated));
-    EXPECT_EQ(service.stats().cachePoisonDetected, 0u);
+    const ExperimentSpec spec = smallBvSpec(6);
+    ExperimentSpec variant = spec;
+    variant.mitigation = "readout";
+    const std::vector<ExperimentSpec> specs{spec, spec, variant};
+    std::vector<ExecutionService::JobHandle> handles;
+    for (const ExperimentSpec &each : specs)
+        handles.push_back(service.submit(each));
+
+    const auto expectGenuine = [&](const ExperimentSpec &each,
+                                   const std::optional<Result> &got,
+                                   const std::string &context) {
+        ASSERT_TRUE(got.has_value()) << context;
+        const Result expected = faultFree.wait(faultFree.submit(each));
+        EXPECT_TRUE(identical(expected.raw, got->raw)) << context;
+        EXPECT_TRUE(identical(expected.mitigated, got->mitigated))
+            << context;
+        EXPECT_EQ(resultChecksum(expected), resultChecksum(*got))
+            << context;
+    };
+    for (std::size_t i = 0; i < handles.size(); ++i)
+        expectGenuine(specs[i], service.waitFor(handles[i], kDeadline),
+                      "job " + std::to_string(i));
+
+    expectGenuine(spec,
+                  service.waitFor(service.submit(spec), kDeadline),
+                  "later repeat");
+    EXPECT_GE(service.stats().cachePoisonDetected, 1u)
+        << "the later repeat must meet the poisoned result slot";
 }
 
 TEST_P(ChaosService, DroppedCoalescingStaysCorrect)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "chaos/fault_plan.hpp"
 #include "net/router.hpp"
 #include "net/shard_worker.hpp"
+#include "net/socket.hpp"
 #include "resil/resil.hpp"
 
 namespace {
@@ -32,11 +34,13 @@ using hammer::api::SpecLine;
 using hammer::chaos::FaultPlan;
 using hammer::chaos::FaultPlanOptions;
 using hammer::net::BreakerOpenError;
+using hammer::net::Listener;
 using hammer::net::RouterStats;
 using hammer::net::ShardRouter;
 using hammer::net::ShardRouterOptions;
 using hammer::net::ShardWorker;
 using hammer::net::ShardWorkerOptions;
+using hammer::net::Socket;
 using hammer::resil::RetryBudgetExhaustedError;
 
 /** N in-process shard workers on Unix sockets in a fresh temp dir. */
@@ -238,6 +242,64 @@ TEST(RouterRetryBudget, DryBudgetFailsTypedWithoutRetryStorm)
     EXPECT_EQ(stats.retryBudgetExhausted, 1u);
     EXPECT_EQ(stats.retries, 1u)
         << "exactly one denied retry, no storm";
+}
+
+/**
+ * The heartbeat monitor is the only detector of a shard that stays
+ * connected but stops answering.  A listener that accepts and never
+ * reads or writes sits beside one live shard; the jobs routed to it
+ * must re-route once its last ack is older than the 50 ms interval
+ * plus the monitor's 1 s grace, and every result must still match a
+ * local run.
+ */
+TEST(RouterHeartbeat, SilentShardIsDeclaredDeadAndItsJobsReroute)
+{
+    std::vector<std::string> lines;
+    for (int seed = 1; seed <= 6; ++seed)
+        lines.push_back("bv:5,channel,256," + std::to_string(seed));
+    const auto expected = localCanonical(lines);
+
+    char tmpl[] = "/tmp/hammer_silent_XXXXXX";
+    const char *dir = ::mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    Listener silent("unix:" + std::string(dir) + "/silent.sock");
+    std::vector<Socket> held; // Accepted, never read or answered.
+    std::thread acceptor([&] {
+        for (Socket conn = silent.accept(); conn.valid();
+             conn = silent.accept())
+            held.push_back(std::move(conn));
+    });
+
+    Fleet live(1);
+    ShardRouterOptions options;
+    options.addresses = {silent.address(), live.addresses().front()};
+    options.heartbeatIntervalMs = 50;
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::string> raw;
+    RouterStats stats;
+    {
+        // Catch here: the acceptor must be joined on every path.
+        ShardRouter router{options};
+        try {
+            raw = router.runMany(lines);
+        } catch (const std::exception &error) {
+            ADD_FAILURE() << error.what();
+        }
+        stats = router.stats();
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    silent.close();
+    acceptor.join();
+    ::rmdir(dir);
+
+    ASSERT_EQ(raw.size(), expected.size());
+    for (std::size_t i = 0; i < raw.size(); ++i)
+        EXPECT_EQ(canonicalResultJson(raw[i]), expected[i])
+            << "line " << i;
+    EXPECT_GE(stats.shardDeaths, 1u);
+    EXPECT_GE(stats.reroutes, 1u);
+    EXPECT_GE(stats.heartbeatsSent, 1u);
+    EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 /**

@@ -20,62 +20,10 @@
  * api::MitigationChain — the same composable path the benches,
  * examples and tests use.
  *
- * Reconstruction options:
- *   --radius <d>       neighbourhood bound (default: floor((n-1)/2))
- *   --no-filter        disable the lower-probability filter pi
- *   --weights <w>      inverse-chs | uniform | inverse-binomial
- *   --additive         additive score combination (default:
- *                      multiplicative)
- *   --iterations <k>   apply the reconstruction k times (default 1)
- *   --mitigation <c>   replace the HAMMER stage with an arbitrary
- *                      chain, e.g. "readout,hammer" or "none"
- *                      (overrides the reconstruction options above)
- *   --top <k>          print only the k most probable outcomes
- *   --stats            print reconstruction statistics to stderr
- *   --format <f>       csv (default) | json
- *
- * Sampling options:
- *   --sample <spec>    workload spec: bv:<n>[:<key>] |
- *                      ghz:<n> | qaoa:[<family>:]<n>:<p> |
- *                      mirror:<n>[:<depth>]
- *   --machine <name>   noise preset (default machineA)
- *   --backend <b>      trajectory | channel | exact | auto
- *                      (default trajectory)
- *   --shots <k>        shot budget (default 8192)
- *   --trajectories <t> noise trajectories (default 250)
- *   --threads <N>      worker threads; results are bit-identical for
- *                      every N (default: HAMMER_THREADS env, else all
- *                      hardware threads)
- *   --seed <s>         RNG seed in [0, 2^53), as in spec lines
- *                      (default 1)
- *   --time             print sampling wall-clock to stderr
- *
- * Serving (the api::ExecutionService front door):
- *   --serve <file|->   read one experiment spec per line (JSON
- *                      object or positional CSV, see
- *                      api::parseSpecLine; an optional "priority"
- *                      key / 8th CSV field jumps the queue) from the
- *                      file or stdin, run them through the
- *                      asynchronous batching service (--threads
- *                      workers), and stream one JSON result line per
- *                      spec as jobs complete; a human summary plus
- *                      one machine-readable service_stats JSON line
- *                      go to stderr
- *   --canonical        emit results in submit order in canonical
- *                      form (label/timings stripped) so two runs —
- *                      local or sharded — diff byte-exactly
- *   --shards <list>    route --serve traffic across a comma-
- *                      separated shard fleet (net::ShardRouter) by
- *                      execution-key hash instead of executing
- *                      locally
- *   --shard --listen <addr>
- *                      run one shard worker: serve framed spec
- *                      traffic on addr (unix:/path | tcp:host:port)
- *                      until SIGTERM/SIGINT or a Shutdown frame,
- *                      then drain and print service_stats to stderr
- *   --list <what>      print the built-in names and exit:
- *                      workloads | backends | mitigations
- *   --help             this text
+ * Serving: --serve runs spec lines through api::ExecutionService,
+ * --serve --shards routes them across a net::ShardRouter fleet, and
+ * --shard --listen runs one shard worker.  `hammer_cli --help` lists
+ * every option.
  */
 
 #include <algorithm>
@@ -156,12 +104,12 @@ usage(int exit_code)
         "                    misses it at runtime is reported as timed "
         "out on stderr and skipped\n"
         "                    instead of wedging the stream\n"
-        "  --retry-budget <t> cap retries with a t-token budget "
-        "(refilled by admissions): exhausted\n"
-        "                    budgets fail jobs typed retry_budget "
-        "instead of retrying unboundedly;\n"
-        "                    applies to the service (--serve) or the "
-        "router (--serve --shards)\n"
+        "  --retry-budget <t> with --shards: cap the router's "
+        "re-dispatches with a t-token budget\n"
+        "                    (refilled by admissions); an exhausted "
+        "budget fails jobs typed retry_budget\n"
+        "                    instead of retrying unboundedly; no effect "
+        "without --shards\n"
         "  --degraded-ok     allow explicitly-flagged degraded "
         "results: an overloaded --serve may\n"
         "                    answer from a cached lower-trajectory "
@@ -303,22 +251,6 @@ readSpecLines(std::istream &input)
 }
 
 /**
- * --retry-budget: arm a @p tokens-token retry budget (0 = off) on a
- * service's or a router's options.
- */
-template <typename Options>
-void
-applyRetryBudget(Options &options, int tokens)
-{
-    if (tokens <= 0)
-        return;
-    options.retryBudget = true;
-    options.retryBudgetOptions.initialTokens = tokens;
-    options.retryBudgetOptions.maxTokens = std::max<double>(
-        tokens, options.retryBudgetOptions.maxTokens);
-}
-
-/**
  * --serve: parse spec lines from @p input, run them through one
  * ExecutionService, stream JSON result lines as jobs complete.
  *
@@ -329,7 +261,7 @@ applyRetryBudget(Options &options, int tokens)
  */
 int
 serve(std::istream &input, int threads, int top, int deadline_ms,
-      bool canonical, int retry_budget, bool degraded_ok)
+      bool canonical, bool degraded_ok)
 {
     using namespace hammer::api;
 
@@ -348,7 +280,6 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
 
     ExecutionServiceOptions options;
     options.workers = threads;
-    applyRetryBudget(options, retry_budget);
     options.degradedServing = degraded_ok;
     ExecutionService service{options};
 
@@ -496,6 +427,9 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
  * --serve --shards: route the spec lines across a shard fleet and
  * merge results in submit order.  Lines travel verbatim, so a
  * shard's parse is byte-identical to the local serve() path's.
+ * @p retry_budget > 0 arms the router's retry budget with that many
+ * tokens: router re-dispatches are the only retries a CLI run makes
+ * (a service retries only after an injected worker death).
  */
 int
 serveShards(std::istream &input,
@@ -509,7 +443,12 @@ serveShards(std::istream &input,
     net::ShardRouterOptions options;
     options.addresses = addresses;
     options.heartbeatIntervalMs = 500;
-    applyRetryBudget(options, retry_budget);
+    if (retry_budget > 0) {
+        options.retryBudget = true;
+        options.retryBudgetOptions.initialTokens = retry_budget;
+        options.retryBudgetOptions.maxTokens = std::max<double>(
+            retry_budget, options.retryBudgetOptions.maxTokens);
+    }
     if (degraded_ok)
         // Per-shard circuit breakers: a flapping or dead shard is
         // skipped after 3 consecutive failures, and a fleet with
@@ -591,14 +530,12 @@ shardSignalHandler(int)
  * signal handler must never do.
  */
 int
-runShard(const std::string &listen, int threads, int retry_budget,
-         bool degraded_ok)
+runShard(const std::string &listen, int threads, bool degraded_ok)
 {
     using namespace hammer;
 
     net::ShardWorkerOptions options;
     options.service.workers = threads;
-    applyRetryBudget(options.service, retry_budget);
     options.service.degradedServing = degraded_ok;
     options.emitStats = true;
     try {
@@ -792,7 +729,7 @@ main(int argc, char **argv)
             return 2;
         }
         return runShard(listen_address, backend_spec.threads,
-                        retry_budget, degraded_ok);
+                        degraded_ok);
     }
 
     if (serve_mode) {
@@ -813,8 +750,7 @@ main(int argc, char **argv)
             return serveShards(*input, splitAddresses(shards_csv),
                                canonical, retry_budget, degraded_ok);
         return serve(*input, backend_spec.threads, top,
-                     serve_deadline_ms, canonical, retry_budget,
-                     degraded_ok);
+                     serve_deadline_ms, canonical, degraded_ok);
     }
 
     try {
