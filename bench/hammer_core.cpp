@@ -2,16 +2,22 @@
  * @file
  * Data-layer microbenchmark: accumulate -> reconstruct -> score on
  * synthetic clustered supports of growing N, against node-based
- * std::map baselines of the same algorithms.
+ * std::map baselines of the same algorithms, then HAMMER's transform
+ * path against the forced pair scan on sampled histograms.
  *
  * This is the perf trajectory of the flat Hamming-space data layer
  * itself, isolated from circuit simulation: per-shot histogramming
  * into CountAccumulator vs a std::map histogram, HAMMER's O(N^2)
  * pair scans over flat sorted vectors vs a map-backed histogram, and
- * EHD scoring.  Emits BENCH_core.json in smoke mode so CI tracks the
- * speedups push over push.
+ * EHD scoring.  The clustered supports are tie-free, so reconstruct()
+ * scans them; the sampled rows (BV drawn through `channel`, most
+ * outcomes one-shot ties) take the transform path, and each reports
+ * the speedup over the scan and the path rule's cost constant fitted
+ * to its timings.  Emits BENCH_core.json in smoke mode so CI tracks
+ * the speedups push over push.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +32,7 @@
 #include "core/distribution.hpp"
 #include "core/ehd.hpp"
 #include "core/hammer.hpp"
+#include "core/hammer_path.hpp"
 #include "core/spectrum.hpp"
 #include "support/report.hpp"
 
@@ -144,6 +151,144 @@ mapReconstruct(const Distribution &input)
     return out;
 }
 
+/** @p workload's raw histogram drawn through the `channel` backend. */
+Distribution
+channelHistogram(const std::string &workload, int shots)
+{
+    api::ExperimentSpec spec;
+    spec.workload = workload;
+    spec.backend = "channel";
+    spec.backendSpec.shots = shots;
+    spec.backendSpec.seed = 3;
+    spec.mitigation = "none";
+    return api::Pipeline().run(spec).raw;
+}
+
+/** Largest relative difference of outputs, CHS and weights. */
+double
+maxRelativeDifference(const Distribution &a, const core::HammerStats &sa,
+                      const Distribution &b, const core::HammerStats &sb)
+{
+    const auto rel = [](double x, double y) {
+        return x == y ? 0.0
+                      : std::abs(x - y) /
+                            std::max(std::abs(x), std::abs(y));
+    };
+    double worst = 0.0;
+    for (const auto &e : a.entries())
+        worst = std::max(worst, rel(e.probability,
+                                    b.probability(e.outcome)));
+    for (std::size_t d = 0; d < sa.aggregateChs.size(); ++d) {
+        worst = std::max(worst, rel(sa.aggregateChs[d],
+                                    sb.aggregateChs[d]));
+        worst = std::max(worst, rel(sa.weights[d], sb.weights[d]));
+    }
+    return worst;
+}
+
+/**
+ * The transform rows: reconstruct() against the forced scan, on one
+ * thread, median of interleaved repeats.  Fails on a disagreement
+ * beyond 1e-12, on a row that does not take the transform, and in
+ * full mode on a 20-bit speedup below 3x.  Smoke mode gates no
+ * timing: a floor would flake on a shared host.
+ */
+int
+transformRows(bench::BenchReport &report, bool smoke)
+{
+    struct Row
+    {
+        const char *tag;
+        const char *workload;
+        int shots;
+    };
+    std::vector<Row> rows = {{"bv14", "bv:14:00100100001111", 16384},
+                             {"bv16", "bv:16:1001010000010101", 16384}};
+    if (!smoke)
+        rows.push_back({"bv20", "bv:20:10110011100011110101", 65536});
+
+    common::Table table({"row", "n", "N", "L/N", "path", "scan_ms",
+                         "reconstruct_ms", "speedup", "cost_fit"});
+    int status = 0;
+    for (const Row &row : rows) {
+        const Distribution dist = channelHistogram(row.workload,
+                                                   row.shots);
+        const int n = dist.numBits();
+        const std::size_t count = dist.support();
+        const double low = dist.sortedByProbability().back().probability;
+        std::size_t tied = 0;
+        for (const auto &e : dist.entries())
+            tied += e.probability == low ? 1 : 0;
+
+        core::HammerConfig serial;
+        serial.threads = 1;
+        const int repeats = n >= 20 ? 3 : smoke ? 5 : 9;
+        std::vector<double> t_scan;
+        std::vector<double> t_rec;
+        core::HammerStats scan_stats;
+        core::HammerStats rec_stats;
+        Distribution scanned(n);
+        Distribution rec(n);
+        for (int r = 0; r < repeats; ++r) {
+            auto start = std::chrono::steady_clock::now();
+            scanned = core::detail::reconstructOnPath(
+                core::HammerPath::Scan, dist, serial, &scan_stats);
+            t_scan.push_back(secondsSince(start));
+            start = std::chrono::steady_clock::now();
+            rec = core::reconstruct(dist, serial, &rec_stats);
+            t_rec.push_back(secondsSince(start));
+        }
+        std::sort(t_scan.begin(), t_scan.end());
+        std::sort(t_rec.begin(), t_rec.end());
+        const double scan_s = t_scan[t_scan.size() / 2];
+        const double rec_s = t_rec[t_rec.size() / 2];
+        const double speedup = rec_s > 0.0 ? scan_s / rec_s : 0.0;
+        // The rule prices the transform path at c n 2^n + M^2 pairs
+        // against the scan's N^2: the c that reproduces this row's
+        // measured time ratio.
+        const double outcomes = static_cast<double>(count);
+        const double upper = static_cast<double>(count - tied);
+        const double cost_fit =
+            (outcomes * outcomes * (rec_s / scan_s) - upper * upper) /
+            (n * std::ldexp(1.0, n));
+
+        table.addRow(
+            {row.tag, common::Table::fmt(static_cast<long long>(n)),
+             common::Table::fmt(static_cast<long long>(count)),
+             common::Table::fmt(static_cast<double>(tied) / outcomes, 2),
+             core::hammerPathName(rec_stats.path),
+             common::Table::fmt(scan_s * 1e3, 2),
+             common::Table::fmt(rec_s * 1e3, 2),
+             common::Table::fmt(speedup, 2),
+             common::Table::fmt(cost_fit, 2)});
+        const std::string tag = std::string("_") + row.tag;
+        report.metric("reconstruct_scan_s" + tag, scan_s);
+        report.metric("reconstruct_transform_s" + tag, rec_s);
+        report.metric("reconstruct_transform_speedup" + tag, speedup);
+        report.metric("transform_cost_fit" + tag, cost_fit);
+
+        const double diff =
+            maxRelativeDifference(rec, rec_stats, scanned, scan_stats);
+        if (diff > 1e-12) {
+            std::printf("ERROR: %s: transform and scan differ by %.3g "
+                        "(relative)\n", row.tag, diff);
+            status = 1;
+        }
+        if (rec_stats.path != core::HammerPath::Transform) {
+            std::printf("ERROR: %s did not take the transform path\n",
+                        row.tag);
+            status = 1;
+        }
+        if (n >= 20 && speedup < 3.0) {
+            std::printf("ERROR: %s: transform path only %.2fx the scan "
+                        "(floor 3x)\n", row.tag, speedup);
+            status = 1;
+        }
+    }
+    table.print(std::cout);
+    return status;
+}
+
 } // namespace
 
 int
@@ -252,5 +397,8 @@ main()
     std::puts("\nflat vs map: same histograms, same reconstruction, "
               "map-based baseline pays node allocation + pointer "
               "chasing on every hot-path scan");
-    return 0;
+
+    std::puts("\n== HAMMER transform path vs forced scan, sampled "
+              "histograms, 1 thread ==");
+    return transformRows(report, smoke);
 }

@@ -74,6 +74,9 @@ class JsonWriter
     JsonWriter &value(bool flag);
     JsonWriter &null();
 
+    /** Reserve room for a document of about @p bytes. */
+    void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
     /** The document so far. */
     const std::string &str() const { return out_; }
 

@@ -1,5 +1,6 @@
 #include "api/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -84,7 +85,18 @@ Result::writeJson(std::ostream &out, int max_outcomes) const
 std::string
 Result::json(int max_outcomes) const
 {
+    // Size the buffer once: ~1 KB of fields plus at most width + 56
+    // bytes per emitted histogram row.
+    const auto rowBytes = [&](const Distribution &dist) {
+        const std::size_t rows =
+            max_outcomes < 0
+                ? dist.support()
+                : std::min(dist.support(),
+                           static_cast<std::size_t>(max_outcomes));
+        return rows * (static_cast<std::size_t>(dist.numBits()) + 56);
+    };
     JsonWriter json;
+    json.reserve(1024 + rowBytes(raw) + rowBytes(mitigated));
     json.beginObject();
 
     json.key("label").value(label);
@@ -121,6 +133,10 @@ Result::json(int max_outcomes) const
     json.key("max_distance").value(hammerStats.maxDistance);
     json.key("pair_operations")
         .value(static_cast<std::uint64_t>(hammerStats.pairOperations));
+    // Emitted only on the transform path, like "degraded": scan-path
+    // results keep their exact historical bytes.
+    if (hammerStats.path == core::HammerPath::Transform)
+        json.key("path").value(core::hammerPathName(hammerStats.path));
     json.endObject();
 
     json.key("metrics").beginObject();

@@ -178,6 +178,7 @@ resultChecksum(const Result &result)
     for (const double value : result.hammerStats.weights)
         hasher.add(value);
     hasher.add(result.hammerStats.pairOperations);
+    hasher.add(static_cast<int>(result.hammerStats.path));
     hasher.add(result.pstRaw);
     hasher.add(result.pstMitigated);
     hasher.add(result.istRaw);
@@ -1260,6 +1261,14 @@ resultFromJson(const std::string &json)
         jsonIntField(hammer.at("max_distance"), 0));
     result.hammerStats.pairOperations = static_cast<std::uint64_t>(
         jsonIntField(hammer.at("pair_operations"), 0));
+    if (const JsonValue *path = hammer.find("path")) {
+        const std::string &name = path->asString();
+        require(name == "scan" || name == "transform",
+                "result json: unknown hammer_stats path '" + name + "'");
+        result.hammerStats.path = name == "transform"
+                                      ? core::HammerPath::Transform
+                                      : core::HammerPath::Scan;
+    }
 
     const JsonValue &metrics = doc.at("metrics");
     result.pstRaw = metricField(metrics.at("pst_raw"));

@@ -1,10 +1,14 @@
 #include "core/hammer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
+#include "core/hammer_path.hpp"
 #include "core/pair_scan.hpp"
 #include "core/spectrum.hpp"
 
@@ -21,6 +25,19 @@ namespace {
 // count — which is what makes the chunk-indexed partials (and so the
 // whole reconstruction) bit-identical for any number of workers.
 constexpr std::size_t kScanChunk = 64;
+
+// The path rule (detail::hammerPathFor) and its only constants.  The
+// transform path holds 12 * 2^n bytes of scratch, so it is capped at
+// 20 bits and at 64 transform entries per outcome.  It is priced at
+// c n 2^n + M^2 pair visits against the scan's N^2.  c is fitted to
+// BENCH_core's sampled rows on one thread: each row reports the c
+// that reproduces its measured time ratio (transform_cost_fit_<row>),
+// with medians of 3.2 (bv14), 2.5 (bv16) and 2.6 (bv20) over 8, 8 and
+// 2 runs on a 4-vCPU Xeon at the avx2 tier.  Rounding up leans toward
+// the scan, the reference path, near the break-even.
+constexpr int kTransformMaxBits = 20;
+constexpr double kTransformMaxEntriesPerOutcome = 64.0;
+constexpr double kTransformCost = 3.0;
 
 /** Resolve config.maxDistance to the effective bound. */
 int
@@ -68,12 +85,13 @@ struct ChsPartial
  * Combine chunk partials with a pairwise reduction tree (round k
  * merges partials 2^k apart).  The merge order is a pure function of
  * the chunk count, so the summed CHS is independent of which worker
- * produced which partial.
+ * produced which partial.  No partials (no rows) sum to an empty one.
  */
 ChsPartial
 treeReduceChs(std::vector<ChsPartial> &parts)
 {
-    require(!parts.empty(), "treeReduceChs: no parts");
+    if (parts.empty())
+        return {};
     for (std::size_t stride = 1; stride < parts.size(); stride *= 2) {
         for (std::size_t i = 0; i + stride < parts.size();
              i += 2 * stride) {
@@ -176,9 +194,242 @@ neighborhoodScore(const Distribution &input, Bits x,
     return score;
 }
 
+namespace {
+
+/** What the pair scan produced. */
+struct ScanOutput
+{
+    std::vector<double> chs;  ///< Step-1 bins 0..n (with step1 only).
+    std::vector<double> hist; ///< Step-3 rows of bins 0..dmax each.
+    std::uint64_t pairOps = 0;
+};
+
+/**
+ * The pair scan over sorted rows [0, rows), in fixed-size row chunks.
+ * With @p step1, row i visits each j > i once for Step 1, and its
+ * Step-3 neighbours are the rows past its tie group (every j != i
+ * without the filter); rows of the least probable tie group keep no
+ * histogram under the filter.  Without @p step1 (the transform path's
+ * residual scan, filter on, rows above the least probable group)
+ * row i visits only the rows past its tie group.
+ */
+ScanOutput
+scanPairs(const SortedSupport &s, std::size_t rows, bool step1,
+          bool filter, std::size_t stride, std::size_t bins, int threads)
+{
+    const detail::PairScanFn scan =
+        detail::pairScanForTier(common::activeTier());
+    const std::size_t hRows = filter ? std::min(rows, s.lastGroup) : rows;
+    ScanOutput out;
+    out.hist.assign(hRows * bins, 0.0);
+    std::vector<ChsPartial> partials(ThreadPool::chunkCount(rows,
+                                                             kScanChunk));
+    ThreadPool::runChunked(
+        threads, rows, kScanChunk,
+        [&](std::size_t c, std::size_t begin, std::size_t end, int) {
+            ChsPartial &partial = partials[c];
+            partial.chs.assign(step1 ? stride : 0, 0.0);
+            std::vector<double> chsLanes(
+                step1 ? detail::kScanLanes * stride : 0, 0.0);
+            std::vector<double> hLanes(detail::kScanLanes * stride);
+            for (std::size_t i = begin; i < end; ++i) {
+                const Bits x = s.outcomes[i];
+                const double px = s.probs[i];
+                double *h = nullptr;
+                if (i < hRows) {
+                    std::fill(hLanes.begin(), hLanes.end(), 0.0);
+                    h = hLanes.data();
+                }
+                const std::size_t split = filter ? s.groupEnd[i] : i + 1;
+                if (step1) {
+                    partial.chs[0] += px;
+                    if (!filter)
+                        scan(x, px, s.outcomes.data(), s.probs.data(), 0,
+                             i, stride, nullptr, h);
+                    scan(x, px, s.outcomes.data(), s.probs.data(), i + 1,
+                         split, stride, chsLanes.data(), nullptr);
+                    scan(x, px, s.outcomes.data(), s.probs.data(), split,
+                         rows, stride, chsLanes.data(), h);
+                    partial.pairOps += filter ? rows - 1 - i : rows - 1;
+                } else {
+                    scan(x, px, s.outcomes.data(), s.probs.data(), split,
+                         rows, stride, nullptr, h);
+                    partial.pairOps += rows - split;
+                }
+                if (h != nullptr)
+                    foldLanes(hLanes, stride, bins, &out.hist[i * bins]);
+            }
+            if (step1)
+                foldLanes(chsLanes, stride, stride, partial.chs.data());
+        });
+    ChsPartial reduced = treeReduceChs(partials);
+    out.chs = std::move(reduced.chs);
+    out.pairOps = reduced.pairOps;
+    return out;
+}
+
+/**
+ * In-place unnormalised Walsh–Hadamard transform of 2^n values, in a
+ * fixed butterfly order.  Each radix-4 butterfly does the adds and
+ * subtracts of two radix-2 stages (half and 2 half) in their order,
+ * in half the passes over v; odd n ends with one radix-2 stage.  Only
+ * adds and subtracts, so the output is the same on every build and
+ * tier.
+ */
+template <typename T>
+void
+walshHadamard(std::vector<T> &v)
+{
+    const std::size_t size = v.size();
+    std::size_t half = 1;
+    for (; 4 * half <= size; half *= 4) {
+        for (std::size_t block = 0; block < size; block += 4 * half) {
+            T *p0 = v.data() + block;
+            T *p1 = p0 + half;
+            T *p2 = p1 + half;
+            T *p3 = p2 + half;
+            for (std::size_t j = 0; j < half; ++j) {
+                const T s0 = p0[j] + p1[j];
+                const T d0 = p0[j] - p1[j];
+                const T s1 = p2[j] + p3[j];
+                const T d1 = p2[j] - p3[j];
+                p0[j] = s0 + s1;
+                p1[j] = d0 + d1;
+                p2[j] = s0 - s1;
+                p3[j] = d0 - d1;
+            }
+        }
+    }
+    if (half < size) {
+        for (std::size_t j = 0; j < half; ++j) {
+            const T a = v[j];
+            const T b = v[j + half];
+            v[j] = a + b;
+            v[j + half] = a - b;
+        }
+    }
+}
+
+/** Calls f(u, |u|) for u = 0 .. size - 1 in order. */
+template <typename F>
+void
+forEachWeight(std::size_t size, F &&f)
+{
+    static constexpr auto kByteWeight = [] {
+        std::array<int, 256> weight{};
+        for (std::size_t b = 1; b < weight.size(); ++b)
+            weight[b] = weight[b / 2] + static_cast<int>(b % 2);
+        return weight;
+    }();
+    const std::size_t block = std::min<std::size_t>(size, 256);
+    for (std::size_t high = 0; high < size; high += block) {
+        const int base = std::popcount(high);
+        for (std::size_t low = 0; low < block; ++low)
+            f(high + low, base + kByteWeight[low]);
+    }
+}
+
+/**
+ * Krawtchouk polynomials K_d(w) = sum_j (-1)^j C(w, j) C(n - w, d - j)
+ * for d = 0..dmax, w = 0..n, row-major by d: the sum of (-1)^(u.z)
+ * over the C(n, d) words z of weight d, for any u of weight w.
+ */
+std::vector<std::int64_t>
+krawtchouk(int n, int dmax)
+{
+    const auto width = static_cast<std::size_t>(n) + 1;
+    std::vector<std::int64_t> k(static_cast<std::size_t>(dmax + 1) * width);
+    for (int d = 0; d <= dmax; ++d) {
+        for (int w = 0; w <= n; ++w) {
+            std::int64_t sum = 0;
+            for (int j = 0; j <= std::min(w, d); ++j) {
+                const auto term = static_cast<std::int64_t>(
+                    common::binomial(w, j) * common::binomial(n - w, d - j));
+                sum += j % 2 == 0 ? term : -term;
+            }
+            k[static_cast<std::size_t>(d) * width +
+              static_cast<std::size_t>(w)] = sum;
+        }
+    }
+    return k;
+}
+
+/**
+ * Transform-path Steps 1 and 3's L share.  Returns g(x) for the rows
+ * above the least probable tie group L: the sum of W_d over the
+ * outcomes of L at distance d = 1..dmax.  Writes CHS_0..dmax and the
+ * weights.  Holds one int32 and one double buffer of 2^n entries.
+ */
+std::vector<double>
+transformSteps(const SortedSupport &s, int n, std::size_t bins,
+               WeightScheme scheme, std::vector<double> &chs,
+               std::vector<double> &weights)
+{
+    const std::size_t size = std::size_t{1} << n;
+    const std::size_t width = static_cast<std::size_t>(n) + 1;
+    const std::vector<std::int64_t> k =
+        krawtchouk(n, static_cast<int>(bins) - 1);
+    std::vector<std::int32_t> ones(size, 0);
+    std::vector<double> reals(size, 0.0);
+
+    // Step 1: F = WHT(1_S) (exact), P = WHT(p), and the shell sums
+    // T_w of F(u) P(u) and Q_w of F(u)^2 over |u| = w.
+    for (std::size_t r = 0; r < s.outcomes.size(); ++r) {
+        ones[s.outcomes[r]] = 1;
+        reals[s.outcomes[r]] = s.probs[r];
+    }
+    walshHadamard(ones);
+    walshHadamard(reals);
+    std::vector<double> t(width, 0.0);
+    std::vector<std::int64_t> q(width, 0);
+    forEachWeight(size, [&](std::size_t u, int w) {
+        t[static_cast<std::size_t>(w)] += ones[u] * reals[u];
+        q[static_cast<std::size_t>(w)] +=
+            static_cast<std::int64_t>(ones[u]) * ones[u];
+    });
+    // CHS_d = 2^-n sum_w K_d(w) T_w.  The same sum over Q_w is 2^n
+    // times the number of ordered pairs at distance d, exact in int64
+    // (sum_w Q_w = 2^n N by Parseval, |K_d(w)| <= C(n, d), so every
+    // term is below 2^58): a distance no pair has gets CHS_d = 0, not
+    // rounding residue.
+    chs.assign(bins, 0.0);
+    for (std::size_t d = 0; d < bins; ++d) {
+        double sum = 0.0;
+        std::int64_t pairs = 0;
+        for (std::size_t w = 0; w < width; ++w) {
+            sum += static_cast<double>(k[d * width + w]) * t[w];
+            pairs += k[d * width + w] * q[w];
+        }
+        chs[d] = pairs == 0 ? 0.0 : std::ldexp(sum, -n);
+    }
+    weights = weightsFromChs(chs, n, scheme);
+
+    // Step 3: g = 2^-n WHT(WHT(1_L) kappa(|u|)), with kappa(w) =
+    // sum_{d=1..dmax} W_d K_d(w) the transform of the kernel
+    // W_|z| [1 <= |z| <= dmax].
+    std::vector<double> kappa(width, 0.0);
+    for (std::size_t d = 1; d < bins; ++d) {
+        for (std::size_t w = 0; w < width; ++w)
+            kappa[w] += weights[d] * static_cast<double>(k[d * width + w]);
+    }
+    std::fill(ones.begin(), ones.end(), 0);
+    for (std::size_t r = s.lastGroup; r < s.outcomes.size(); ++r)
+        ones[s.outcomes[r]] = 1;
+    walshHadamard(ones);
+    forEachWeight(size, [&](std::size_t u, int w) {
+        reals[u] = ones[u] * kappa[static_cast<std::size_t>(w)];
+    });
+    walshHadamard(reals);
+    std::vector<double> g(s.lastGroup);
+    for (std::size_t r = 0; r < s.lastGroup; ++r)
+        g[r] = std::ldexp(reals[s.outcomes[r]], -n);
+    return g;
+}
+
+/** reconstruct() on @p forced, or on the rule's path when unset. */
 Distribution
-reconstruct(const Distribution &input, const HammerConfig &config,
-            HammerStats *stats)
+reconstructOn(std::optional<HammerPath> forced, const Distribution &input,
+              const HammerConfig &config, HammerStats *stats)
 {
     require(input.support() > 0, "reconstruct: empty distribution");
     require(input.normalized(1e-6),
@@ -189,72 +440,52 @@ reconstruct(const Distribution &input, const HammerConfig &config,
     const SortedSupport s(input);
     const std::size_t count = s.outcomes.size();
     const bool filter = config.filterLowerProbability;
-    const detail::PairScanFn scan =
-        detail::pairScanForTier(common::activeTier());
+    const HammerPath path = forced.value_or(
+        detail::hammerPathFor(n, count, s.lastGroup, filter));
+    const bool transform = path == HammerPath::Transform;
+    require(!transform || (filter && n <= kTransformMaxBits),
+            "reconstruct: the transform path needs the filter and at "
+            "most 20 bits");
 
     // Bins cover every distance 0..n, so the kernel bins
     // unconditionally; distances past dmax land in bins Step 2
     // discards.  Step 3 keeps bins 0..dmax per histogram row.
     const auto stride = static_cast<std::size_t>(n) + 1;
     const auto bins = static_cast<std::size_t>(dmax) + 1;
-    // With the filter, the least probable tie group has no strictly
-    // less probable neighbour, so its rows need no histogram.
-    const std::size_t hRows = filter ? s.lastGroup : count;
-    std::vector<double> hist(hRows * bins, 0.0);
 
-    // Steps 1 and 3 in one scan of fixed-size row chunks.  Row i
-    // visits each j > i once for Step 1; its Step-3 neighbours are
-    // the rows past its tie group (every j != i without the filter).
-    const std::size_t chunks = ThreadPool::chunkCount(count, kScanChunk);
-    std::vector<ChsPartial> partials(chunks);
-    ThreadPool::runChunked(
-        config.threads, count, kScanChunk,
-        [&](std::size_t c, std::size_t begin, std::size_t end, int) {
-            ChsPartial &partial = partials[c];
-            partial.chs.assign(stride, 0.0);
-            std::vector<double> chsLanes(detail::kScanLanes * stride, 0.0);
-            std::vector<double> hLanes(detail::kScanLanes * stride);
-            for (std::size_t i = begin; i < end; ++i) {
-                const Bits x = s.outcomes[i];
-                const double px = s.probs[i];
-                partial.chs[0] += px;
-                double *h = nullptr;
-                if (i < hRows) {
-                    std::fill(hLanes.begin(), hLanes.end(), 0.0);
-                    h = hLanes.data();
-                }
-                const std::size_t split = filter ? s.groupEnd[i] : i + 1;
-                if (!filter)
-                    scan(x, px, s.outcomes.data(), s.probs.data(), 0, i,
-                         stride, nullptr, h);
-                scan(x, px, s.outcomes.data(), s.probs.data(), i + 1,
-                     split, stride, chsLanes.data(), nullptr);
-                scan(x, px, s.outcomes.data(), s.probs.data(), split,
-                     count, stride, chsLanes.data(), h);
-                if (h != nullptr)
-                    foldLanes(hLanes, stride, bins, &hist[i * bins]);
-                partial.pairOps += filter ? count - 1 - i : count - 1;
-            }
-            foldLanes(chsLanes, stride, stride, partial.chs.data());
-        });
-    ChsPartial reduced = treeReduceChs(partials);
-    std::vector<double> chs = std::move(reduced.chs);
-    chs.resize(bins); // drop spill bins
+    // Steps 1 and 2, and Step 3's histograms h_x.  The transform
+    // path frees its scratch before the residual scan runs.
+    std::vector<double> chs;
+    std::vector<double> weights;
+    std::vector<double> lowShare; // g(x), rows above L (transform)
+    ScanOutput scanned;
+    if (transform) {
+        lowShare = transformSteps(s, n, bins, config.weightScheme, chs,
+                                  weights);
+        scanned = scanPairs(s, s.lastGroup, false, true, stride, bins,
+                            config.threads);
+    } else {
+        scanned = scanPairs(s, count, true, filter, stride, bins,
+                            config.threads);
+        chs = std::move(scanned.chs);
+        chs.resize(bins); // drop spill bins
+        weights = weightsFromChs(chs, n, config.weightScheme);
+    }
 
-    // Step 2: per-distance weights.
-    const std::vector<double> weights =
-        weightsFromChs(chs, n, config.weightScheme);
-
-    // Step 3: S(x) = P(x) + sum_d W_d h_x[d], written back in
-    // outcome order.
+    // Step 3: S(x) = P(x) + sum_d W_d h_x[d] (+ p_L g(x) on the
+    // transform path), written back in outcome order.
+    const std::size_t hRows = scanned.hist.size() / bins;
+    const double lowProb = s.probs.back();
     std::vector<Entry> rescored(count);
     for (std::size_t k = 0; k < count; ++k) {
         const double px = s.probs[k];
         double score = px;
         if (k < hRows) {
             for (std::size_t d = 0; d < bins; ++d)
-                score += weights[d] * hist[k * bins + d];
+                score += weights[d] * scanned.hist[k * bins + d];
         }
+        if (k < lowShare.size())
+            score += lowProb * lowShare[k];
         rescored[s.index[k]] = {s.outcomes[k],
                                 config.scoreCombine ==
                                         ScoreCombine::Multiplicative
@@ -270,9 +501,54 @@ reconstruct(const Distribution &input, const HammerConfig &config,
         stats->maxDistance = dmax;
         stats->aggregateChs = std::move(chs);
         stats->weights = weights;
-        stats->pairOperations = reduced.pairOps;
+        stats->pairOperations = scanned.pairOps;
+        stats->path = path;
     }
     return output;
+}
+
+} // namespace
+
+const char *
+hammerPathName(HammerPath path)
+{
+    return path == HammerPath::Transform ? "transform" : "scan";
+}
+
+namespace detail {
+
+HammerPath
+hammerPathFor(int num_bits, std::size_t count, std::size_t upper_rows,
+              bool filter)
+{
+    // The width cap comes first, so 2^n below is at most 2^20.
+    if (!filter || count - upper_rows < 2 || num_bits > kTransformMaxBits)
+        return HammerPath::Scan;
+    const double entries = std::ldexp(1.0, num_bits);
+    const auto outcomes = static_cast<double>(count);
+    const auto upper = static_cast<double>(upper_rows);
+    if (entries > kTransformMaxEntriesPerOutcome * outcomes)
+        return HammerPath::Scan;
+    return kTransformCost * num_bits * entries <
+                   outcomes * outcomes - upper * upper
+               ? HammerPath::Transform
+               : HammerPath::Scan;
+}
+
+Distribution
+reconstructOnPath(HammerPath path, const Distribution &input,
+                  const HammerConfig &config, HammerStats *stats)
+{
+    return reconstructOn(path, input, config, stats);
+}
+
+} // namespace detail
+
+Distribution
+reconstruct(const Distribution &input, const HammerConfig &config,
+            HammerStats *stats)
+{
+    return reconstructOn(std::nullopt, input, config, stats);
 }
 
 Distribution

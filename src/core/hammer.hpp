@@ -61,15 +61,28 @@ struct HammerConfig
     ScoreCombine scoreCombine = ScoreCombine::Multiplicative;
 
     /**
-     * Worker threads for the pair scan; 0 selects
-     * common::ThreadPool::defaultThreadCount().  The sorted support
-     * is partitioned into fixed-size row chunks whose partial CHS
-     * vectors are combined with a deterministic reduction tree, so
+     * Worker threads for the pair scan (on the transform path, the
+     * residual scan; the transforms run on the calling thread); 0
+     * selects common::ThreadPool::defaultThreadCount().  The sorted
+     * support is partitioned into fixed-size row chunks whose partial
+     * CHS vectors are combined with a deterministic reduction tree, so
      * the output is bit-identical for every thread count, including
      * 1.
      */
     int threads = 0;
 };
+
+/** How reconstruct() computed Steps 1 and 3 (see reconstruct()). */
+enum class HammerPath
+{
+    /** One pair scan over the whole support. */
+    Scan,
+    /** Walsh–Hadamard transforms plus a residual pair scan. */
+    Transform,
+};
+
+/** "scan" or "transform". */
+const char *hammerPathName(HammerPath path);
 
 /** Observability data captured during a reconstruction. */
 struct HammerStats
@@ -79,23 +92,43 @@ struct HammerStats
     std::vector<double> aggregateChs; ///< Step-1 aggregate CHS.
     std::vector<double> weights;      ///< Step-2 weights W_d.
     /**
-     * Pair distances computed: N(N-1)/2 (one per unordered pair), or
-     * N(N-1) with the filter off.
+     * Pair distances the scan computed: N(N-1)/2 (one per unordered
+     * pair), or N(N-1) with the filter off.  On the transform path,
+     * only the residual scan's pairs: each row above the least
+     * probable tie group against the less probable rows above it.
      */
     std::uint64_t pairOperations = 0;
+    /** The path that ran. */
+    HammerPath path = HammerPath::Scan;
 };
 
 /**
  * Run Hamming Reconstruction on a measured distribution.
  *
- * Steps 1 and 3 of Algorithm 1 share one scan over the unordered
- * pairs of the support sorted by probability (descending, ties by
- * outcome).  Each pair's distance d adds P(x) + P(y) to the Step-1
- * CHS bin d and, when y is less probable than x (it lies past x's
- * tie group), P(y) to x's per-distance histogram h_x; after Step 2
- * the score is S(x) = P(x) + sum_d W_d h_x[d], with no second scan.
- * The scan kernel is dispatched on common::activeTier(); every tier
- * and thread count gives bit-identical output.
+ * Scan path: Steps 1 and 3 of Algorithm 1 share one scan over the
+ * unordered pairs of the support sorted by probability (descending,
+ * ties by outcome).  Each pair's distance d adds P(x) + P(y) to the
+ * Step-1 CHS bin d and, when y is less probable than x (it lies past
+ * x's tie group), P(y) to x's per-distance histogram h_x; after
+ * Step 2 the score is S(x) = P(x) + sum_d W_d h_x[d], with no second
+ * scan.  The scan kernel is dispatched on common::activeTier().
+ *
+ * Transform path (filter on only): with L the least probable tie
+ * group (probability p_L) and M the rows above it, Step 1 is
+ * CHS_d = 2^-n sum_w K_d(w) T_w, where T_w sums F(u) P(u) over
+ * |u| = w, F = WHT(1_S) and P = WHT(p) are the Walsh–Hadamard
+ * transforms of the support's indicator and of its probabilities, and
+ * K_d(w) is the Krawtchouk polynomial.
+ * Step 3 adds p_L g(x) to every row above L, with
+ * g = 2^-n WHT(WHT(1_L) kappa(|u|)) and
+ * kappa(w) = sum_{d=1..dmax} W_d K_d(w); the scan then supplies only
+ * the histograms among the M rows.  The transforms take 12 * 2^n
+ * bytes of scratch and run on the calling thread.  The path is a
+ * fixed function of (n, N, M, filter): the transform when L holds at
+ * least two outcomes, n <= 20, 2^n <= 64 N and its cost beats the
+ * N^2 - M^2 pairs it saves.  Both paths agree with Algorithm 1 to
+ * rounding, and each gives bit-identical output for every kernel
+ * tier and thread count.
  *
  * @param input Noisy (normalised) measurement distribution.
  * @param config Algorithm parameters (defaults = the paper).

@@ -142,6 +142,37 @@ TEST(ResultJson, RoundTripsByteExactThroughResultFromJson)
               original.raw.entries().size());
 }
 
+TEST(ResultJson, HammerPathRoundTripsAndIsEmittedOnlyForTheTransform)
+{
+    // bv:10 at 3000 shots puts ~500 outcomes, most of them one-shot
+    // ties, on 10 bits: HAMMER takes the transform path.
+    ExperimentSpec spec = smallSpec(4);
+    spec.workload = "bv:10";
+    spec.backendSpec.shots = 3000;
+    const Result transform = hammer::api::Pipeline().run(spec);
+    ASSERT_EQ(transform.hammerStats.path,
+              hammer::core::HammerPath::Transform);
+    const std::string json = transform.json(-1);
+    const Result decoded = resultFromJson(json);
+    EXPECT_EQ(decoded.hammerStats.path,
+              hammer::core::HammerPath::Transform);
+    EXPECT_EQ(decoded.json(-1), json);
+    EXPECT_EQ(parseJson(json).at("hammer_stats").at("path").asString(),
+              "transform");
+    const std::string key = "\"path\":\"transform\"";
+    std::string unknown = json;
+    unknown.replace(unknown.find(key), key.size(), "\"path\":\"fft\"");
+    EXPECT_THROW(resultFromJson(unknown), std::invalid_argument);
+
+    // A scan-path Result keeps its historical bytes: no "path" key.
+    const Result scan = hammer::api::Pipeline().run(smallSpec());
+    ASSERT_EQ(scan.hammerStats.path, hammer::core::HammerPath::Scan);
+    EXPECT_EQ(parseJson(scan.json(-1)).at("hammer_stats").find("path"),
+              nullptr);
+    EXPECT_EQ(resultFromJson(scan.json(-1)).hammerStats.path,
+              hammer::core::HammerPath::Scan);
+}
+
 TEST(ResultJson, CanonicalFormDropsIdentityButNotPhysics)
 {
     ExperimentSpec spec = smallSpec();

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the HAMMER reconstruction (Algorithm 1), including
  * an exact hand-computed walkthrough of the paper's Fig. 6 example,
- * statistical improvement on a BV-like noisy distribution, and the
- * ablation knobs.
+ * statistical improvement on a BV-like noisy distribution, the
+ * ablation knobs, and both computation paths (pair scan and
+ * Walsh–Hadamard transform) against Algorithm 1 and each other.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +14,14 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
+#include "api/pipeline.hpp"
 #include "common/kernel_tier.hpp"
 #include "common/rng.hpp"
 #include "core/ehd.hpp"
 #include "core/hammer.hpp"
+#include "core/hammer_path.hpp"
 #include "metrics/metrics.hpp"
 #include "mitigation/readout_mitigation.hpp"
 #include "noise/noise_model.hpp"
@@ -83,6 +87,23 @@ sampledHistogram(int n, Bits key, double eps, int shots,
         }
     }
     return Distribution::fromShots(n, samples);
+}
+
+/**
+ * A sweep-hammer-shaped histogram: @p workload's raw output drawn
+ * through the `channel` backend.
+ */
+Distribution
+channelHistogram(const std::string &workload, int shots,
+                 std::uint64_t seed)
+{
+    hammer::api::ExperimentSpec spec;
+    spec.workload = workload;
+    spec.backend = "channel";
+    spec.backendSpec.shots = shots;
+    spec.backendSpec.seed = seed;
+    spec.mitigation = "none";
+    return hammer::api::Pipeline().run(spec).raw;
 }
 
 /** Readout unfolding of a sampled histogram: no two outcomes tie. */
@@ -184,6 +205,45 @@ expectBitIdentical(const Distribution &out, const HammerStats &stats,
     EXPECT_EQ(stats.pairOperations, ref_stats.pairOperations) << what;
     EXPECT_EQ(stats.aggregateChs, ref_stats.aggregateChs) << what;
     EXPECT_EQ(stats.weights, ref_stats.weights) << what;
+    EXPECT_EQ(stats.path, ref_stats.path) << what;
+}
+
+/** |a - b| relative to the larger magnitude; 0 when equal. */
+double
+relativeDifference(double a, double b)
+{
+    return a == b ? 0.0
+                  : std::abs(a - b) / std::max(std::abs(a), std::abs(b));
+}
+
+/** Outputs, Step-1 CHS and Step-2 weights agree within @p tol. */
+void
+expectAgree(const Distribution &out, const HammerStats &stats,
+            const Distribution &ref, const HammerStats &ref_stats,
+            double tol, const std::string &what)
+{
+    ASSERT_EQ(out.support(), ref.support()) << what;
+    for (std::size_t i = 0; i < out.support(); ++i) {
+        ASSERT_EQ(out.entries()[i].outcome, ref.entries()[i].outcome)
+            << what;
+        EXPECT_LE(relativeDifference(out.entries()[i].probability,
+                                     ref.entries()[i].probability),
+                  tol)
+            << what << ", entry " << i;
+    }
+    ASSERT_EQ(stats.aggregateChs.size(), ref_stats.aggregateChs.size())
+        << what;
+    ASSERT_EQ(stats.weights.size(), ref_stats.weights.size()) << what;
+    for (std::size_t d = 0; d < stats.aggregateChs.size(); ++d) {
+        EXPECT_LE(relativeDifference(stats.aggregateChs[d],
+                                     ref_stats.aggregateChs[d]),
+                  tol)
+            << what << ", CHS bin " << d;
+        EXPECT_LE(relativeDifference(stats.weights[d],
+                                     ref_stats.weights[d]),
+                  tol)
+            << what << ", weight " << d;
+    }
 }
 
 TEST(Hammer, WeightsMatchHandComputationOnFig6)
@@ -317,9 +377,14 @@ TEST(Hammer, RejectsEmptyInput)
 
 TEST(Hammer, StatsReportOperationCounts)
 {
+    // Only the all-zeros outcome lies at distance 8 from the key, so
+    // the least probable tie group holds one outcome (|L| = 1): the
+    // rule keeps this input on the scan path, whose pair counts are
+    // pinned here.
     const Distribution d = bvLikeDistribution(8, 0b11111111);
     HammerStats stats;
     reconstruct(d, {}, &stats);
+    EXPECT_EQ(stats.path, HammerPath::Scan);
     EXPECT_EQ(stats.uniqueOutcomes, d.support());
     EXPECT_EQ(stats.maxDistance, 3); // floor((8-1)/2)
     // Steps 1 and 3 share one pass over the unordered pairs.
@@ -447,7 +512,9 @@ TEST(Hammer, MatchesAlgorithm1UnderEveryConfig)
 {
     // Every HammerConfig against the written-out reference, on a
     // tie-heavy sampled histogram (the tie groups decide which pairs
-    // the filter admits) and a tie-free unfolded one.
+    // the filter admits) and a tie-free unfolded one.  With the
+    // filter, the tied input takes the transform path; the untied one
+    // and every filter-off config take the scan.
     const Distribution tied =
         sampledHistogram(11, 0b10110011101, 0.2, 1500, 5);
     const Distribution untied = unfoldedHistogram();
@@ -474,8 +541,14 @@ TEST(Hammer, MatchesAlgorithm1UnderEveryConfig)
                         config.filterLowerProbability = filter;
                         config.weightScheme = scheme;
                         config.scoreCombine = combine;
-                        const Distribution got = reconstruct(*d, config);
+                        HammerStats stats;
+                        const Distribution got =
+                            reconstruct(*d, config, &stats);
                         const Distribution want = algorithm1(*d, config);
+                        EXPECT_EQ(stats.path, d == &tied && filter
+                                                  ? HammerPath::Transform
+                                                  : HammerPath::Scan)
+                            << "radius " << radius << " filter " << filter;
                         ASSERT_EQ(got.support(), want.support());
                         for (const Entry &e : want.entries()) {
                             const double g = got.probability(e.outcome);
@@ -498,18 +571,21 @@ TEST(Hammer, ParallelReconstructBitIdenticalAcrossThreadCounts)
 {
     // The data-layer contract: the sorted support is partitioned in
     // fixed-size row chunks whose CHS partials reduce in a fixed tree
-    // order, so any worker count — including non-power-of-two —
-    // produces byte-identical output.
+    // order, and the transforms run on the calling thread, so any
+    // worker count — including non-power-of-two — produces
+    // byte-identical output on either path.
     const Bits key = (Bits{1} << 12) - 1;
-    for (const Distribution &d :
-         {bvLikeDistribution(12, key, 0.05, 0.08),
-          sampledHistogram(12, key, 0.2, 2000, 3)}) {
+    const std::pair<Distribution, HammerPath> inputs[] = {
+        {bvLikeDistribution(12, key, 0.05, 0.08), HammerPath::Scan},
+        {sampledHistogram(12, key, 0.2, 2000, 3), HammerPath::Transform}};
+    for (const auto &[d, path] : inputs) {
         ASSERT_GT(d.support(), 256u) << "need several scan chunks";
         HammerConfig serial;
         serial.threads = 1;
         HammerStats serial_stats;
         const Distribution reference =
             reconstruct(d, serial, &serial_stats);
+        EXPECT_EQ(serial_stats.path, path);
         for (int threads : {2, 3, 4}) {
             HammerConfig config;
             config.threads = threads;
@@ -524,8 +600,11 @@ TEST(Hammer, ParallelReconstructBitIdenticalAcrossThreadCounts)
 TEST(Hammer, BitIdenticalAcrossKernelTiers)
 {
     // Every tier compiles the same scan source and sums in the same
-    // lane order, so forcing any supported tier — at any thread count
-    // — reproduces the scalar single-thread output exactly.
+    // lane order, and the transforms are tier-independent code, so
+    // forcing any supported tier — at any thread count — reproduces
+    // the scalar single-thread output exactly on both paths (the
+    // filter-on run takes the transform, the filter-off run the
+    // scan).
     const Bits key = (Bits{1} << 12) - 1;
     const Distribution d = sampledHistogram(12, key, 0.2, 2000, 9);
     for (bool filter : {true, false}) {
@@ -539,6 +618,8 @@ TEST(Hammer, BitIdenticalAcrossKernelTiers)
             ASSERT_EQ(hammerScanTier(), KernelTier::Scalar);
             reference = reconstruct(d, serial, &ref_stats);
         }
+        EXPECT_EQ(ref_stats.path,
+                  filter ? HammerPath::Transform : HammerPath::Scan);
         for (const KernelTier tier : hammer::common::supportedTiers()) {
             TierGuard guard(tier);
             for (int threads : {1, 2, 3, 4}) {
@@ -554,6 +635,155 @@ TEST(Hammer, BitIdenticalAcrossKernelTiers)
             }
         }
     }
+}
+
+// HammerTransform: the transform path against the forced scan, and
+// the rule that picks it.
+
+TEST(HammerTransform, MatchesForcedScanOnChannelHistograms)
+{
+    // sweep-hammer's BV classes: 16,384 shots (dyadic probabilities)
+    // and 16,000 (not).  The scan's own rounding over its ~10^7 pairs
+    // is most of the difference.
+    for (const char *workload : {"bv:14:00100100001111",
+                                 "bv:15:100011010010010",
+                                 "bv:16:1001010000010101"}) {
+        for (int shots : {16384, 16000}) {
+            const Distribution d = channelHistogram(workload, shots, 3);
+            ASSERT_GT(d.support(), 3500u) << workload;
+            HammerStats stats;
+            const Distribution out = reconstruct(d, {}, &stats);
+            EXPECT_EQ(stats.path, HammerPath::Transform) << workload;
+            HammerStats scan_stats;
+            const Distribution scanned = detail::reconstructOnPath(
+                HammerPath::Scan, d, {}, &scan_stats);
+            EXPECT_EQ(scan_stats.path, HammerPath::Scan);
+            expectAgree(out, stats, scanned, scan_stats, 1e-12,
+                        std::string(workload) + " at " +
+                            std::to_string(shots) + " shots");
+            // The residual scan visits a few percent of the pairs.
+            EXPECT_LT(20 * stats.pairOperations, scan_stats.pairOperations)
+                << workload;
+        }
+    }
+}
+
+TEST(HammerTransform, EdgeSupportsMatchAlgorithm1)
+{
+    // Every outcome tied (no rows above L, so no residual scan), and
+    // a random code with no two outcomes at distance 1: its CHS_1 must
+    // come out exactly 0, not rounding residue, or W_1 = 1 / CHS_1
+    // would be ~1e15 and swamp every score.
+    std::vector<Entry> uniform;
+    for (Bits x = 0; x < 512; ++x)
+        uniform.push_back({x, 1.0 / 512});
+    hammer::common::Rng rng(1);
+    std::set<Bits> code;
+    for (int draw = 0; draw < 4000 && code.size() < 300; ++draw) {
+        const Bits x = rng.uniformInt(1024);
+        bool apart = true;
+        for (const Bits y : code)
+            apart = apart && hammer::common::hammingDistance(x, y) >= 2;
+        if (apart)
+            code.insert(x);
+    }
+    std::vector<Entry> coded;
+    for (const Bits x : code)
+        coded.push_back({x, rng.uniform() < 0.2 ? 3.0 : 1.0});
+    Distribution all_tied = Distribution::fromSorted(9, std::move(uniform));
+    Distribution distance2 = Distribution::fromSorted(10, std::move(coded));
+    distance2.normalize();
+    for (const Distribution *d : {&all_tied, &distance2}) {
+        for (auto scheme :
+             {WeightScheme::InverseChs, WeightScheme::InverseBinomial}) {
+            HammerConfig config;
+            config.weightScheme = scheme;
+            HammerStats stats;
+            const Distribution got = reconstruct(*d, config, &stats);
+            EXPECT_EQ(stats.path, HammerPath::Transform);
+            const Distribution want = algorithm1(*d, config);
+            for (const Entry &e : want.entries())
+                EXPECT_LE(relativeDifference(got.probability(e.outcome),
+                                             e.probability),
+                          1e-12);
+        }
+    }
+    HammerStats stats;
+    reconstruct(distance2, {}, &stats);
+    EXPECT_EQ(stats.aggregateChs[1], 0.0);
+    EXPECT_EQ(stats.weights[1], 0.0);
+    reconstruct(all_tied, {}, &stats);
+    EXPECT_EQ(stats.pairOperations, 0u) << "no rows above L to scan";
+}
+
+TEST(HammerTransform, RuleIsAFixedFunctionOfTheSupportShape)
+{
+    // hammerPathFor(n, N, M, filter) on perfbench-sized shapes.
+    EXPECT_EQ(detail::hammerPathFor(16, 4700, 560, true),
+              HammerPath::Transform); // BV-16
+    EXPECT_EQ(detail::hammerPathFor(14, 4400, 900, true),
+              HammerPath::Transform); // BV-14
+    // GHZ-18: 2^18 / N ~ 79 entries per outcome, past the cap of 64.
+    EXPECT_EQ(detail::hammerPathFor(18, 3300, 530, true),
+              HammerPath::Scan);
+    EXPECT_EQ(detail::hammerPathFor(16, 4700, 560, false),
+              HammerPath::Scan); // filter off
+    EXPECT_EQ(detail::hammerPathFor(16, 4700, 4699, true),
+              HammerPath::Scan); // tie-free: |L| = 1
+    EXPECT_EQ(detail::hammerPathFor(21, 1u << 20, 1000, true),
+              HammerPath::Scan); // too wide for the scratch
+    EXPECT_EQ(detail::hammerPathFor(64, 1u << 20, 1000, true),
+              HammerPath::Scan);
+    EXPECT_EQ(detail::hammerPathFor(12, 300, 100, true),
+              HammerPath::Scan); // the transform cannot pay
+
+    // And through reconstruct(): a BV-16 channel histogram takes the
+    // transform, a GHZ-18 one and a tie-free one the scan, at every
+    // thread count and tier; filter off, BV-16 takes the scan too.
+    const Distribution bv16 =
+        channelHistogram("bv:16:1001010000010101", 16384, 5);
+    const Distribution ghz18 = channelHistogram("ghz:18", 32768, 5);
+    const Distribution untied = unfoldedHistogram();
+    const std::pair<const Distribution *, HammerPath> cases[] = {
+        {&bv16, HammerPath::Transform},
+        {&ghz18, HammerPath::Scan},
+        {&untied, HammerPath::Scan}};
+    for (const KernelTier tier : hammer::common::supportedTiers()) {
+        TierGuard guard(tier);
+        for (int threads : {1, 2, 3, 4}) {
+            for (const auto &[d, path] : cases) {
+                HammerConfig config;
+                config.threads = threads;
+                HammerStats stats;
+                reconstruct(*d, config, &stats);
+                EXPECT_EQ(stats.path, path)
+                    << hammer::common::tierName(tier) << ", " << threads
+                    << " threads, N " << d->support();
+            }
+        }
+    }
+    HammerConfig no_filter;
+    no_filter.filterLowerProbability = false;
+    HammerStats stats;
+    reconstruct(bv16, no_filter, &stats);
+    EXPECT_EQ(stats.path, HammerPath::Scan);
+}
+
+TEST(HammerTransform, ForcedTransformNeedsTheFilterAndANarrowRegister)
+{
+    const Distribution d = sampledHistogram(11, 0b10110011101, 0.2,
+                                            1500, 5);
+    HammerConfig no_filter;
+    no_filter.filterLowerProbability = false;
+    EXPECT_THROW(
+        detail::reconstructOnPath(HammerPath::Transform, d, no_filter),
+        std::invalid_argument);
+    Distribution wide(21);
+    wide.set(0, 0.5);
+    wide.set(1, 0.25);
+    wide.set(2, 0.25);
+    EXPECT_THROW(detail::reconstructOnPath(HammerPath::Transform, wide),
+                 std::invalid_argument);
 }
 
 // HammerFast: reconstruct's fast path — the pair-scan kernel of

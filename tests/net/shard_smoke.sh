@@ -4,7 +4,8 @@
 # byte-for-byte diff against the single-process `--serve --canonical`
 # run.  The shards run the scalar kernel tier while the local run keeps
 # the host's best, so the diff also checks that no Result (nor the plan
-# `auto` picks) depends on the tier.
+# `auto` picks) depends on the tier, on HAMMER's transform path too:
+# at least one served line must have taken it.
 # Usage: shard_smoke.sh <hammer_cli> <specs-file>
 set -euo pipefail
 
@@ -57,6 +58,10 @@ if ! diff -u "$workdir/local.out" "$workdir/sharded.out"; then
     cat "$workdir/router.log" >&2
     exit 1
 fi
+grep -q '"path":"transform"' "$workdir/local.out" || {
+    echo "FAIL: no served line took HAMMER's transform path" >&2
+    exit 1
+}
 
 # Stop the shards; each must emit its service_stats JSON line on exit.
 for pid in "${pids[@]}"; do

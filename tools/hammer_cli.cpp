@@ -845,11 +845,12 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "unique outcomes : %zu\n"
                          "max distance    : %d\n"
-                         "pair operations : %llu (per pass)\n",
+                         "pair operations : %llu (per pass, %s path)\n",
                          result.hammerStats.uniqueOutcomes,
                          result.hammerStats.maxDistance,
                          static_cast<unsigned long long>(
-                             result.hammerStats.pairOperations));
+                             result.hammerStats.pairOperations),
+                         core::hammerPathName(result.hammerStats.path));
         }
 
         emit(result, format, top);
